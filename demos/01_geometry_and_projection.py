@@ -10,10 +10,9 @@ import numpy as np
 
 from featalign.geometry import (
     CameraIntrinsics,
-    PointWithDepth,
     SE3Pose,
-    pose_jacobian,
-    project,
+    project_points,
+    projection_jacobian,
     se3_exp,
     se3_log,
 )
@@ -27,22 +26,24 @@ print("exp(twist) rotation:\n", np.round(pose.rotation, 6))
 print("log(exp(twist)) - twist:", np.abs(se3_log(pose) - twist).max())
 
 print("\n== projection ==")
-point = PointWithDepth(np.array([20.0, 30.0]), inverse_depth=0.25)
+pixels = np.array([[20.0, 30.0], [5.0, 40.0]])
+inv_depths = np.array([0.25, 0.5])
 moved = se3_exp(np.array([0.3, 0.0, 0.1, 0.0, 0.02, 0.0]))
-projected = project(point, moved, intr, intr)
-print("pixel (20, 30) at depth 4 lands at", np.round(projected, 3))
+projected, p_cam, valid = project_points(pixels, inv_depths, moved, intr, intr)
+for pixel, depth, out, ok in zip(pixels, 1.0 / inv_depths, projected, valid):
+    print(f"pixel {pixel} at depth {depth:g} lands at", np.round(out, 3), "" if ok else "(out of view)")
 
-behind = project(point, SE3Pose(np.eye(3), np.array([0, 0, -9.0])), intr, intr)
-print("point pushed behind the camera ->", behind)
+behind = SE3Pose(np.eye(3), np.array([0, 0, -9.0]))
+print("points pushed behind the camera -> valid:", project_points(pixels, inv_depths, behind, intr, intr)[2])
 
 print("\n== pose Jacobian vs finite differences ==")
-jac = pose_jacobian(point, moved, intr, intr)
+jac = projection_jacobian(p_cam, intr)
 h = 1e-6
-numeric = np.zeros((2, 6))
+numeric = np.zeros_like(jac)
 for k in range(6):
     d = np.zeros(6)
     d[k] = h
-    plus = project(point, se3_exp(d).compose(moved), intr, intr, border=-1e9)
-    minus = project(point, se3_exp(-d).compose(moved), intr, intr, border=-1e9)
-    numeric[:, k] = (plus - minus) / (2 * h)
-print("max |analytic - numeric|:", np.abs(jac - numeric).max())
+    plus = project_points(pixels, inv_depths, se3_exp(d).compose(moved), intr, intr, border=-1e9)[0]
+    minus = project_points(pixels, inv_depths, se3_exp(-d).compose(moved), intr, intr, border=-1e9)[0]
+    numeric[:, :, k] = (plus - minus) / (2 * h)
+print("max |analytic - numeric| over both points:", np.abs(jac - numeric).max())

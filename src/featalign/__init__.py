@@ -10,7 +10,7 @@ benchmark.
 __version__ = "0.1.0"
 
 from .errors import ChecksumFault, DataFault, FormatVersionFault, NumericalFault, TruncatedFileFault
-from .geometry import CameraIntrinsics, PointWithDepth, SE3Pose, se3_exp, se3_log
+from .geometry import CameraIntrinsics, SE3Pose, se3_exp, se3_log
 
 __all__ = [
     "CameraIntrinsics",
@@ -18,7 +18,6 @@ __all__ = [
     "DataFault",
     "FormatVersionFault",
     "NumericalFault",
-    "PointWithDepth",
     "SE3Pose",
     "TruncatedFileFault",
     "se3_exp",
@@ -37,7 +36,7 @@ def __getattr__(name):
         from . import losses
 
         return getattr(losses, name)
-    if name in ("AlignmentConfig", "TrackResult", "align_pose", "track_candidate"):
+    if name in ("AlignmentConfig", "TrackResult", "align_pose"):
         from . import alignment
 
         return getattr(alignment, name)

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .geometry import CameraIntrinsics, PointWithDepth, SE3Pose, pose_jacobians, project, project_points, se3_exp
+from .geometry import CameraIntrinsics, SE3Pose, project_points, projection_jacobian, se3_exp
 
 # Central differences at p' +- 1 px plus bilinear interpolation must stay
 # inside the map at every pyramid level.
@@ -53,7 +53,6 @@ class GaussNewtonSystem:
 
     h: np.ndarray
     b: np.ndarray
-    residual_sq_sum: float
     n_valid: int
     cost: float
     inlier_count: int
@@ -73,13 +72,50 @@ def interp(feature_map: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return T.bilinear_sample(T.Tensor(feature_map), T.Tensor(coords)).data
 
 
-def map_gradient(feature_map: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Central-difference map derivative at each coord, (N, D, 2), h = 1 px."""
+def map_gradient(feature_map, coords: np.ndarray) -> T.Tensor:
+    """Central-difference map derivative at each coord, (N, D, 2), h = 1 px.
+
+    Expressed through bilinear samples at x +- 1 px, so it is taped when
+    ``feature_map`` is and the training gradient flows through the same
+    stencil the runtime solver uses.
+    """
     ex = np.array([1.0, 0.0])
     ey = np.array([0.0, 1.0])
-    jx = (interp(feature_map, coords + ex) - interp(feature_map, coords - ex)) * 0.5
-    jy = (interp(feature_map, coords + ey) - interp(feature_map, coords - ey)) * 0.5
-    return np.stack([jx, jy], axis=2)
+    jx = T.mul(
+        T.sub(
+            T.bilinear_sample(feature_map, T.Tensor(coords + ex)),
+            T.bilinear_sample(feature_map, T.Tensor(coords - ex)),
+        ),
+        0.5,
+    )
+    jy = T.mul(
+        T.sub(
+            T.bilinear_sample(feature_map, T.Tensor(coords + ey)),
+            T.bilinear_sample(feature_map, T.Tensor(coords - ey)),
+        ),
+        0.5,
+    )
+    return T.stack_last([jx, jy])
+
+
+def pixel_gauss_newton(feature_map, xs: np.ndarray, f_t, eps: float):
+    """The per-pixel Gauss-Newton step from each start point toward f_t.
+
+    Builds H = J^T J + eps I and b = J^T r from the residual r = F(x) - f_t
+    and the central-difference derivative J at x, and returns the tensors
+    (mu = x - H^-1 b (N, 2), H (N, 2, 2)). Taped when ``feature_map`` or
+    ``f_t`` is: the training loss differentiates it, the trackers use its
+    data. Every stencil must lie inside the map.
+    """
+    n = xs.shape[0]
+    r = T.sub(T.bilinear_sample(feature_map, T.Tensor(xs)), f_t)
+    jac = map_gradient(feature_map, xs)
+    jac_t = T.transpose_last2(jac)
+    eps_eye = np.broadcast_to(np.eye(2) * eps, (n, 2, 2)).copy()
+    hess = T.add(T.matmul(jac_t, jac), T.Tensor(eps_eye))
+    b = T.matmul(jac_t, T.reshape(r, (n, r.data.shape[1], 1)))
+    mu = T.sub(T.Tensor(xs), T.reshape(T.matmul(T.inv2x2(hess), b), (n, 2)))
+    return mu, hess
 
 
 def stencil_valid(coords: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -107,61 +143,6 @@ def gradient_weight(jac: np.ndarray, const: float) -> np.ndarray:
     return const**2 / (const**2 + g2)
 
 
-def residual(
-    feat_ref: np.ndarray,
-    feat_tgt: np.ndarray,
-    point: PointWithDepth,
-    pose: SE3Pose,
-    intrinsics: CameraIntrinsics,
-    border: float = 2.0,
-):
-    """Feature-metric residual of one point, or None when out of view."""
-    projected = project(point, pose, intrinsics, intrinsics, border=border)
-    if projected is None:
-        return None
-    f_ref = interp(feat_ref, point.pixel[None, :])[0]
-    f_tgt = interp(feat_tgt, projected[None, :])[0]
-    return f_tgt - f_ref
-
-
-def solve2x2(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched closed-form solve of (N, 2, 2) systems."""
-    det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-    out = np.empty_like(b)
-    out[:, 0] = (h[:, 1, 1] * b[:, 0] - h[:, 0, 1] * b[:, 1]) / det
-    out[:, 1] = (-h[:, 1, 0] * b[:, 0] + h[:, 0, 0] * b[:, 1]) / det
-    return out
-
-
-def pixel_gn_step(feat_tgt: np.ndarray, x_s: np.ndarray, f_t: np.ndarray, eps: float):
-    """One per-pixel Gauss-Newton step from x_s toward the location whose
-    descriptor matches f_t.
-
-    Returns (GaussNewtonSystem with the 2x2 normal equations, updated
-    position), or None when the derivative stencil leaves the map. Identical
-    arithmetic to the loss-side solve: H = J^T J + eps I, b = J^T r,
-    x <- x_s - H^-1 b.
-    """
-    x_s = np.asarray(x_s, dtype=np.float64).reshape(1, 2)
-    height, width = feat_tgt.shape[:2]
-    if not stencil_valid(x_s, width, height)[0]:
-        return None
-    r = interp(feat_tgt, x_s)[0] - np.asarray(f_t, dtype=np.float64)
-    jac = map_gradient(feat_tgt, x_s)[0]
-    h = jac.T @ jac + eps * np.eye(2)
-    b = jac.T @ r
-    step = -solve2x2(h[None], b[None])[0]
-    system = GaussNewtonSystem(
-        h=h,
-        b=b,
-        residual_sq_sum=float(r @ r),
-        n_valid=1,
-        cost=float(r @ r),
-        inlier_count=1,
-    )
-    return system, x_s[0] + step
-
-
 def track_pixels(
     feat_tgt: np.ndarray,
     starts: np.ndarray,
@@ -180,22 +161,17 @@ def track_pixels(
     height, width = feat_tgt.shape[:2]
     alive = stencil_valid(x, width, height)
     settled = np.zeros(n, dtype=bool)
-    eye = eps * np.eye(2)
     for _ in range(max_iterations):
         work = alive & ~settled
         if not np.any(work):
             break
         idx = np.nonzero(work)[0]
-        r = interp(feat_tgt, x[idx]) - f_t[idx]
-        jac = map_gradient(feat_tgt, x[idx])
-        h = np.einsum("ndi,ndj->nij", jac, jac) + eye
-        b = np.einsum("ndi,nd->ni", jac, r)
-        step = -solve2x2(h, b)
-        x_new = x[idx] + step
+        mu, _ = pixel_gauss_newton(feat_tgt, x[idx], f_t[idx], eps)
+        x_new = mu.data
+        small = np.linalg.norm(x_new - x[idx], axis=1) < step_tol
         ok = stencil_valid(x_new, width, height)
         x[idx[ok]] = x_new[ok]
         alive[idx[~ok]] = False
-        small = np.linalg.norm(step, axis=1) < step_tol
         settled[idx[ok & small]] = True
     return x, alive & settled
 
@@ -233,14 +209,14 @@ def _assemble(
     point_cost = np.zeros(n_points)
     if valid.sum() < config.min_valid_points:
         system = GaussNewtonSystem(
-            np.zeros((6, 6)), np.zeros(6), np.inf, int(valid.sum()), np.inf, 0
+            np.zeros((6, 6)), np.zeros(6), int(valid.sum()), np.inf, 0
         )
         return _Evaluation(system, valid, point_cost)
     idx = np.nonzero(valid)[0]
     coords = projected[idx]
     r = interp(feat_tgt, coords) - f_ref[idx]
-    jac_map = map_gradient(feat_tgt, coords)
-    jac_pose = pose_jacobians(p_cam[idx], intr)
+    jac_map = map_gradient(feat_tgt, coords).data
+    jac_pose = projection_jacobian(p_cam[idx], intr)
     norms = np.linalg.norm(r, axis=1)
     weights = huber_weight(norms, config.huber_delta)
     grad_w = (
@@ -263,7 +239,6 @@ def _assemble(
     system = GaussNewtonSystem(
         h=h,
         b=b,
-        residual_sq_sum=float(np.sum(norms**2)),
         n_valid=int(len(idx)),
         cost=float(np.mean(point_cost[idx])),
         inlier_count=int(np.sum(norms <= config.huber_delta)),
@@ -379,16 +354,6 @@ def align_pose(
     )
 
 
-@dataclass
-class Keyframe:
-    """Reference frame with sparse depths, ready to be tracked against."""
-
-    image: np.ndarray
-    pixels: np.ndarray
-    inverse_depths: np.ndarray
-    intrinsics: CameraIntrinsics
-
-
 def intensity_pyramid(image: np.ndarray, levels: int) -> list:
     """Grayscale image pyramid by 2x2 averaging, 1-channel feature maps."""
     img = np.asarray(image, dtype=np.float64)
@@ -440,32 +405,6 @@ def select_keyframe_points(
     pts = np.array(pixels) if pixels else np.empty((0, 2))
     inv_depths = 1.0 / depth[pts[:, 1].astype(int), pts[:, 0].astype(int)] if len(pts) else np.empty(0)
     return pts, inv_depths
-
-
-def track_candidate(
-    keyframe: Keyframe,
-    candidate_image: np.ndarray,
-    extractor: Callable[[np.ndarray], Sequence[np.ndarray]],
-    config: AlignmentConfig,
-) -> TrackResult:
-    """Tracks a candidate frame against a keyframe from identity init.
-
-    ``extractor`` maps an image to a feature pyramid (list of (H, W, D)
-    maps); pass an intensity pyramid closure for the image-space baseline.
-    """
-    if keyframe.pixels.shape[0] < config.min_valid_points:
-        raise ValueError("keyframe holds too few depth points to track against")
-    pyr_ref = extractor(keyframe.image)
-    pyr_tgt = extractor(candidate_image)
-    return align_pose(
-        pyr_ref,
-        pyr_tgt,
-        keyframe.pixels,
-        keyframe.inverse_depths,
-        SE3Pose.identity(),
-        keyframe.intrinsics,
-        config,
-    )
 
 
 def network_extractor(weights) -> Callable[[np.ndarray], list]:

@@ -228,17 +228,6 @@ def write_split(
     (root / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-@dataclass
-class LoadedFrame:
-    frame_id: int
-    image: np.ndarray
-    depth: np.ndarray
-    pose: SE3Pose
-    condition_id: int
-    sequence: int
-    index: int
-
-
 def read_split(directory) -> DatasetSplit:
     root = Path(directory)
     manifest_path = root / "manifest.json"
@@ -267,10 +256,14 @@ def read_split(directory) -> DatasetSplit:
             raise ChecksumFault(f"{image_path}: checksum mismatch")
         if zlib.crc32(depth_blob) != record["crc32_depth"]:
             raise ChecksumFault(f"{depth_path}: checksum mismatch")
-        frames[record["id"]] = LoadedFrame(
+        depth = read_depth(depth_path)
+        # Tracking inverts depth at the selected keyframe points.
+        if not np.all(np.isfinite(depth) & (depth > 0)):
+            raise DataFault(f"{depth_path}: depth must be finite and positive")
+        frames[record["id"]] = Frame(
             frame_id=record["id"],
             image=read_pgm(image_path)[:, :, None],
-            depth=read_depth(depth_path),
+            depth=depth,
             pose=_pose_from_list(record["pose"]),
             condition_id=record["condition_id"],
             sequence=record["sequence"],

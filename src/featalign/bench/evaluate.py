@@ -17,7 +17,7 @@ import numpy as np
 
 from ..alignment import AlignmentConfig, align_pose, select_keyframe_points, track_pixels
 from ..geometry import SE3Pose
-from ..losses import CorrespondenceBatch
+from ..losses import CorrespondenceBatch, draw_start_points
 from .dataset_io import DatasetSplit
 
 THRESHOLD_STEP = 0.01
@@ -254,10 +254,7 @@ def basin_trials(
         feat_b = features_of(batch.frame_b)
         height, width = feat_b.shape[:2]
         f_t = interp(feat_a, batch.pos_a)
-        offsets = rng.uniform(-radius, radius, size=batch.pos_b.shape)
-        starts = batch.pos_b + offsets
-        starts[:, 0] = np.clip(starts[:, 0], 1.001, width - 2.001)
-        starts[:, 1] = np.clip(starts[:, 1], 1.001, height - 2.001)
+        starts = draw_start_points(rng, batch.pos_b, radius, width, height)
         final, converged = track_pixels(
             feat_b, starts, f_t, eps, max_iterations=max_iterations, step_tol=0.01
         )

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alignment import intensity_extractor, method_config, network_extractor, track_candidate, Keyframe, select_keyframe_points
+from .alignment import intensity_extractor, method_config, network_extractor
 from .bench.dataset_io import read_split, write_split
 from .bench.evaluate import evaluate_relocalization, run_relocalization, write_curve_csv, write_curves_svg
 from .bench.scene import (
@@ -270,14 +270,10 @@ def cmd_align(args) -> int:
     if not (0 <= args.candidate < len(split.candidates)):
         raise UsageError(f"--candidate must be in [0, {len(split.candidates)})")
     candidate = split.candidates[args.candidate]
+    split.candidates = [candidate]
     extractor, levels = _extractor_for(args.method, args)
     config = method_config(args.method, levels)
-    ref = split.frames[candidate.reference_frame]
-    pixels, inv_depths = select_keyframe_points(ref.image, ref.depth, k=args.points)
-    keyframe = Keyframe(ref.image, pixels, inv_depths, split.intrinsics)
-    result = track_candidate(
-        keyframe, split.frames[candidate.candidate_frame].image, extractor, config
-    )
+    [(_, result)] = run_relocalization(split, extractor, config, point_count=args.points)
     err = float(np.linalg.norm(result.pose.translation - candidate.relative_pose.translation))
     print(
         json.dumps(

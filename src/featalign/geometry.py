@@ -101,18 +101,6 @@ class CameraIntrinsics:
         )
 
 
-@dataclass(frozen=True)
-class PointWithDepth:
-    """A pixel location with known inverse depth in its host frame."""
-
-    pixel: np.ndarray
-    inverse_depth: float
-
-    def __post_init__(self):
-        if not self.inverse_depth > 0:
-            raise ValueError("inverse depth must be positive")
-
-
 def so3_exp(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula with a series branch near zero."""
     theta = float(np.linalg.norm(w))
@@ -191,42 +179,6 @@ def se3_log(pose: SE3Pose) -> np.ndarray:
     return np.concatenate([v, w])
 
 
-def backproject(point: PointWithDepth, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Pixel + inverse depth -> camera-frame 3D point."""
-    u, v = point.pixel
-    z = 1.0 / point.inverse_depth
-    x = (u - intrinsics.cx) / intrinsics.fx * z
-    y = (v - intrinsics.cy) / intrinsics.fy * z
-    return np.array([x, y, z])
-
-
-def project(
-    point: PointWithDepth,
-    pose: SE3Pose,
-    intr_src: CameraIntrinsics,
-    intr_dst: CameraIntrinsics,
-    border: float = 2.0,
-):
-    """Projects a source pixel with depth into the destination frame.
-
-    Returns the destination pixel as a 2-vector, or None when the
-    transformed point has non-positive depth or lands outside the image
-    minus ``border`` pixels. Out-of-view is a value, not an error.
-    """
-    p_cam = pose.apply(backproject(point, intr_src))
-    z = p_cam[2]
-    if z <= 0.0:
-        return None
-    u = intr_dst.fx * p_cam[0] / z + intr_dst.cx
-    v = intr_dst.fy * p_cam[1] / z + intr_dst.cy
-    if not (
-        border <= u <= intr_dst.width - 1 - border
-        and border <= v <= intr_dst.height - 1 - border
-    ):
-        return None
-    return np.array([u, v])
-
-
 def project_points(
     pixels: np.ndarray,
     inverse_depths: np.ndarray,
@@ -235,10 +187,12 @@ def project_points(
     intr_dst: CameraIntrinsics,
     border: float = 2.0,
 ):
-    """Vectorized projection of N points.
+    """Projects N source pixels with inverse depths into the destination frame.
 
     Returns (projected (N,2), camera-frame points (N,3), valid mask (N,)).
-    Entries of invalid points are left in place but must not be used.
+    A point is invalid when it lands at non-positive depth or outside the
+    image minus ``border`` pixels; its entries are left in place but must
+    not be used.
     """
     z_src = 1.0 / inverse_depths
     x = (pixels[:, 0] - intr_src.cx) / intr_src.fx * z_src
@@ -258,25 +212,11 @@ def project_points(
     return np.stack([u, v], axis=1), p_cam, valid
 
 
-def pose_jacobian(
-    point: PointWithDepth,
-    pose: SE3Pose,
-    intr_src: CameraIntrinsics,
-    intr_dst: CameraIntrinsics,
-) -> np.ndarray:
-    """2x6 derivative of the projected pixel w.r.t. a left-multiplied twist.
-
-    Columns are ordered [v, w] to match :func:`se3_exp`. The point must
-    project in front of the camera.
-    """
-    p_cam = pose.apply(backproject(point, intr_src))
-    if p_cam[2] <= 0.0:
-        raise ValueError("point does not project in view (non-positive depth)")
-    return _projection_jacobian(p_cam[None, :], intr_dst)[0]
-
-
-def _projection_jacobian(p_cam: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
+def projection_jacobian(p_cam: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
     """Batched 2x6 pixel-vs-twist Jacobian for camera-frame points (N, 3).
+
+    Columns are ordered [v, w] to match :func:`se3_exp`; points must lie in
+    front of the camera.
 
     For a left increment, d(exp(d)X)/dd = [I | -skew(X)], composed with the
     pinhole derivative [[fx/z, 0, -fx x/z^2], [0, fy/z, -fy y/z^2]].
@@ -300,8 +240,3 @@ def _projection_jacobian(p_cam: np.ndarray, intr: CameraIntrinsics) -> np.ndarra
     jac[:, 1, 4] = fy * x * y * inv_z**2
     jac[:, 1, 5] = fy * x * inv_z
     return jac
-
-
-def pose_jacobians(p_cam: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
-    """Batched variant of :func:`pose_jacobian` for camera-frame points."""
-    return _projection_jacobian(p_cam, intr)

@@ -21,13 +21,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
+from .alignment import STENCIL_MARGIN, pixel_gauss_newton
 from .errors import NumericalFault
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-# Closest a jittered start point may sit to the map edge: central differences
-# at x +- 1 px plus bilinear interpolation must stay in bounds.
-STENCIL_MARGIN = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -119,18 +116,13 @@ def pixel_belief(feat_map: np.ndarray, x_s: np.ndarray, f_t: np.ndarray,
                  epsilon: float) -> GaussianBelief:
     """Single-start belief from the regularized per-pixel normal equations.
 
-    Numpy mirror of the arithmetic inside :func:`gauss_newton_loss`, handy
-    for inspecting what the loss sees at one correspondence.
+    Untaped run of the kernel inside :func:`gauss_newton_loss`, handy for
+    inspecting what the loss sees at one correspondence.
     """
-    from .alignment import interp, map_gradient
-
     x_s = np.asarray(x_s, dtype=np.float64).reshape(1, 2)
-    f_s = interp(feat_map, x_s)[0]
-    jac = map_gradient(feat_map, x_s)[0]
-    hess = jac.T @ jac + epsilon * np.eye(2)
-    b = jac.T @ (f_s - np.asarray(f_t, dtype=np.float64))
-    mean = x_s[0] - np.linalg.solve(hess, b)
-    return GaussianBelief(mean, hess)
+    f_t = np.asarray(f_t, dtype=np.float64).reshape(1, -1)
+    mean, hess = pixel_gauss_newton(feat_map, x_s, f_t, epsilon)
+    return GaussianBelief(mean.data[0], hess.data[0])
 
 
 def sample_negatives(rng, pos_b: np.ndarray, width: int, height: int,
@@ -202,31 +194,6 @@ def gaussian_nll_terms(mu: T.Tensor, hessian: T.Tensor, x: np.ndarray):
     return e1, e2
 
 
-def _feature_jacobian(feat_map, xs: np.ndarray) -> T.Tensor:
-    """Central-difference d(map)/d(position) at each start point, (N, D, 2).
-
-    Expressed through bilinear samples at x +- 1 px so the training gradient
-    flows through the same stencil the runtime solver uses.
-    """
-    ex = np.array([1.0, 0.0])
-    ey = np.array([0.0, 1.0])
-    jx = T.mul(
-        T.sub(
-            T.bilinear_sample(feat_map, T.Tensor(xs + ex)),
-            T.bilinear_sample(feat_map, T.Tensor(xs - ex)),
-        ),
-        0.5,
-    )
-    jy = T.mul(
-        T.sub(
-            T.bilinear_sample(feat_map, T.Tensor(xs + ey)),
-            T.bilinear_sample(feat_map, T.Tensor(xs - ey)),
-        ),
-        0.5,
-    )
-    return T.stack_last([jx, jy])
-
-
 def draw_start_points(rng, pos_b: np.ndarray, vicinity: float, width: int, height: int):
     """u_b plus a uniform square jitter, clamped to the stencil-valid region."""
     offsets = rng.uniform(-vicinity, vicinity, size=pos_b.shape)
@@ -257,18 +224,11 @@ def gauss_newton_loss(
     if vicinity is None:
         vicinity = config.vicinity_radius
     n = batch.n_pos
-    eps_eye = np.broadcast_to(np.eye(2) * config.epsilon, (n, 2, 2)).copy()
     total = None
     for _ in range(max(1, config.starts_per_match)):
         f_t = T.bilinear_sample(feat_a, T.Tensor(batch.pos_a))
         xs = draw_start_points(rng, batch.pos_b, vicinity, width, height)
-        f_s = T.bilinear_sample(feat_b, T.Tensor(xs))
-        r = T.sub(f_s, f_t)
-        jac = _feature_jacobian(feat_b, xs)
-        jac_t = T.transpose_last2(jac)
-        hess = T.add(T.matmul(jac_t, jac), T.Tensor(eps_eye))
-        b = T.matmul(jac_t, T.reshape(r, (n, r.data.shape[1], 1)))
-        mu = T.sub(T.Tensor(xs), T.reshape(T.matmul(T.inv2x2(hess), b), (n, 2)))
+        mu, hess = pixel_gauss_newton(feat_b, xs, f_t, config.epsilon)
         e1, e2 = gaussian_nll_terms(mu, hess, batch.pos_b)
         if np.any(e1.data < -1e-9):
             raise NumericalFault("Gauss-Newton loss: negative quadratic term")

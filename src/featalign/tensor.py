@@ -1,10 +1,9 @@
 """Minimal dense tensors with reverse-mode differentiation.
 
 Enough machinery to train the descriptor network through both losses:
-elementwise ops, (batched) matmul, conv2d / transposed conv2d, pooling and
-nearest upsampling, channel concat/slice, batched 2x2 determinant/inverse,
-and bilinear sampling whose gradient flows to BOTH the sampled map and the
-sampling coordinates.
+elementwise ops, (batched) matmul, conv2d, pooling and nearest upsampling,
+channel concat, batched 2x2 determinant/inverse, and bilinear sampling whose
+gradient flows to BOTH the sampled map and the sampling coordinates.
 
 A :class:`Tape` records primitive applications in execution order; the
 backward pass walks that record in reverse exactly once, accumulating
@@ -238,12 +237,6 @@ def sqrt(x) -> Tensor:
     return _make(out, [x], lambda g: [g * (0.5 / out)])
 
 
-def reciprocal(x) -> Tensor:
-    x = astensor(x)
-    out = 1.0 / x.data
-    return _make(out, [x], lambda g: [-g * out * out])
-
-
 # ---------------------------------------------------------------------------
 # shape plumbing
 
@@ -270,21 +263,6 @@ def concat_channels(xs: Sequence) -> Tensor:
     return _make(np.concatenate([t.data for t in xs], axis=-1), xs, backward)
 
 
-def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
-    x = astensor(x)
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    shape = x.data.shape
-
-    def backward(g):
-        full = np.zeros(shape)
-        full[idx] = g
-        return [full]
-
-    return _make(x.data[idx].copy(), [x], backward)
-
-
 def stack_last(xs: Sequence) -> Tensor:
     xs = [astensor(t) for t in xs]
 
@@ -304,11 +282,6 @@ def reduce_sum(x, axis: Optional[int] = None) -> Tensor:
         return [np.broadcast_to(np.expand_dims(g, axis), shape).copy()]
 
     return _make(x.data.sum(axis=axis), [x], backward)
-
-
-def mean_all(x) -> Tensor:
-    x = astensor(x)
-    return mul(reduce_sum(x), 1.0 / x.data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -421,56 +394,6 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
                 dw[di, dj] = np.tensordot(xs, g, axes=([0, 1], [0, 1]))
                 dxp[sl_i, sl_j] += g @ wd[di, dj].T
         dx = dxp[pad : pad + xd.shape[0], pad : pad + xd.shape[1]] if pad else dxp
-        grads = [dx, dw]
-        if bias is not None:
-            grads.append(g.sum(axis=(0, 1)))
-        return grads
-
-    return _make(out, inputs, backward)
-
-
-def transposed_conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
-    """Adjoint of :func:`conv2d`'s spatial map, for learned upsampling.
-
-    Input (H, W, Cin), kernel (kh, kw, Cin, Cout); output spatial size is
-    (H-1)*stride + kh - 2*pad per side.
-    """
-    x, w = astensor(x), astensor(w)
-    xd, wd = x.data, w.data
-    if xd.ndim != 3 or wd.ndim != 4:
-        raise ValueError(f"transposed_conv2d: bad ranks {xd.shape}, {wd.shape}")
-    if xd.shape[2] != wd.shape[2]:
-        raise ValueError(f"transposed_conv2d: channel mismatch {xd.shape} vs {wd.shape}")
-    kh, kw = wd.shape[:2]
-    h, wdt = xd.shape[:2]
-    full_h = (h - 1) * stride + kh
-    full_w = (wdt - 1) * stride + kw
-    ho, wo = full_h - 2 * pad, full_w - 2 * pad
-    if ho <= 0 or wo <= 0:
-        raise ValueError("transposed_conv2d: padding removes the whole output")
-    full = np.zeros((full_h, full_w, wd.shape[3]))
-    for di in range(kh):
-        for dj in range(kw):
-            full[di : di + stride * (h - 1) + 1 : stride, dj : dj + stride * (wdt - 1) + 1 : stride] += (
-                xd @ wd[di, dj]
-            )
-    out = full[pad : pad + ho, pad : pad + wo]
-    inputs = [x, w]
-    if bias is not None:
-        bias = astensor(bias)
-        out = out + bias.data
-        inputs.append(bias)
-
-    def backward(g):
-        gfull = np.zeros((full_h, full_w, wd.shape[3]))
-        gfull[pad : pad + ho, pad : pad + wo] = g
-        dx = np.zeros_like(xd)
-        dw = np.zeros_like(wd)
-        for di in range(kh):
-            for dj in range(kw):
-                gs = gfull[di : di + stride * (h - 1) + 1 : stride, dj : dj + stride * (wdt - 1) + 1 : stride]
-                dx += gs @ wd[di, dj].T
-                dw[di, dj] = np.tensordot(xd, gs, axes=([0, 1], [0, 1]))
         grads = [dx, dw]
         if bias is not None:
             grads.append(g.sum(axis=(0, 1)))

@@ -5,21 +5,20 @@ import pytest
 
 from featalign.alignment import (
     AlignmentConfig,
-    Keyframe,
     align_pose,
     build_pose_system,
     intensity_extractor,
     intensity_pyramid,
     interp,
     method_config,
-    pixel_gn_step,
-    residual,
+    pixel_gauss_newton,
     select_keyframe_points,
-    track_candidate,
     track_pixels,
 )
-from featalign.bench.scene import SceneConfig, generate_scene
-from featalign.geometry import CameraIntrinsics, PointWithDepth, SE3Pose, se3_exp
+from featalign.bench.dataset_io import DatasetSplit
+from featalign.bench.evaluate import run_relocalization
+from featalign.bench.scene import Frame, RelocCandidate, SceneConfig, generate_scene
+from featalign.geometry import CameraIntrinsics, SE3Pose, project_points, se3_exp
 
 INTR = CameraIntrinsics(fx=60.0, fy=60.0, cx=31.5, cy=31.5, width=64, height=64)
 
@@ -38,26 +37,42 @@ def loop_interp(m, x, y):
 
 
 class TestResidual:
+    """The solver's residual: target descriptor at the projection minus reference.
+
+    With a Huber threshold far above every residual and no gradient weight,
+    the pose system's cost is the mean squared residual norm.
+    """
+
+    cfg = AlignmentConfig(huber_delta=1e6, min_valid_points=1)
+
     def test_identity_zero(self):
         rng = np.random.default_rng(0)
         fmap = rng.standard_normal((64, 64, 3))
-        point = PointWithDepth(np.array([20.0, 30.0]), 0.5)
-        r = residual(fmap, fmap, point, SE3Pose.identity(), INTR)
-        np.testing.assert_allclose(r, 0.0, atol=1e-12)
+        system = build_pose_system(
+            fmap, fmap, np.array([[20.0, 30.0]]), np.array([0.5]), SE3Pose.identity(), INTR, self.cfg
+        )
+        assert system.n_valid == 1
+        assert system.cost < 1e-24
+        np.testing.assert_allclose(system.b, 0.0, atol=1e-12)
 
     def test_constant_offset(self):
         rng = np.random.default_rng(1)
         fmap = rng.standard_normal((64, 64, 2))
         offset = np.array([0.7, -1.1])
-        point = PointWithDepth(np.array([11.0, 47.0]), 1.0)
-        r = residual(fmap, fmap + offset, point, SE3Pose.identity(), INTR)
-        np.testing.assert_allclose(r, offset, atol=1e-12)
+        system = build_pose_system(
+            fmap, fmap + offset, np.array([[11.0, 47.0]]), np.array([1.0]),
+            SE3Pose.identity(), INTR, self.cfg,
+        )
+        assert system.cost == pytest.approx(offset @ offset, abs=1e-12)
 
     def test_out_of_view_dropped(self):
         fmap = np.zeros((64, 64, 1))
-        point = PointWithDepth(np.array([5.0, 5.0]), 1.0)
         pose = SE3Pose(np.eye(3), np.array([50.0, 0.0, 0.0]))
-        assert residual(fmap, fmap, point, pose, INTR) is None
+        system = build_pose_system(
+            fmap, fmap, np.array([[5.0, 5.0]]), np.array([1.0]), pose, INTR, self.cfg
+        )
+        assert system.n_valid == 0
+        assert not np.isfinite(system.cost)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -66,17 +81,15 @@ class TestResidual:
         pose = se3_exp(np.array([0.05, -0.02, 0.01, 0.004, -0.006, 0.003]))
         checked = 0
         while checked < 50:
-            point = PointWithDepth(rng.uniform(8, 55, 2), rng.uniform(0.2, 0.5))
-            r = residual(fref, ftgt, point, pose, INTR)
-            if r is None:
+            pixel = rng.uniform(8, 55, (1, 2))
+            inv_depth = rng.uniform(0.2, 0.5, 1)
+            projected, _, valid = project_points(pixel, inv_depth, pose, INTR, INTR)
+            system = build_pose_system(fref, ftgt, pixel, inv_depth, pose, INTR, self.cfg)
+            assert system.n_valid == int(valid[0])
+            if not valid[0]:
                 continue
-            from featalign.geometry import project
-
-            p2 = project(point, pose, INTR, INTR)
-            expected = loop_interp(ftgt, p2[0], p2[1]) - loop_interp(
-                fref, point.pixel[0], point.pixel[1]
-            )
-            np.testing.assert_allclose(r, expected, atol=1e-12)
+            expected = loop_interp(ftgt, *projected[0]) - loop_interp(fref, *pixel[0])
+            assert system.cost == pytest.approx(expected @ expected, rel=1e-12, abs=1e-12)
             checked += 1
 
 
@@ -96,32 +109,37 @@ class TestPixelGN:
         a = np.array([[1.3, 0.2], [-0.4, 0.9], [0.1, 0.5]])
         x_star = np.array([9.25, 7.5])
         fmap = linear_field(16, 16, a, x_star)
-        out = pixel_gn_step(fmap, np.array([7.0, 6.0]), np.zeros(3), eps=1e-12)
-        assert out is not None
-        _, x_new = out
-        np.testing.assert_allclose(x_new, x_star, atol=1e-6)
+        final, _ = track_pixels(fmap, np.array([[7.0, 6.0]]), np.zeros((1, 3)), eps=1e-12, max_iterations=1)
+        np.testing.assert_allclose(final[0], x_star, atol=1e-6)
 
     def test_zero_residual_zero_step(self):
         rng = np.random.default_rng(3)
         fmap = rng.standard_normal((12, 12, 2))
-        x_s = np.array([5.25, 6.75])
-        f_t = interp(fmap, x_s[None])[0]
-        system, x_new = pixel_gn_step(fmap, x_s, f_t, eps=1e-3)
-        np.testing.assert_allclose(system.b, 0.0, atol=1e-14)
-        np.testing.assert_allclose(x_new, x_s, atol=1e-12)
+        x_s = np.array([[5.25, 6.75]])
+        f_t = interp(fmap, x_s)
+        mu, hess = pixel_gauss_newton(fmap, x_s, f_t, eps=1e-3)
+        np.testing.assert_allclose(mu.data, x_s, atol=1e-12)
+        np.testing.assert_array_equal(hess.data[0], hess.data[0].T)
+        final, settled = track_pixels(fmap, x_s, f_t, eps=1e-3, max_iterations=1)
+        np.testing.assert_allclose(final, x_s, atol=1e-12)
+        assert settled.all()
 
     def test_rank_one_moves_along_gradient_only(self):
         # Single-direction gradient: the step has no perpendicular part.
         ys, xs = np.meshgrid(np.arange(16.0), np.arange(16.0), indexing="ij")
         fmap = (0.8 * xs)[:, :, None]
-        out = pixel_gn_step(fmap, np.array([8.0, 8.0]), np.array([0.8 * 5.0]), eps=1e-9)
-        system, x_new = out
-        assert abs(x_new[1] - 8.0) < 1e-9
-        assert x_new[0] < 8.0
+        final, _ = track_pixels(
+            fmap, np.array([[8.0, 8.0]]), np.array([[0.8 * 5.0]]), eps=1e-9, max_iterations=1
+        )
+        assert abs(final[0, 1] - 8.0) < 1e-9
+        assert final[0, 0] < 8.0
 
     def test_stencil_out_of_bounds_is_failure(self):
         fmap = np.zeros((8, 8, 1))
-        assert pixel_gn_step(fmap, np.array([0.5, 4.0]), np.zeros(1), eps=1e-3) is None
+        start = np.array([[0.5, 4.0]])
+        final, settled = track_pixels(fmap, start, np.zeros((1, 1)), eps=1e-3, max_iterations=1)
+        assert not settled[0]
+        np.testing.assert_array_equal(final, start)
 
     def test_track_pixels_converges_on_linear_field(self):
         a = np.eye(2) * 0.9
@@ -282,24 +300,33 @@ class TestAlignPose:
         assert result.final_residual <= start_cost
 
 
+def relocalize(img_ref, depth_ref, img_tgt, intrinsics, k):
+    """Tracks one candidate image against a keyframe with intensity pyramids."""
+    frames = {
+        0: Frame(0, img_ref, depth_ref, SE3Pose.identity(), 0, 0, 0),
+        1: Frame(1, img_tgt, depth_ref, SE3Pose.identity(), 0, 0, 1),
+    }
+    split = DatasetSplit(None, {}, intrinsics, frames, [RelocCandidate(1, 0, SE3Pose.identity())], [])
+    [(_, result)] = run_relocalization(
+        split, intensity_extractor(3), method_config("intensity"), point_count=k
+    )
+    return result
+
+
 class TestTrackCandidate:
     def test_self_tracking_identity(self):
         img_ref, depth_ref, _, _, scene = make_two_view(seed=14)
-        pixels, inv_depths = select_keyframe_points(img_ref, depth_ref, k=256, spacing=4)
-        keyframe = Keyframe(img_ref, pixels, inv_depths, scene.intrinsics)
-        result = track_candidate(keyframe, img_ref, intensity_extractor(3), method_config("intensity"))
+        result = relocalize(img_ref, depth_ref, img_ref, scene.intrinsics, k=256)
         assert result.converged
         assert np.linalg.norm(result.pose.translation) < 1e-6
         assert np.abs(result.pose.rotation - np.eye(3)).max() < 1e-6
 
     def test_out_of_overlap_fails(self):
         img_ref, depth_ref, _, _, scene = make_two_view(seed=15)
-        pixels, inv_depths = select_keyframe_points(img_ref, depth_ref, k=128, spacing=4)
-        keyframe = Keyframe(img_ref, pixels, inv_depths, scene.intrinsics)
         # A candidate from a completely different surface region.
         far_pose = scene.trajectory[0].compose(
             se3_exp(np.array([8.0, 8.0, 0.0, 0.0, 0.0, 0.0]))
         )
         far_img, _ = scene.render(far_pose)
-        result = track_candidate(keyframe, far_img, intensity_extractor(3), method_config("intensity"))
+        result = relocalize(img_ref, depth_ref, far_img, scene.intrinsics, k=128)
         assert not result.converged

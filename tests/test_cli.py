@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ import featalign.tensor as tensor_mod
 from featalign.bench.dataset_io import read_split
 from featalign.cli import main as cli_main
 from featalign.gradcheck import run_gradcheck
+
+from helpers import corrupt_depth
 
 
 def tree_digest(root: Path) -> dict:
@@ -138,6 +141,24 @@ class TestAlign:
     def test_candidate_out_of_range(self, dataset):
         rc = cli_main(["align", "--dataset", str(dataset), "--candidate", "99"])
         assert rc == 1
+
+    def test_too_few_points_is_tracking_failure(self, dataset, capsys):
+        # Same outcome as `evaluate` scores for the candidate: a failed track.
+        rc = cli_main(["align", "--dataset", str(dataset), "--candidate", "0",
+                       "--method", "intensity", "--points", "3"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is False
+        assert payload["iterations"] == 0
+
+    def test_corrupt_depth_is_data_fault(self, dataset, tmp_path):
+        corrupt = tmp_path / "ds"
+        shutil.copytree(dataset, corrupt)
+        corrupt_depth(corrupt / "test", float("nan"))
+        assert cli_main(["align", "--dataset", str(corrupt)]) == 2
+        rc = cli_main(["evaluate", "--dataset", str(corrupt), "--out", str(tmp_path / "ev"),
+                       "--methods", "intensity"])
+        assert rc == 2
 
 
 class TestGradcheckCommand:

@@ -16,6 +16,8 @@ from featalign.bench.dataset_io import (
 from featalign.bench.scene import ConditionTransform, SceneConfig, generate_scene, make_correspondences
 from featalign.errors import ChecksumFault, DataFault, FormatVersionFault, TruncatedFileFault
 
+from helpers import corrupt_depth
+
 
 @pytest.fixture(scope="module")
 def scene():
@@ -140,6 +142,14 @@ class TestSplitIO:
         blob[-1] ^= 0xFF
         victim.write_bytes(bytes(blob))
         with pytest.raises(ChecksumFault):
+            read_split(d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_nonfinite_or_nonpositive_depth_is_data_fault(self, tmp_path, scene, bad):
+        d = tmp_path / "split"
+        write_split(d, scene, None, seed=21)
+        corrupt_depth(d, bad)
+        with pytest.raises(DataFault, match="finite and positive"):
             read_split(d)
 
     def test_missing_file_is_data_fault(self, tmp_path, scene):

@@ -1,0 +1,21 @@
+"""Smoke test: every narrative script under demos/ runs to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_exits_cleanly(demo, tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=900
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

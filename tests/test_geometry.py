@@ -5,11 +5,9 @@ import pytest
 
 from featalign.geometry import (
     CameraIntrinsics,
-    PointWithDepth,
     SE3Pose,
-    pose_jacobian,
-    project,
     project_points,
+    projection_jacobian,
     se3_exp,
     se3_log,
 )
@@ -56,6 +54,22 @@ def random_pose(rng, angle_scale=0.5, trans_scale=0.5):
 
 
 INTR = CameraIntrinsics(fx=60.0, fy=55.0, cx=31.5, cy=31.5, width=64, height=64)
+
+
+def project_one(pixel, inv_depth, pose, intr_dst=INTR, border=2.0):
+    """One-row :func:`project_points` from INTR: the pixel, or None when invalid."""
+    projected, _, valid = project_points(
+        np.array([pixel], dtype=float), np.array([inv_depth]), pose, INTR, intr_dst, border
+    )
+    return projected[0] if valid[0] else None
+
+
+def jacobian_one(pixel, inv_depth, pose, intr_dst=INTR):
+    """2x6 projection Jacobian of one pixel from INTR, and its camera-frame point."""
+    _, p_cam, _ = project_points(
+        np.array([pixel], dtype=float), np.array([inv_depth]), pose, INTR, intr_dst
+    )
+    return projection_jacobian(p_cam, intr_dst)[0], p_cam[0]
 
 
 class TestSE3Exp:
@@ -117,16 +131,14 @@ class TestSE3Properties:
 
 class TestProject:
     def test_identity_pose_same_intrinsics(self):
-        point = PointWithDepth(np.array([20.0, 30.0]), 0.25)
-        got = project(point, SE3Pose.identity(), INTR, INTR)
+        got = project_one([20.0, 30.0], 0.25, SE3Pose.identity())
         np.testing.assert_allclose(got, [20.0, 30.0], atol=1e-12)
 
     def test_halving_depth_doubles_offset(self):
         # Move the camera toward the surface so that depth halves: the
         # pixel offset from the principal point doubles (pinhole similarity).
-        point = PointWithDepth(np.array([35.5, 27.5]), 0.5)
         pose = SE3Pose(np.eye(3), np.array([0.0, 0.0, -1.0]))
-        got = project(point, pose, INTR, INTR, border=0.0)
+        got = project_one([35.5, 27.5], 0.5, pose, border=0.0)
         offset0 = np.array([35.5 - INTR.cx, 27.5 - INTR.cy])
         np.testing.assert_allclose(got, [INTR.cx, INTR.cy] + 2 * offset0, atol=1e-10)
 
@@ -141,7 +153,7 @@ class TestProject:
             expected, z = homogeneous_projection_oracle(
                 pixel, inv_depth, pose.matrix(), k_matrix(INTR), k_matrix(intr_dst)
             )
-            got = project(PointWithDepth(pixel, inv_depth), pose, INTR, intr_dst, border=0.0)
+            got = project_one(pixel, inv_depth, pose, intr_dst, border=0.0)
             if got is None:
                 assert z <= 0 or not (
                     0 <= expected[0] <= 63 and 0 <= expected[1] <= 63
@@ -151,17 +163,10 @@ class TestProject:
             checked += 1
 
     def test_out_of_view_is_none(self):
-        point = PointWithDepth(np.array([2.0, 30.0]), 1.0)
-        pose = SE3Pose(np.eye(3), np.array([0.0, 0.0, 5.0]))
         # Pushed far behind the camera plane after a big z move off-axis.
-        got = project(
-            PointWithDepth(np.array([2.0, 30.0]), 2.0),
-            SE3Pose(np.eye(3), np.array([0.0, 0.0, -0.6])),
-            INTR,
-            INTR,
-        )
+        got = project_one([2.0, 30.0], 2.0, SE3Pose(np.eye(3), np.array([0.0, 0.0, -0.6])))
         assert got is None or isinstance(got, np.ndarray)
-        behind = project(point, SE3Pose(np.eye(3), np.array([0, 0, -2.0])), INTR, INTR)
+        behind = project_one([2.0, 30.0], 1.0, SE3Pose(np.eye(3), np.array([0, 0, -2.0])))
         assert behind is None
 
     def test_equivariance_property(self):
@@ -185,13 +190,9 @@ class TestProject:
             )
             if p_cam1[2] <= 0.05:
                 continue
-            mid = project(PointWithDepth(pixel, inv_depth), t1, INTR, INTR, border=-1e9)
-            direct = project(
-                PointWithDepth(pixel, inv_depth), t2.compose(t1), INTR, INTR, border=-1e9
-            )
-            stepped = project(
-                PointWithDepth(mid, 1.0 / p_cam1[2]), t2, INTR, INTR, border=-1e9
-            )
+            mid = project_one(pixel, inv_depth, t1, border=-1e9)
+            direct = project_one(pixel, inv_depth, t2.compose(t1), border=-1e9)
+            stepped = project_one(mid, 1.0 / p_cam1[2], t2, border=-1e9)
             if direct is None or stepped is None:
                 continue
             np.testing.assert_allclose(stepped, direct, atol=1e-9)
@@ -199,17 +200,13 @@ class TestProject:
 
 
 class TestPoseJacobian:
-    def numeric_jacobian(self, point, pose, intr_src, intr_dst, h=1e-6):
+    def numeric_jacobian(self, pixel, inv_depth, pose, intr_dst, h=1e-6):
         jac = np.zeros((2, 6))
         for k in range(6):
             delta = np.zeros(6)
             delta[k] = h
-            plus = project(
-                point, se3_exp(delta).compose(pose), intr_src, intr_dst, border=-1e9
-            )
-            minus = project(
-                point, se3_exp(-delta).compose(pose), intr_src, intr_dst, border=-1e9
-            )
+            plus = project_one(pixel, inv_depth, se3_exp(delta).compose(pose), intr_dst, border=-1e9)
+            minus = project_one(pixel, inv_depth, se3_exp(-delta).compose(pose), intr_dst, border=-1e9)
             jac[:, k] = (plus - minus) / (2 * h)
         return jac
 
@@ -220,21 +217,12 @@ class TestPoseJacobian:
             intr_dst = CameraIntrinsics(
                 rng.uniform(40, 80), rng.uniform(40, 80), 31.5, 31.5, 64, 64
             )
-            point = PointWithDepth(rng.uniform(6, 57, 2), rng.uniform(0.2, 1.5))
+            pixel, inv_depth = rng.uniform(6, 57, 2), rng.uniform(0.2, 1.5)
             pose = random_pose(rng, 0.2, 0.3)
-            p_cam = pose.apply(
-                np.array(
-                    [
-                        (point.pixel[0] - INTR.cx) / INTR.fx / point.inverse_depth,
-                        (point.pixel[1] - INTR.cy) / INTR.fy / point.inverse_depth,
-                        1.0 / point.inverse_depth,
-                    ]
-                )
-            )
+            analytic, p_cam = jacobian_one(pixel, inv_depth, pose, intr_dst)
             if p_cam[2] < 0.3:
                 continue
-            analytic = pose_jacobian(point, pose, INTR, intr_dst)
-            numeric = self.numeric_jacobian(point, pose, INTR, intr_dst)
+            numeric = self.numeric_jacobian(pixel, inv_depth, pose, intr_dst)
             denom = np.maximum(np.abs(numeric), 1.0)
             assert np.abs(analytic - numeric).max() / denom.max() < 1e-5
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-3)
@@ -242,8 +230,7 @@ class TestPoseJacobian:
             checked += 1
 
     def test_principal_point_translation_columns(self):
-        point = PointWithDepth(np.array([INTR.cx, INTR.cy]), 1.0)
-        jac = pose_jacobian(point, SE3Pose.identity(), INTR, INTR)
+        jac, _ = jacobian_one([INTR.cx, INTR.cy], 1.0, SE3Pose.identity())
         assert jac[0, 0] == pytest.approx(INTR.fx)
         assert jac[0, 2] == pytest.approx(0.0, abs=1e-12)
         assert jac[1, 1] == pytest.approx(INTR.fy)
@@ -257,22 +244,6 @@ class TestPoseJacobian:
             pose = random_pose(rng, 0.15, 0.3)
             s = rng.uniform(0.5, 3.0)
             scaled_pose = SE3Pose(pose.rotation, pose.translation / s)
-            j1 = pose_jacobian(PointWithDepth(pixel, q), pose, INTR, INTR)
-            j2 = pose_jacobian(PointWithDepth(pixel, q * s), scaled_pose, INTR, INTR)
+            j1, _ = jacobian_one(pixel, q, pose)
+            j2, _ = jacobian_one(pixel, q * s, scaled_pose)
             np.testing.assert_allclose(j1[:, 3:], j2[:, 3:], rtol=1e-9, atol=1e-9)
-
-
-class TestProjectPointsBatch:
-    def test_matches_scalar_project(self):
-        rng = np.random.default_rng(61)
-        pixels = rng.uniform(4, 59, (64, 2))
-        inv_depths = rng.uniform(0.2, 1.2, 64)
-        pose = random_pose(rng, 0.1, 0.3)
-        projected, _, valid = project_points(pixels, inv_depths, pose, INTR, INTR)
-        for i in range(64):
-            single = project(PointWithDepth(pixels[i], inv_depths[i]), pose, INTR, INTR)
-            if single is None:
-                assert not valid[i]
-            else:
-                assert valid[i]
-                np.testing.assert_allclose(projected[i], single, atol=1e-12)
