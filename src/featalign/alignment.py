@@ -75,12 +75,20 @@ def interp(feature_map: np.ndarray, coords: np.ndarray) -> np.ndarray:
 def map_gradient(feature_map, coords: np.ndarray) -> T.Tensor:
     """Central-difference map derivative at each coord, (N, D, 2), h = 1 px.
 
-    Expressed through bilinear samples at x +- 1 px, so it is taped when
-    ``feature_map`` is and the training gradient flows through the same
-    stencil the runtime solver uses.
+    Expressed through bilinear samples at x +- 1 px. An untaped map (the
+    runtime solvers) is sampled once at all four taps stacked as (4N, 2)
+    coordinates and differenced in numpy; bilinear sampling is elementwise
+    per point, so this is bit-identical to four separate samples. A taped
+    map (training) keeps four taped samples, op for op, so the gradient
+    flows through the same stencil and sums in the same order.
     """
     ex = np.array([1.0, 0.0])
     ey = np.array([0.0, 1.0])
+    if getattr(feature_map, "tape", None) is None:
+        taps = np.concatenate([coords + ex, coords - ex, coords + ey, coords - ey])
+        samples = T.bilinear_sample(feature_map, T.Tensor(taps)).data
+        plus_x, minus_x, plus_y, minus_y = samples.reshape(4, len(coords), samples.shape[1])
+        return T.Tensor(np.stack([(plus_x - minus_x) * 0.5, (plus_y - minus_y) * 0.5], axis=-1))
     jx = T.mul(
         T.sub(
             T.bilinear_sample(feature_map, T.Tensor(coords + ex)),
@@ -186,7 +194,6 @@ class _Evaluation:
 
 
 def _assemble(
-    feat_ref,
     feat_tgt,
     pixels,
     f_ref,
@@ -198,9 +205,16 @@ def _assemble(
 ) -> _Evaluation:
     """Accumulates the 6x6 pose system over all valid points.
 
-    Direct route: J_i = J'_i @ dp'/dxi, H = sum w J^T J, b = -sum w J^T r.
-    Recombined route (``recombined=True``): build each 2x2 per-pixel system
-    first and map it through dp'/dxi; algebraically identical.
+    ``f_ref`` holds the reference descriptors at ``pixels``. One iteration
+    samples the target map twice: once in ``interp`` for the residual and
+    once in ``map_gradient`` for all four stencil taps.
+
+    Direct route: J_i = J'_i @ dp'/dxi stacked as an (N*D, 6) matrix, then
+    one GEMM H = J^T W J and one product b = -J^T W r, with each point's
+    weight repeated over its D channels. Recombined route
+    (``recombined=True``): build each 2x2 per-pixel system first and map it
+    through dp'/dxi with einsum; algebraically identical, and the reference
+    the direct route is tested against.
     """
     n_points = pixels.shape[0]
     projected, p_cam, valid = project_points(
@@ -231,9 +245,10 @@ def _assemble(
         h = np.einsum("n,nki,nkl,nlj->ij", weights, jac_pose, h_pix, jac_pose)
         b = -np.einsum("n,nki,nk->i", weights, jac_pose, b_pix)
     else:
-        jac = np.einsum("ndk,nkj->ndj", jac_map, jac_pose)
-        h = np.einsum("n,ndi,ndj->ij", weights, jac, jac)
-        b = -np.einsum("n,ndi,nd->i", weights, jac, r)
+        jac = (jac_map @ jac_pose).reshape(-1, 6)
+        weighted = jac * np.repeat(weights, r.shape[1])[:, None]
+        h = weighted.T @ jac
+        b = -(weighted.T @ r.ravel())
     h = 0.5 * (h + h.T)
     point_cost[idx] = grad_w * huber_cost(norms, config.huber_delta)
     system = GaussNewtonSystem(
@@ -258,9 +273,7 @@ def build_pose_system(
 ) -> GaussNewtonSystem:
     """6x6 pose normal equations at the given pose (reference sampled here)."""
     f_ref = interp(feat_ref, pixels)
-    return _assemble(
-        feat_ref, feat_tgt, pixels, f_ref, inv_depths, pose, intr, config, recombined
-    ).system
+    return _assemble(feat_tgt, pixels, f_ref, inv_depths, pose, intr, config, recombined).system
 
 
 def align_pose(
@@ -290,9 +303,7 @@ def align_pose(
         intr = intrinsics.scaled(level)
         f_ref = interp(feat_ref, level_pixels)
         damping = config.eps_pose
-        current = _assemble(
-            feat_ref, feat_tgt, level_pixels, f_ref, inv_depths, pose, intr, config
-        )
+        current = _assemble(feat_tgt, level_pixels, f_ref, inv_depths, pose, intr, config)
         converged = False
         if not np.isfinite(current.system.cost):
             continue
@@ -322,7 +333,7 @@ def align_pose(
                 continue
             candidate_pose = se3_exp(delta).compose(pose)
             candidate = _assemble(
-                feat_ref, feat_tgt, level_pixels, f_ref, inv_depths, candidate_pose, intr, config
+                feat_tgt, level_pixels, f_ref, inv_depths, candidate_pose, intr, config
             )
             # Compare weighted residuals over the points valid in BOTH
             # evaluations so composition changes of the valid set cannot

@@ -282,13 +282,14 @@ def cmd_align(args) -> int:
                 "method": args.method,
                 "converged": result.converged,
                 "iterations": result.iterations,
-                "final_residual": result.final_residual,
+                "final_residual": result.final_residual if np.isfinite(result.final_residual) else None,
                 "inlier_fraction": result.inlier_fraction,
                 "pose": [float(v) for v in result.pose.matrix().reshape(-1)],
                 "translation_error": err,
             },
             indent=1,
             sort_keys=True,
+            allow_nan=False,
         )
     )
     return 0

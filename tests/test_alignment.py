@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from featalign import tensor as T
 from featalign.alignment import (
+    STENCIL_MARGIN,
     AlignmentConfig,
     align_pose,
     build_pose_system,
     intensity_extractor,
     intensity_pyramid,
     interp,
+    map_gradient,
     method_config,
     pixel_gauss_newton,
     select_keyframe_points,
@@ -149,6 +152,40 @@ class TestPixelGN:
         final, ok = track_pixels(fmap, starts, np.zeros((3, 2)), eps=1e-9)
         assert ok.all()
         np.testing.assert_allclose(final, np.tile(x_star, (3, 1)), atol=1e-3)
+
+
+class TestMapGradient:
+    """The untaped stencil (one stacked gather) against the taped one (four gathers)."""
+
+    @pytest.mark.parametrize("channels", [1, 8])
+    def test_untaped_equals_taped_bitwise(self, channels):
+        rng = np.random.default_rng(5)
+        height, width = 20, 27
+        fmap = rng.standard_normal((height, width, channels))
+        coords = np.stack(
+            [
+                rng.uniform(STENCIL_MARGIN, width - 1 - STENCIL_MARGIN, 200),
+                rng.uniform(STENCIL_MARGIN, height - 1 - STENCIL_MARGIN, 200),
+            ],
+            axis=1,
+        )
+        lo, hi_x, hi_y = STENCIL_MARGIN, width - 1 - STENCIL_MARGIN, height - 1 - STENCIL_MARGIN
+        edges = np.array([[lo, lo], [hi_x, hi_y], [lo, hi_y], [hi_x, lo], [lo, 7.5], [12.25, hi_y]])
+        coords = np.concatenate([edges, coords, np.array([[3.0, 4.0], [10.0, 11.0]])])
+        tape = T.Tape()
+        taped = map_gradient(tape.leaf(fmap), coords)
+        untaped = map_gradient(fmap, coords)
+        assert taped.tape is tape and untaped.tape is None
+        assert untaped.data.shape == (len(coords), channels, 2)
+        assert np.array_equal(untaped.data, taped.data)
+
+    def test_tap_outside_map_raises(self):
+        fmap = np.zeros((10, 12, 2))
+        for coords in (np.array([[STENCIL_MARGIN - 0.5, 5.0]]), np.array([[5.0, 10 - STENCIL_MARGIN]])):
+            with pytest.raises(ValueError):
+                map_gradient(fmap, coords)
+            with pytest.raises(ValueError):
+                map_gradient(T.Tape().leaf(fmap), coords)
 
 
 def random_scene_points(rng, n=40):

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,10 @@ def tree_digest(root: Path) -> dict:
         if path.is_file():
             out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
+
+
+def reject_non_json_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 GEN_ARGS = [
@@ -130,6 +137,34 @@ class TestEvaluate:
         assert rc == 2
 
 
+class TestThreadCountDeterminism:
+    def test_evaluate_byte_identical_with_one_and_two_blas_threads(self, tmp_path):
+        # 64x64 frames, 8-D descriptors and the default 512 requested points
+        # give pose systems of up to about 2,000 rows and convolutions of
+        # full image size, so the BLAS calls are not trivially small.
+        dataset, weights = tmp_path / "ds", tmp_path / "w.gnnw"
+        assert cli_main(["generate", "--out", str(dataset), "--seed", "4", "--frames", "4",
+                         "--candidates", "4", "--val-candidates", "0", "--pairs", "2",
+                         "--n-pos", "32", "--n-neg", "32"]) == 0
+        assert cli_main(["train", "--dataset", str(dataset), "--out", str(weights), "--epochs", "1",
+                         "--base-width", "4", "--val-candidates", "0"]) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"ev_{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "featalign", "evaluate", "--dataset", str(dataset),
+                 "--out", str(out), "--methods", "intensity,features", "--weights", str(weights)],
+                capture_output=True, text=True, env=env, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            names = ["summary.json", "curve_intensity.csv", "curve_features.csv"]
+            outputs.append({name: (out / name).read_bytes() for name in names})
+        assert outputs[0] == outputs[1]
+
+
 class TestAlign:
     def test_prints_result_json(self, dataset, capsys):
         rc = cli_main(["align", "--dataset", str(dataset), "--candidate", "0",
@@ -147,9 +182,10 @@ class TestAlign:
         rc = cli_main(["align", "--dataset", str(dataset), "--candidate", "0",
                        "--method", "intensity", "--points", "3"])
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject_non_json_constant)
         assert payload["converged"] is False
         assert payload["iterations"] == 0
+        assert payload["final_residual"] is None
 
     def test_corrupt_depth_is_data_fault(self, dataset, tmp_path):
         corrupt = tmp_path / "ds"

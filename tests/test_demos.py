@@ -19,3 +19,4 @@ def test_demo_exits_cleanly(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=900
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(tmp_path.glob("featalign_demo_*")), "demo left its temporary directory behind"

@@ -8,8 +8,8 @@ from featalign import tensor as T
 from featalign.cli import main as cli_main
 from featalign.bench.dataset_io import read_split
 from featalign.errors import NumericalFault
-from featalign.losses import LossConfig
-from featalign.network import NetworkConfig, load_network
+from featalign.losses import LossConfig, total_loss
+from featalign.network import NetworkConfig, build_network, forward_pyramid, load_network
 from featalign.training import TrainConfig, history_csv, train_network
 
 
@@ -80,6 +80,21 @@ class TestTrainNetwork:
         split = read_split(tiny_dataset / "val")  # no correspondences stored
         with pytest.raises(NumericalFault):
             train_network(split, None, small_config())
+
+
+class TestTrainingStepTape:
+    def test_default_network_step_records_250_nodes(self, tiny_dataset):
+        # The training stencil stays four taped samples per map_gradient;
+        # a change to the taped op sequence shows up as a different count.
+        split = read_split(tiny_dataset / "train")
+        batch = split.correspondences[0]
+        config = NetworkConfig()
+        tape = T.Tape()
+        taped = {n: tape.leaf(p) for n, p in build_network(config).params.items()}
+        pyr_a = forward_pyramid(taped, split.frames[batch.frame_a].image, config)
+        pyr_b = forward_pyramid(taped, split.frames[batch.frame_b].image, config)
+        total_loss(pyr_a, pyr_b, batch, LossConfig(), np.random.default_rng(0))
+        assert len(tape) == 250
 
 
 class TestTrainCLI:
