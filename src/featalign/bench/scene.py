@@ -3,8 +3,8 @@
 The world is a procedurally textured heightfield z = Z0 + h(x, y) seen by
 pinhole cameras looking roughly down +z. Height slopes are kept well below
 the ray-steepness bound, so every ray crosses the surface exactly once and
-the ray/surface intersection solves by fixed-point iteration to full
-float64 precision. That keeps depth, occlusion reasoning, and ground-truth
+the ray/surface intersection solves by fixed-point iteration to within the
+last bit of float64. That keeps depth, occlusion reasoning, and ground-truth
 correspondences closed-form while still exercising parallax.
 
 Photometric "condition" transforms stand in for weather and lighting
@@ -58,16 +58,44 @@ def _fade(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
 
 
+def _lattice_corners(x0: np.ndarray, y0: np.ndarray, seed: int):
+    """``_hash01`` at the corners (x0 | x0+1, y0 | y0+1) of integer cells.
+
+    The corners are hashed once, as one table over the bounding box of the
+    cells, and each cell gathers its four from that table. ``_hash01`` is
+    elementwise, so the values are the ones a hash per point and corner
+    gives. The points of one render or ray march span one camera footprint,
+    about a dozen cells a side: on the acceptance fixture's ``featalign
+    generate`` the largest table is 12x13 corners. A box holding more
+    corners than four per point (points scattered far apart, or
+    non-finite) and an empty input are hashed per point instead.
+    """
+    if x0.size:
+        x_lo, y_lo = x0.min(), y0.min()
+        nx = x0.max() - x_lo + 2.0
+        ny = y0.max() - y_lo + 2.0
+        if nx * ny <= 4.0 * x0.size:
+            nx = int(nx)
+            table = _hash01(
+                x_lo + np.arange(nx)[None, :], y_lo + np.arange(int(ny))[:, None], seed
+            ).ravel()
+            cell = (y0 - y_lo).astype(np.int64) * nx + (x0 - x_lo).astype(np.int64)
+            return table[cell], table[cell + 1], table[cell + nx], table[cell + nx + 1]
+    return (
+        _hash01(x0, y0, seed),
+        _hash01(x0 + 1, y0, seed),
+        _hash01(x0, y0 + 1, seed),
+        _hash01(x0 + 1, y0 + 1, seed),
+    )
+
+
 def value_noise(x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
     """C2-smooth value noise in [0, 1) over the whole plane."""
     x0 = np.floor(x)
     y0 = np.floor(y)
     tx = _fade(x - x0)
     ty = _fade(y - y0)
-    v00 = _hash01(x0, y0, seed)
-    v01 = _hash01(x0 + 1, y0, seed)
-    v10 = _hash01(x0, y0 + 1, seed)
-    v11 = _hash01(x0 + 1, y0 + 1, seed)
+    v00, v01, v10, v11 = _lattice_corners(x0, y0, seed)
     top = v00 + tx * (v01 - v00)
     bot = v10 + tx * (v11 - v10)
     return top + ty * (bot - top)
@@ -231,9 +259,15 @@ class SyntheticScene:
     def ray_depth(self, pose: SE3Pose, pixels: np.ndarray) -> np.ndarray:
         """Exact camera z-depth along the rays of (possibly subpixel) pixels.
 
-        ``pose`` is camera-to-world. Fixed-point on the ray parameter; the
-        height slopes guarantee contraction, so this converges to float64
-        precision and the intersection is unique (no self-occlusion).
+        ``pose`` is camera-to-world. Fixed-point iteration on the ray
+        parameter ``t``; the height slopes make it a contraction, so the
+        intersection is unique (no self-occlusion). Most rays reach an exact
+        fixed point (``f(t) == t``); a few percent end oscillating in the
+        last bit. A ray's update depends only on its own ``t``, so each
+        iteration updates only the rays whose ``t`` changed in the previous
+        one, and the march stops when none did or after
+        ``_RAY_ITERATIONS``; every ray ends where the full fixed-count
+        iteration would leave it.
         """
         intr = self.intrinsics
         pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
@@ -248,10 +282,17 @@ class SyntheticScene:
         d_world = d_cam @ pose.rotation.T
         origin = pose.translation
         t = np.full(pixels.shape[0], self.config.depth_base - origin[2])
+        active = np.arange(pixels.shape[0])
         for _ in range(_RAY_ITERATIONS):
-            x = origin[0] + t * d_world[:, 0]
-            y = origin[1] + t * d_world[:, 1]
-            t = (self.surface_height(x, y) - origin[2]) / d_world[:, 2]
+            t_active = t[active]
+            d_active = d_world[active]
+            x = origin[0] + t_active * d_active[:, 0]
+            y = origin[1] + t_active * d_active[:, 1]
+            t_next = (self.surface_height(x, y) - origin[2]) / d_active[:, 2]
+            t[active] = t_next
+            active = active[t_next != t_active]
+            if not active.size:
+                break
         return t
 
     def render(self, pose: SE3Pose):
@@ -327,7 +368,10 @@ def generate_scene(seed: int, config: SceneConfig) -> SyntheticScene:
     """Deterministic scene: trajectory sequences per condition + candidates.
 
     Sequence 0 is the canonical (unperturbed) odometry stream; each entry of
-    config.conditions re-renders the same trajectory as its own sequence.
+    config.conditions is its own sequence of the same trajectory. Each pose
+    is rendered once: every sequence applies its condition to that clean
+    image and shares its depth array, so no frame's arrays may be written
+    in place.
     Candidates are extra frames at offset poses, rendered under the
     condition selected by config.candidate_condition, each tracked against
     its reference frame from the canonical stream.
@@ -336,10 +380,10 @@ def generate_scene(seed: int, config: SceneConfig) -> SyntheticScene:
     scene = SyntheticScene(config, seed, [], [], [])
     scene.trajectory = _random_walk(rng, config)
     conditions = (IDENTITY_CONDITION,) + tuple(config.conditions)
+    renders = [scene.render(pose) for pose in scene.trajectory]
     frame_id = 0
     for seq, condition in enumerate(conditions):
-        for index, pose in enumerate(scene.trajectory):
-            clean, depth = scene.render(pose)
+        for index, (pose, (clean, depth)) in enumerate(zip(scene.trajectory, renders)):
             cond_rng = np.random.default_rng([seed, seq, index, 0x51DE])
             image = condition.apply(clean, cond_rng)
             scene.frames.append(Frame(frame_id, image, depth, pose, seq, seq, index))

@@ -131,6 +131,9 @@ def cmd_generate(args) -> int:
         raise UsageError("--size must be >= 16 and divisible by 4")
     if args.pairs < 1 or args.n_pos < 1:
         raise UsageError("--pairs and --n-pos must be >= 1")
+    for flag in ("candidates", "val_candidates", "n_neg", "max_frame_gap"):
+        if getattr(args, flag) < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
     root = _resolve_out(args.out)
     root.mkdir(parents=True, exist_ok=True)
     half = (args.size - 1) / 2.0

@@ -62,7 +62,15 @@ class Tensor:
 
 
 class Tape:
-    """Append-only record of primitive applications, one graph per tape."""
+    """Append-only record of primitive applications, one graph per tape.
+
+    ``backward`` runs once per tape. It drops each node's backward closure
+    as soon as that node has run, and the rest when it returns, so the
+    activations the closures hold are freed during the pass; a second
+    ``backward`` raises ``ValueError``. The closures hold arrays, counts and
+    flags, never a ``Tensor``: a tensor references its tape, so a captured
+    one would make every graph a reference cycle that outlives its step.
+    """
 
     def __init__(self):
         self._backwards: list[Callable] = []
@@ -97,14 +105,16 @@ class Tape:
             raise ValueError("loss is not recorded on this tape")
         if loss.data.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-        grads: list = [None] * len(self._backwards)
+        if self._grads is not None:
+            raise ValueError("backward() already ran on this tape; record a new one")
+        backwards = self._backwards
+        self._backwards = [None] * len(backwards)
+        self._grads = grads = [None] * len(backwards)
         grads[loss.node] = np.ones(())
         for node in range(loss.node, -1, -1):
+            fn, backwards[node] = backwards[node], None
             g = grads[node]
-            if g is None:
-                continue
-            fn = self._backwards[node]
-            if fn is None:
+            if g is None or fn is None:
                 continue
             contributions = fn(g)
             for input_node, contrib in zip(self._inputs[node], contributions):
@@ -114,10 +124,9 @@ class Tape:
                     grads[input_node] = contrib
                 else:
                     grads[input_node] = grads[input_node] + contrib
-        self._grads = grads
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient of the last backward() loss w.r.t. ``t`` (zeros if unused)."""
+        """Gradient of the backward() loss w.r.t. ``t`` (zeros if unused)."""
         if self._grads is None:
             raise ValueError("backward() has not been run on this tape")
         if t.tape is not self or t.node is None:
@@ -258,16 +267,17 @@ def concat_channels(xs: Sequence) -> Tensor:
     offsets = np.cumsum([0] + widths)
 
     def backward(g):
-        return [g[..., offsets[i] : offsets[i + 1]] for i in range(len(xs))]
+        return [g[..., offsets[i] : offsets[i + 1]] for i in range(len(widths))]
 
     return _make(np.concatenate([t.data for t in xs], axis=-1), xs, backward)
 
 
 def stack_last(xs: Sequence) -> Tensor:
     xs = [astensor(t) for t in xs]
+    count = len(xs)
 
     def backward(g):
-        return [g[..., i] for i in range(len(xs))]
+        return [g[..., i] for i in range(count)]
 
     return _make(np.stack([t.data for t in xs], axis=-1), xs, backward)
 
@@ -378,7 +388,8 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
             xs = xp[di : di + stride * (ho - 1) + 1 : stride, dj : dj + stride * (wo - 1) + 1 : stride]
             out += xs @ wd[di, dj]
     inputs = [x, w]
-    if bias is not None:
+    has_bias = bias is not None
+    if has_bias:
         bias = astensor(bias)
         out = out + bias.data
         inputs.append(bias)
@@ -395,7 +406,7 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
                 dxp[sl_i, sl_j] += g @ wd[di, dj].T
         dx = dxp[pad : pad + xd.shape[0], pad : pad + xd.shape[1]] if pad else dxp
         grads = [dx, dw]
-        if bias is not None:
+        if has_bias:
             grads.append(g.sum(axis=(0, 1)))
         return grads
 

@@ -9,11 +9,13 @@ from featalign.bench.evaluate import (
     evaluate_relocalization,
     threshold_grid,
 )
+import featalign.bench.scene as scene_mod
 from featalign.bench.scene import (
     ConditionTransform,
     SceneConfig,
     generate_scene,
     make_correspondences,
+    value_noise,
 )
 from featalign.errors import DataFault
 from featalign.geometry import project_points
@@ -81,6 +83,19 @@ class TestGenerateScene:
         stored = frame.depth[pix[:, 1].astype(int), pix[:, 0].astype(int)]
         np.testing.assert_allclose(stored, exact, rtol=1e-12)
 
+    def test_sequences_share_depth_per_trajectory_index(self):
+        cfg = SceneConfig(n_frames=3, conditions=scene_mod.default_train_conditions())
+        scene = generate_scene(12, cfg)
+        by_index = {}
+        for frame in scene.frames:
+            by_index.setdefault(frame.index, []).append(frame)
+        assert sorted(by_index) == [0, 1, 2]
+        for frames in by_index.values():
+            assert len(frames) == 4
+            for frame in frames[1:]:
+                assert frame.depth.tobytes() == frames[0].depth.tobytes()
+                assert frame.image.tobytes() != frames[0].image.tobytes()
+
     def test_candidates_have_overlap_and_condition(self):
         cfg = SceneConfig(
             n_frames=3,
@@ -101,6 +116,80 @@ class TestGenerateScene:
             SceneConfig(n_frames=0)
         with pytest.raises(ValueError):
             SceneConfig(baseline_min=0.5, baseline_max=0.2)
+
+
+def reference_value_noise(x, y, seed):
+    """Value noise hashing the four lattice corners of every point."""
+    x0, y0 = np.floor(x), np.floor(y)
+    tx, ty = scene_mod._fade(x - x0), scene_mod._fade(y - y0)
+    v00 = scene_mod._hash01(x0, y0, seed)
+    v01 = scene_mod._hash01(x0 + 1, y0, seed)
+    v10 = scene_mod._hash01(x0, y0 + 1, seed)
+    v11 = scene_mod._hash01(x0 + 1, y0 + 1, seed)
+    top = v00 + tx * (v01 - v00)
+    bot = v10 + tx * (v11 - v10)
+    return top + ty * (bot - top)
+
+
+def reference_ray_depth(scene, pose, pixels, monkeypatch):
+    """The fixed-count march: every ray runs all _RAY_ITERATIONS steps."""
+    intr = scene.intrinsics
+    d_cam = np.stack(
+        [(pixels[:, 0] - intr.cx) / intr.fx, (pixels[:, 1] - intr.cy) / intr.fy,
+         np.ones(pixels.shape[0])],
+        axis=1,
+    )
+    d_world = d_cam @ pose.rotation.T
+    origin = pose.translation
+    t = np.full(pixels.shape[0], scene.config.depth_base - origin[2])
+    with monkeypatch.context() as patch:
+        patch.setattr(scene_mod, "value_noise", reference_value_noise)
+        for _ in range(scene_mod._RAY_ITERATIONS):
+            x = origin[0] + t * d_world[:, 0]
+            y = origin[1] + t * d_world[:, 1]
+            t = (scene.surface_height(x, y) - origin[2]) / d_world[:, 2]
+    return t
+
+
+class TestRayDepth:
+    @pytest.mark.parametrize("seed", [0, 7, 12])
+    def test_matches_fixed_count_march(self, seed, monkeypatch):
+        cfg = SceneConfig(n_frames=3, n_candidates=2)
+        scene = generate_scene(seed, cfg)
+        us, vs = np.meshgrid(np.arange(cfg.width), np.arange(cfg.height))
+        full_grid = np.stack([us.ravel(), vs.ravel()], axis=1).astype(np.float64)
+        uu, vv = np.meshgrid(np.arange(4, cfg.width - 4, 4.0), np.arange(4, cfg.height - 4, 4.0))
+        overlap_grid = np.stack([uu.ravel(), vv.ravel()], axis=1)
+        rng = np.random.default_rng(seed)
+        subpixel = rng.uniform(0.0, cfg.width - 1.0, (300, 2))
+        poses = scene.trajectory + [f.pose for f in scene.frames if f.sequence == -1]
+        for pose in poses:
+            for pixels in (full_grid, overlap_grid, subpixel):
+                expected = reference_ray_depth(scene, pose, pixels, monkeypatch)
+                assert np.array_equal(scene.ray_depth(pose, pixels), expected)
+
+
+class TestValueNoise:
+    @pytest.mark.parametrize(
+        "low, high",
+        [(-3.0, 9.0), (1e3, 1.02e3), (-1e6, 1e6)],
+        ids=["footprint", "offset_footprint", "scattered"],
+    )
+    def test_matches_per_point_corners(self, low, high):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(low, high, (40, 50))
+        y = rng.uniform(low, high, (40, 50))
+        for seed in (0, 5, 1031 * 7 + 2):
+            assert np.array_equal(value_noise(x, y, seed), reference_value_noise(x, y, seed))
+
+    def test_far_apart_pair(self):
+        x = np.array([-5e8, 5e8])
+        y = np.array([3.25, -7e8])
+        assert np.array_equal(value_noise(x, y, 1), reference_value_noise(x, y, 1))
+
+    def test_empty_input(self):
+        out = value_noise(np.empty(0), np.empty(0), 3)
+        assert out.shape == (0,) and out.dtype == np.float64
 
 
 class TestConditions:

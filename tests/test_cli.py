@@ -70,6 +70,16 @@ class TestGenerate:
         rc = cli_main(["generate", "--out", str(tmp_path / "x"), "--frames", "0"])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "flag", ["--candidates", "--val-candidates", "--n-neg", "--max-frame-gap"]
+    )
+    def test_negative_count_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "x"
+        rc = cli_main(["generate", "--out", str(out)] + GEN_ARGS + [flag, "-1"])
+        assert rc == 1
+        assert f"{flag} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_regenerate_byte_identical(self, tmp_path):
         out = tmp_path / "regen"
         args = ["generate", "--out", str(out)] + GEN_ARGS

@@ -1,5 +1,8 @@
 """Training-loop tests on a tiny in-memory dataset."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,49 @@ class TestTrainingStepTape:
         pyr_b = forward_pyramid(taped, split.frames[batch.frame_b].image, config)
         total_loss(pyr_a, pyr_b, batch, LossConfig(), np.random.default_rng(0))
         assert len(tape) == 250
+
+
+def training_step_tape(split, run_backward: bool):
+    """Weak reference to the tape of one default-network training step."""
+    batch = split.correspondences[0]
+    config = NetworkConfig()
+    tape = T.Tape()
+    taped = {n: tape.leaf(p) for n, p in build_network(config).params.items()}
+    pyr_a = forward_pyramid(taped, split.frames[batch.frame_a].image, config)
+    pyr_b = forward_pyramid(taped, split.frames[batch.frame_b].image, config)
+    loss, _ = total_loss(pyr_a, pyr_b, batch, LossConfig(), np.random.default_rng(0))
+    if run_backward:
+        tape.backward(loss)
+        assert len(tape) == 250
+        with pytest.raises(ValueError):
+            tape.backward(loss)
+    return weakref.ref(tape)
+
+
+class TestTapeLifetime:
+    # Reference counting alone must free a step's graph: a backward closure
+    # that captured a Tensor (which references its tape) would make the tape
+    # a cycle that lives until the cyclic collector runs.
+    @pytest.mark.parametrize("run_backward", [True, False], ids=["backward", "forward_only"])
+    def test_step_tape_freed_without_cyclic_gc(self, tiny_dataset, run_backward):
+        split = read_split(tiny_dataset / "train")
+        gc.collect()
+        gc.disable()
+        try:
+            tape_ref = training_step_tape(split, run_backward)
+            assert tape_ref() is None
+        finally:
+            gc.enable()
+
+    def test_second_backward_raises(self):
+        tape = T.Tape()
+        x = tape.leaf(np.arange(3.0))
+        loss = T.reduce_sum(T.mul(x, x))
+        tape.backward(loss)
+        np.testing.assert_array_equal(tape.grad(x), [0.0, 2.0, 4.0])
+        with pytest.raises(ValueError, match="already ran"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(tape.grad(x), [0.0, 2.0, 4.0])
 
 
 class TestTrainCLI:
