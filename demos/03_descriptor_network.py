@@ -23,16 +23,16 @@ print("parameters:", weights.parameter_count())
 scene = generate_scene(3, SceneConfig(n_frames=1))
 image, _ = scene.render(scene.trajectory[0])
 pyramid = extract_pyramid(weights, image)
-print("pyramid shapes:", [lvl.shape for lvl in pyramid.levels])
+print("pyramid shapes:", [lvl.shape for lvl in pyramid])
 
 print("\n== Siamese sharing: same weights, same image, same descriptors ==")
 again = extract_pyramid(weights, image)
-print("bit-identical:", all(a.tobytes() == b.tobytes() for a, b in zip(pyramid.levels, again.levels)))
+print("bit-identical:", all(a.tobytes() == b.tobytes() for a, b in zip(pyramid, again)))
 
 print("\n== receptive field ==")
 perturbed = image.copy()
 perturbed[40, 21] += 0.5
-changed = np.abs(extract_pyramid(weights, perturbed).levels[0] - pyramid.levels[0]).sum(axis=2) > 0
+changed = np.abs(extract_pyramid(weights, perturbed)[0] - pyramid[0]).sum(axis=2) > 0
 ys, xs = np.nonzero(changed)
 lo_y, hi_y = influence_interval(config, 40, 64)
 lo_x, hi_x = influence_interval(config, 21, 64)

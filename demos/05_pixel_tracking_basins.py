@@ -57,4 +57,4 @@ trained = extract_pyramid(
     type(weights)(net_cfg, dict(zip(names, params))), scene.frames[0].image
 )
 trained_b = extract_pyramid(type(weights)(net_cfg, dict(zip(names, params))), scene.frames[3].image)
-print("trained-feature basin fraction:", basin_fraction(trained.levels[0], trained_b.levels[0], eps=1e-3))
+print("trained-feature basin fraction:", basin_fraction(trained[0], trained_b[0], eps=1e-3))

@@ -49,13 +49,20 @@ class AlignmentConfig:
 
 @dataclass
 class GaussNewtonSystem:
-    """Normal equations H delta = b with a scalar robust-cost summary."""
+    """Normal equations H delta = b with a scalar robust-cost summary.
+
+    ``valid`` and ``point_cost`` hold, per input point, whether it projected
+    inside the map and its weighted robust cost (0 where invalid); the
+    solver's accept test compares them over the points valid in two systems.
+    """
 
     h: np.ndarray
     b: np.ndarray
     n_valid: int
     cost: float
     inlier_count: int
+    valid: np.ndarray
+    point_cost: np.ndarray
 
 
 @dataclass
@@ -184,15 +191,6 @@ def track_pixels(
     return x, alive & settled
 
 
-@dataclass
-class _Evaluation:
-    """Pose system plus per-point validity/cost, kept for accept tests."""
-
-    system: GaussNewtonSystem
-    valid: np.ndarray
-    point_cost: np.ndarray
-
-
 def _assemble(
     feat_tgt,
     pixels,
@@ -202,7 +200,7 @@ def _assemble(
     intr,
     config: AlignmentConfig,
     recombined: bool = False,
-) -> _Evaluation:
+) -> GaussNewtonSystem:
     """Accumulates the 6x6 pose system over all valid points.
 
     ``f_ref`` holds the reference descriptors at ``pixels``. One iteration
@@ -222,10 +220,9 @@ def _assemble(
     )
     point_cost = np.zeros(n_points)
     if valid.sum() < config.min_valid_points:
-        system = GaussNewtonSystem(
-            np.zeros((6, 6)), np.zeros(6), int(valid.sum()), np.inf, 0
+        return GaussNewtonSystem(
+            np.zeros((6, 6)), np.zeros(6), int(valid.sum()), np.inf, 0, valid, point_cost
         )
-        return _Evaluation(system, valid, point_cost)
     idx = np.nonzero(valid)[0]
     coords = projected[idx]
     r = interp(feat_tgt, coords) - f_ref[idx]
@@ -251,14 +248,15 @@ def _assemble(
         b = -(weighted.T @ r.ravel())
     h = 0.5 * (h + h.T)
     point_cost[idx] = grad_w * huber_cost(norms, config.huber_delta)
-    system = GaussNewtonSystem(
+    return GaussNewtonSystem(
         h=h,
         b=b,
         n_valid=int(len(idx)),
         cost=float(np.mean(point_cost[idx])),
         inlier_count=int(np.sum(norms <= config.huber_delta)),
+        valid=valid,
+        point_cost=point_cost,
     )
-    return _Evaluation(system, valid, point_cost)
 
 
 def build_pose_system(
@@ -273,7 +271,7 @@ def build_pose_system(
 ) -> GaussNewtonSystem:
     """6x6 pose normal equations at the given pose (reference sampled here)."""
     f_ref = interp(feat_ref, pixels)
-    return _assemble(feat_tgt, pixels, f_ref, inv_depths, pose, intr, config, recombined).system
+    return _assemble(feat_tgt, pixels, f_ref, inv_depths, pose, intr, config, recombined)
 
 
 def align_pose(
@@ -305,9 +303,9 @@ def align_pose(
         damping = config.eps_pose
         current = _assemble(feat_tgt, level_pixels, f_ref, inv_depths, pose, intr, config)
         converged = False
-        if not np.isfinite(current.system.cost):
+        if not np.isfinite(current.cost):
             continue
-        last_system = current.system
+        last_system = current
 
         def damped_step(sys_, lam):
             h = sys_.h + lam * np.diag(np.diag(sys_.h)) + lam * 1e-12 * np.eye(6)
@@ -321,11 +319,11 @@ def align_pose(
             # Convergence is judged on the baseline-damped step; escalated
             # damping only shapes the trust step (a heavily damped step is
             # small by construction and must not fake convergence).
-            probe = damped_step(current.system, config.eps_pose)
+            probe = damped_step(current, config.eps_pose)
             if probe is not None and np.linalg.norm(probe) < config.step_norm_tol:
                 converged = True
                 break
-            delta = probe if damping == config.eps_pose else damped_step(current.system, damping)
+            delta = probe if damping == config.eps_pose else damped_step(current, damping)
             if delta is None:
                 damping *= 10.0
                 if damping > config.max_damping:
@@ -340,14 +338,14 @@ def align_pose(
             # mask a genuine improvement (or fake one).
             common = current.valid & candidate.valid
             if (
-                np.isfinite(candidate.system.cost)
-                and candidate.system.n_valid >= config.min_valid_points
+                np.isfinite(candidate.cost)
+                and candidate.n_valid >= config.min_valid_points
                 and common.sum() >= config.min_valid_points
                 and candidate.point_cost[common].mean() < current.point_cost[common].mean()
             ):
                 pose = candidate_pose
                 current = candidate
-                last_system = candidate.system
+                last_system = candidate
                 damping = max(damping * 0.5, config.eps_pose)
             else:
                 damping *= 10.0
@@ -423,7 +421,7 @@ def network_extractor(weights) -> Callable[[np.ndarray], list]:
     from .network import extract_pyramid
 
     def run(image: np.ndarray):
-        return extract_pyramid(weights, image).levels
+        return extract_pyramid(weights, image)
 
     return run
 

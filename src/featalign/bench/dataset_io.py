@@ -144,17 +144,6 @@ def _condition_to_dict(cond: ConditionTransform) -> dict:
     }
 
 
-def _condition_from_dict(d: dict) -> ConditionTransform:
-    return ConditionTransform(
-        gamma=d["gamma"],
-        brightness=d["brightness"],
-        contrast=d["contrast"],
-        noise_sigma=d["noise_sigma"],
-        blur_radius=d["blur_radius"],
-        channel_matrix=tuple(tuple(row) for row in d["channel_matrix"]),
-    )
-
-
 @dataclass
 class DatasetSplit:
     """A fully loaded split: frames by id, candidates, matches, metadata."""
@@ -240,6 +229,14 @@ def read_split(directory) -> DatasetSplit:
     version = manifest.get("format_version")
     if version != MANIFEST_VERSION:
         raise FormatVersionFault(f"{manifest_path}: format version {version} unsupported")
+    try:
+        return _split_from_manifest(root, manifest)
+    except KeyError as exc:
+        raise DataFault(f"{manifest_path}: missing key {exc.args[0]!r}") from exc
+
+
+def _split_from_manifest(root: Path, manifest: dict) -> DatasetSplit:
+    """Loads the frames, candidates and matches a parsed manifest lists."""
     intr_d = manifest["intrinsics"]
     intrinsics = CameraIntrinsics(
         intr_d["fx"], intr_d["fy"], intr_d["cx"], intr_d["cy"], intr_d["width"], intr_d["height"]

@@ -98,12 +98,6 @@ def write_curve_csv(path, curve: EvalCurve) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_curve_csv(path) -> EvalCurve:
-    rows = Path(path).read_text().splitlines()[1:]
-    values = np.array([[float(v) for v in row.split(",")] for row in rows])
-    return EvalCurve(values[:, 0], values[:, 1])
-
-
 _SVG_COLORS = ("#c0392b", "#2471a3", "#1e8449", "#8e44ad", "#b7950b")
 
 

@@ -96,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--base-width", type=int, default=16)
     tr.add_argument("--vicinity", type=float, default=4.0)
     tr.add_argument("--epsilon", type=float, default=1e-3)
-    tr.add_argument("--starts-per-match", type=int, default=1)
     tr.add_argument("--val-candidates", type=int, default=12,
                     help="validation relocalizations per epoch (0 disables)")
 
@@ -195,30 +194,32 @@ def _training_pairs(scene, args):
 
 
 def cmd_train(args) -> int:
+    try:
+        config = TrainConfig(
+            epochs=args.epochs,
+            lr=args.lr,
+            seed=args.seed,
+            val_candidates=args.val_candidates,
+            network=NetworkConfig(
+                input_channels=1,
+                descriptor_dim=args.descriptor_dim,
+                pyramid_levels=args.levels,
+                base_width=args.base_width,
+                seed=args.seed,
+            ),
+            loss=LossConfig(
+                gn_weight=args.gn_weight,
+                vicinity_radius=args.vicinity,
+                epsilon=args.epsilon,
+            ),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     dataset = Path(args.dataset)
     train_split = read_split(dataset / "train")
     val_split = None
     if args.val_candidates > 0 and (dataset / "val" / "manifest.json").exists():
         val_split = read_split(dataset / "val")
-    config = TrainConfig(
-        epochs=args.epochs,
-        lr=args.lr,
-        seed=args.seed,
-        val_candidates=args.val_candidates,
-        network=NetworkConfig(
-            input_channels=1,
-            descriptor_dim=args.descriptor_dim,
-            pyramid_levels=args.levels,
-            base_width=args.base_width,
-            seed=args.seed,
-        ),
-        loss=LossConfig(
-            gn_weight=args.gn_weight,
-            vicinity_radius=args.vicinity,
-            epsilon=args.epsilon,
-            starts_per_match=args.starts_per_match,
-        ),
-    )
     weights, history = train_network(train_split, val_split, config)
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -240,6 +241,8 @@ def _extractor_for(method: str, args, levels_default: int = 3):
 
 
 def cmd_evaluate(args) -> int:
+    if args.candidates < 0:
+        raise UsageError("--candidates must be >= 0")
     split = read_split(Path(args.dataset) / args.split)
     if args.candidates > 0:
         split.candidates = split.candidates[: args.candidates]

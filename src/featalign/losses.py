@@ -33,8 +33,6 @@ class LossConfig:
     gn_weight: float = 0.1
     vicinity_radius: float = 4.0
     epsilon: float = 1e-3
-    levels_used: Optional[Sequence[int]] = None
-    starts_per_match: int = 1
 
     def __post_init__(self):
         if self.margin <= 0:
@@ -87,42 +85,6 @@ class CorrespondenceBatch:
             self.frame_a,
             self.frame_b,
         )
-
-
-@dataclass(frozen=True)
-class GaussianBelief:
-    """Where the per-pixel system thinks the match is, and how certainly.
-
-    mean is the Gauss-Newton landing point x_s - H^-1 b, hessian the
-    information matrix (inverse covariance) of the induced 2-D Gaussian.
-    """
-
-    mean: np.ndarray
-    hessian: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.hessian, dtype=np.float64)
-        if h.shape != (2, 2) or abs(h[0, 1] - h[1, 0]) > 1e-12:
-            raise ValueError("belief hessian must be symmetric 2x2")
-        if np.linalg.eigvalsh(h).min() <= 0:
-            raise ValueError("belief hessian must be positive definite")
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return np.linalg.inv(self.hessian)
-
-
-def pixel_belief(feat_map: np.ndarray, x_s: np.ndarray, f_t: np.ndarray,
-                 epsilon: float) -> GaussianBelief:
-    """Single-start belief from the regularized per-pixel normal equations.
-
-    Untaped run of the kernel inside :func:`gauss_newton_loss`, handy for
-    inspecting what the loss sees at one correspondence.
-    """
-    x_s = np.asarray(x_s, dtype=np.float64).reshape(1, 2)
-    f_t = np.asarray(f_t, dtype=np.float64).reshape(1, -1)
-    mean, hess = pixel_gauss_newton(feat_map, x_s, f_t, epsilon)
-    return GaussianBelief(mean.data[0], hess.data[0])
 
 
 def sample_negatives(rng, pos_b: np.ndarray, width: int, height: int,
@@ -223,18 +185,13 @@ def gauss_newton_loss(
     height, width = feat_b.data.shape[:2]
     if vicinity is None:
         vicinity = config.vicinity_radius
-    n = batch.n_pos
-    total = None
-    for _ in range(max(1, config.starts_per_match)):
-        f_t = T.bilinear_sample(feat_a, T.Tensor(batch.pos_a))
-        xs = draw_start_points(rng, batch.pos_b, vicinity, width, height)
-        mu, hess = pixel_gauss_newton(feat_b, xs, f_t, config.epsilon)
-        e1, e2 = gaussian_nll_terms(mu, hess, batch.pos_b)
-        if np.any(e1.data < -1e-9):
-            raise NumericalFault("Gauss-Newton loss: negative quadratic term")
-        start_loss = T.mul(T.add(T.reduce_sum(e1), T.reduce_sum(e2)), 1.0 / n)
-        total = start_loss if total is None else T.add(total, start_loss)
-    return T.mul(total, 1.0 / max(1, config.starts_per_match))
+    f_t = T.bilinear_sample(feat_a, T.Tensor(batch.pos_a))
+    xs = draw_start_points(rng, batch.pos_b, vicinity, width, height)
+    mu, hess = pixel_gauss_newton(feat_b, xs, f_t, config.epsilon)
+    e1, e2 = gaussian_nll_terms(mu, hess, batch.pos_b)
+    if np.any(e1.data < -1e-9):
+        raise NumericalFault("Gauss-Newton loss: negative quadratic term")
+    return T.mul(T.add(T.reduce_sum(e1), T.reduce_sum(e2)), 1.0 / batch.n_pos)
 
 
 def total_loss(
@@ -248,18 +205,12 @@ def total_loss(
 
     Returns (scalar loss tensor, {"contrastive": float, "gauss_newton": float}).
     Deterministic for a fixed rng state; levels are processed coarse to fine
-    so the rng consumption order is stable.
+    so the rng consumption order is stable. Every level of the pyramids
+    contributes.
     """
-    levels = (
-        list(config.levels_used)
-        if config.levels_used is not None
-        else list(range(len(pyramid_a)))
-    )
-    if any(l < 0 or l >= len(pyramid_a) for l in levels):
-        raise ValueError(f"levels_used {levels} outside available range")
     loss = None
     parts = {"contrastive": 0.0, "gauss_newton": 0.0}
-    for level in sorted(levels, reverse=True):
+    for level in range(len(pyramid_a) - 1, -1, -1):
         scaled = batch.scaled(1.0 / (2.0**level))
         term = contrastive_loss(pyramid_a[level], pyramid_b[level], scaled, config.margin)
         parts["contrastive"] += float(term.data)

@@ -20,9 +20,12 @@ from typing import Mapping
 import numpy as np
 
 from . import tensor as T
+from .errors import DataFault
 from .weights_io import load_weights, save_weights
 
 CONFIG_PREFIX = "config/"
+# NetworkConfig fields stored as config/* scalars, in file order.
+CONFIG_KEYS = ("input_channels", "descriptor_dim", "pyramid_levels", "base_width", "seed")
 
 
 @dataclass(frozen=True)
@@ -52,21 +55,6 @@ class NetworkWeights:
 
     def parameter_count(self) -> int:
         return int(sum(p.size for p in self.params.values()))
-
-
-@dataclass
-class FeaturePyramid:
-    """Descriptor maps, level l has shape (H/2^l, W/2^l, D)."""
-
-    levels: list
-
-    def __post_init__(self):
-        for lvl in self.levels:
-            if not np.all(np.isfinite(lvl)):
-                raise ValueError("feature pyramid contains non-finite values")
-
-    def __len__(self):
-        return len(self.levels)
 
 
 def layer_shapes(config: NetworkConfig) -> dict:
@@ -141,13 +129,15 @@ def forward_pyramid(params: Mapping, image, config: NetworkConfig) -> list:
     ]
 
 
-def extract_pyramid(weights: NetworkWeights, image: np.ndarray) -> FeaturePyramid:
-    """Pure descriptor extraction: no tape, plain arrays out."""
+def extract_pyramid(weights: NetworkWeights, image: np.ndarray) -> list:
+    """Pure descriptor extraction: no tape, one (H/2^l, W/2^l, D) array per level."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim == 2:
         image = image[:, :, None]
-    heads = forward_pyramid(weights.params, image, weights.config)
-    return FeaturePyramid([head.data for head in heads])
+    levels = [head.data for head in forward_pyramid(weights.params, image, weights.config)]
+    if not all(np.all(np.isfinite(level)) for level in levels):
+        raise ValueError("feature pyramid contains non-finite values")
+    return levels
 
 
 def influence_interval(config: NetworkConfig, pixel: int, size: int):
@@ -182,29 +172,29 @@ def influence_interval(config: NetworkConfig, pixel: int, size: int):
 
 def save_network(path, weights: NetworkWeights) -> None:
     """Writes hyperparameters (as config/* scalars) and parameters together."""
-    cfg = weights.config
     out = {
-        CONFIG_PREFIX + "input_channels": np.asarray(float(cfg.input_channels)),
-        CONFIG_PREFIX + "descriptor_dim": np.asarray(float(cfg.descriptor_dim)),
-        CONFIG_PREFIX + "pyramid_levels": np.asarray(float(cfg.pyramid_levels)),
-        CONFIG_PREFIX + "base_width": np.asarray(float(cfg.base_width)),
-        CONFIG_PREFIX + "seed": np.asarray(float(cfg.seed)),
+        CONFIG_PREFIX + key: np.asarray(float(getattr(weights.config, key)))
+        for key in CONFIG_KEYS
     }
     out.update(weights.params)
     save_weights(path, out)
 
 
 def load_network(path) -> NetworkWeights:
+    """Reads a ``save_network`` file.
+
+    A file whose config/* entries or parameter shapes do not describe a
+    valid network of its declared architecture raises DataFault.
+    """
     raw = load_weights(path)
-    config = NetworkConfig(
-        input_channels=int(raw.pop(CONFIG_PREFIX + "input_channels")),
-        descriptor_dim=int(raw.pop(CONFIG_PREFIX + "descriptor_dim")),
-        pyramid_levels=int(raw.pop(CONFIG_PREFIX + "pyramid_levels")),
-        base_width=int(raw.pop(CONFIG_PREFIX + "base_width")),
-        seed=int(raw.pop(CONFIG_PREFIX + "seed")),
-    )
+    try:
+        config = NetworkConfig(**{key: int(raw.pop(CONFIG_PREFIX + key)) for key in CONFIG_KEYS})
+    except KeyError as exc:
+        raise DataFault(f"{path}: weights file lacks {exc.args[0]}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataFault(f"{path}: invalid network config ({exc})") from exc
     expected = layer_shapes(config)
     for name, shape in expected.items():
         if name not in raw or raw[name].shape != shape:
-            raise ValueError(f"weights file does not match declared architecture at {name}")
+            raise DataFault(f"{path}: weights file does not match declared architecture at {name}")
     return NetworkWeights(config, {name: raw[name] for name in expected})

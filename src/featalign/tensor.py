@@ -39,27 +39,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Append-only record of primitive applications, one graph per tape.

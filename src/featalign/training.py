@@ -21,17 +21,16 @@ from .losses import LossConfig, total_loss
 from .network import NetworkConfig, NetworkWeights, build_network, forward_pyramid
 from .optim import AdamState, adam_init, adam_step
 
+# Keyframe points per validation relocalization.
+VAL_POINTS = 192
+
 
 @dataclass
 class TrainConfig:
     epochs: int = 24
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     seed: int = 0
     val_candidates: int = 12
-    val_points: int = 192
     network: NetworkConfig = field(default_factory=NetworkConfig)
     loss: LossConfig = field(default_factory=LossConfig)
 
@@ -64,7 +63,7 @@ def train_network(train_split, val_split, config: TrainConfig):
     state: AdamState = adam_init(params)
     batches = list(train_split.correspondences)
     history: list[EpochStats] = []
-    best = (None, -np.inf, np.inf)  # (params copy, val auc, train loss)
+    best_params, best_score = None, -np.inf
     for epoch in range(config.epochs):
         order = np.random.default_rng([config.seed, 17, epoch]).permutation(len(batches))
         sums = {"total": 0.0, "contrastive": 0.0, "gauss_newton": 0.0}
@@ -84,7 +83,7 @@ def train_network(train_split, val_split, config: TrainConfig):
                 )
             tape.backward(loss)
             grads = [tape.grad(taped[n]) for n in names]
-            adam_step(params, grads, state, config.lr, config.beta1, config.beta2, config.eps_adam)
+            adam_step(params, grads, state, config.lr)
             sums["total"] += value
             sums["contrastive"] += parts["contrastive"]
             sums["gauss_newton"] += parts["gauss_newton"]
@@ -98,9 +97,9 @@ def train_network(train_split, val_split, config: TrainConfig):
                        sums["gauss_newton"] / n, val_auc)
         )
         score = val_auc if np.isfinite(val_auc) else -sums["total"] / n
-        if score > best[1]:
-            best = ({m: p.copy() for m, p in zip(names, params)}, score, sums["total"] / n)
-    final = NetworkWeights(config.network, best[0] if best[0] is not None else dict(zip(names, params)))
+        if score > best_score:
+            best_params, best_score = {m: p.copy() for m, p in zip(names, params)}, score
+    final = NetworkWeights(config.network, best_params if best_params is not None else dict(zip(names, params)))
     return final, history
 
 
@@ -116,7 +115,7 @@ def _validation_auc(val_split, weights: NetworkWeights, config: TrainConfig) -> 
         trimmed,
         network_extractor(weights),
         method_config("features", weights.config.pyramid_levels),
-        point_count=config.val_points,
+        point_count=VAL_POINTS,
     )
     _, summary = evaluate_relocalization(results)
     return float(summary["auc"])

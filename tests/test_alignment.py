@@ -114,6 +114,9 @@ class TestPixelGN:
         fmap = linear_field(16, 16, a, x_star)
         final, _ = track_pixels(fmap, np.array([[7.0, 6.0]]), np.zeros((1, 3)), eps=1e-12, max_iterations=1)
         np.testing.assert_allclose(final[0], x_star, atol=1e-6)
+        # The stencil derivative of a linear field is A, so H = A^T A + eps I.
+        _, hess = pixel_gauss_newton(fmap, np.array([[7.0, 6.0]]), np.zeros((1, 3)), eps=1e-3)
+        np.testing.assert_allclose(hess.data[0], a.T @ a + 1e-3 * np.eye(2), atol=1e-12)
 
     def test_zero_residual_zero_step(self):
         rng = np.random.default_rng(3)

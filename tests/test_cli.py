@@ -14,6 +14,7 @@ import featalign.tensor as tensor_mod
 from featalign.bench.dataset_io import read_split
 from featalign.cli import main as cli_main
 from featalign.gradcheck import run_gradcheck
+from featalign.weights_io import load_weights, save_weights
 
 from helpers import corrupt_depth
 
@@ -145,6 +146,61 @@ class TestEvaluate:
             ["evaluate", "--dataset", str(tmp_path / "void"), "--out", str(tmp_path / "e")]
         )
         assert rc == 2
+
+    def test_negative_candidates_is_usage_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "ev5"
+        rc = cli_main(
+            [
+                "evaluate", "--dataset", str(dataset), "--out", str(out),
+                "--methods", "intensity", "--candidates", "-1",
+            ]
+        )
+        assert rc == 1
+        assert "--candidates must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (lambda raw: raw.update({"head0/b": raw["head0/b"][:-1]}), "head0/b"),
+            (lambda raw: raw.pop("config/seed"), "config/seed"),
+        ],
+        ids=["shape_mismatch", "missing_config"],
+    )
+    def test_malformed_weights_is_data_fault(self, dataset, weights, tmp_path, capsys, edit, detail):
+        raw = load_weights(weights)
+        edit(raw)
+        bad = tmp_path / "bad.gnnw"
+        save_weights(bad, raw)
+        rc = cli_main(
+            [
+                "evaluate", "--dataset", str(dataset), "--out", str(tmp_path / "ev6"),
+                "--methods", "features", "--weights", str(bad), "--points", "96",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data fault:") and detail in err
+
+
+class TestTrain:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--levels", "1"],
+            ["--vicinity", "0.5"],
+            ["--descriptor-dim", "0"],
+            ["--epsilon", "0"],
+            ["--starts-per-match", "2"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_bad_argument_is_usage_error(self, dataset, tmp_path, capsys, flags):
+        out = tmp_path / "w" / "w.gnnw"
+        rc = cli_main(["train", "--dataset", str(dataset), "--out", str(out)] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.parent.exists()
 
 
 class TestThreadCountDeterminism:

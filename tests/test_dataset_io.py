@@ -1,5 +1,7 @@
 """Dataset serialization: lossless round-trips and distinct fault paths."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,13 @@ class TestSplitIO:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataFault):
             read_split(tmp_path / "nowhere")
+
+    @pytest.mark.parametrize("key", ["intrinsics", "frames", "candidates"])
+    def test_missing_manifest_key_is_data_fault(self, tmp_path, scene, key):
+        d = tmp_path / "split"
+        write_split(d, scene, None, seed=21)
+        manifest = json.loads((d / "manifest.json").read_text())
+        del manifest[key]
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataFault, match=key):
+            read_split(d)

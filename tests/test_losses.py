@@ -5,15 +5,14 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from featalign import tensor as T
+from featalign.alignment import pixel_gauss_newton
 from featalign.losses import (
     LOG_2PI,
     CorrespondenceBatch,
-    GaussianBelief,
     LossConfig,
     contrastive_loss,
     gauss_newton_loss,
     gaussian_nll_terms,
-    pixel_belief,
     sample_negatives,
     total_loss,
 )
@@ -249,19 +248,12 @@ class TestTotalLoss:
         fmap = rng.standard_normal((8, 8, 2))
         pts = np.array([[3.0, 4.0], [5.0, 2.5]])
         batch = CorrespondenceBatch(pts, pts, np.empty((0, 2)), np.empty((0, 2)))
-        cfg = LossConfig(gn_weight=1.0, vicinity_radius=1.0, levels_used=[0])
+        cfg = LossConfig(gn_weight=1.0, vicinity_radius=1.0)
         pa = [T.Tensor(fmap)]
         pb = [T.Tensor(fmap)]
         loss, _ = total_loss(pa, pb, batch, cfg, np.random.default_rng(42))
         gn = gauss_newton_loss(pa[0], pb[0], batch, cfg, np.random.default_rng(42), vicinity=1.0)
         assert float(loss.data) == pytest.approx(float(gn.data), abs=1e-15)
-
-    def test_levels_used_validated(self):
-        rng = np.random.default_rng(10)
-        _, _, _, pa, pb = self.pyramids(rng)
-        batch = random_batch(rng, 16, 16, 4, 4)
-        with pytest.raises(ValueError):
-            total_loss(pa, pb, batch, LossConfig(levels_used=[5]), np.random.default_rng(0))
 
     def test_gradcheck_total_loss_small(self):
         # Smoke-scale version of the acceptance gradient-integrity check.
@@ -298,7 +290,7 @@ class TestTotalLoss:
         pts_a = np.array([[3.0, 3.0]])
         pts_b = np.array([[8.0, 8.0]])
         batch = CorrespondenceBatch(pts_a, pts_b, np.empty((0, 2)), np.empty((0, 2)))
-        cfg = LossConfig(gn_weight=1.0, vicinity_radius=1.0, epsilon=1e-3, levels_used=[0])
+        cfg = LossConfig(gn_weight=1.0, vicinity_radius=1.0, epsilon=1e-3)
         tape = T.Tape()
         ta, tb = tape.leaf(fmap_a), tape.leaf(fmap_b)
         loss, _ = total_loss([ta], [tb], batch, cfg, np.random.default_rng(17))
@@ -319,20 +311,15 @@ class TestTotalLoss:
 
 class TestGaussianBelief:
     def test_belief_on_identity_ramp(self):
-        # Identity-gradient map: the belief mean is the true landing point
-        # and the information matrix is (1 + eps) I.
+        # Identity-gradient map: the per-pixel Gauss-Newton belief mean is
+        # the true landing point and the information matrix is (1 + eps) I.
         fmap = ramp_map(16, 16)
         target = np.array([9.0, 6.0])
-        belief = pixel_belief(fmap, np.array([7.5, 7.5]), target, epsilon=1e-9)
-        np.testing.assert_allclose(belief.mean, target, atol=1e-6)
-        np.testing.assert_allclose(belief.hessian, np.eye(2), atol=1e-6)
-        np.testing.assert_allclose(belief.covariance @ belief.hessian, np.eye(2), atol=1e-9)
-
-    def test_rejects_asymmetric_or_indefinite(self):
-        with pytest.raises(ValueError):
-            GaussianBelief(np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]))
-        with pytest.raises(ValueError):
-            GaussianBelief(np.zeros(2), np.array([[1.0, 0.0], [0.0, -2.0]]))
+        mu, hess = pixel_gauss_newton(fmap, np.array([[7.5, 7.5]]), target[None, :], eps=1e-9)
+        np.testing.assert_allclose(mu.data[0], target, atol=1e-6)
+        np.testing.assert_allclose(hess.data[0], np.eye(2), atol=1e-6)
+        covariance = T.inv2x2(hess).data[0]
+        np.testing.assert_allclose(covariance @ hess.data[0], np.eye(2), atol=1e-9)
 
 
 class TestSampleNegatives:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from featalign.errors import DataFault
 from featalign.network import (
-    FeaturePyramid,
     NetworkConfig,
     NetworkWeights,
     build_network,
@@ -55,7 +55,7 @@ class TestBuild:
     def test_forward_on_zeros_finite(self):
         weights = build_network(SMALL)
         pyr = extract_pyramid(weights, np.zeros((16, 16, 1)))
-        for lvl in pyr.levels:
+        for lvl in pyr:
             assert np.all(np.isfinite(lvl))
 
     def test_invalid_config_rejected(self):
@@ -70,14 +70,14 @@ class TestExtract:
         cfg = NetworkConfig(input_channels=1, descriptor_dim=8, pyramid_levels=3, base_width=4)
         weights = build_network(cfg)
         pyr = extract_pyramid(weights, np.random.default_rng(0).uniform(size=(64, 64, 1)))
-        assert [lvl.shape for lvl in pyr.levels] == [(64, 64, 8), (32, 32, 8), (16, 16, 8)]
+        assert [lvl.shape for lvl in pyr] == [(64, 64, 8), (32, 32, 8), (16, 16, 8)]
 
     def test_siamese_identical_pyramids(self):
         weights = build_network(SMALL)
         img = np.random.default_rng(1).uniform(size=(32, 32, 1))
         p1 = extract_pyramid(weights, img)
         p2 = extract_pyramid(weights, img)
-        for a, b in zip(p1.levels, p2.levels):
+        for a, b in zip(p1, p2):
             assert a.tobytes() == b.tobytes()
 
     def test_dimension_fault(self):
@@ -92,11 +92,11 @@ class TestExtract:
         weights = build_network(cfg)
         rng = np.random.default_rng(5)
         img = rng.uniform(size=(64, 64, 1))
-        base = extract_pyramid(weights, img).levels[0]
+        base = extract_pyramid(weights, img)[0]
         py, px = 33, 17
         img2 = img.copy()
         img2[py, px, 0] += 1.5
-        changed = np.abs(extract_pyramid(weights, img2).levels[0] - base).sum(axis=2) > 0
+        changed = np.abs(extract_pyramid(weights, img2)[0] - base).sum(axis=2) > 0
         ys, xs = np.nonzero(changed)
         assert len(ys) > 0
         lo_y, hi_y = influence_interval(cfg, py, 64)
@@ -121,9 +121,11 @@ class TestNetworkIO:
         bad = dict(weights.params)
         bad["enc0/w"] = np.zeros((3, 3, 2, 4))
         save_network(path, NetworkWeights(SMALL, bad))
-        with pytest.raises(ValueError):
+        with pytest.raises(DataFault, match="enc0/w"):
             load_network(path)
 
     def test_pyramid_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            FeaturePyramid([np.array([[[np.nan]]])])
+        weights = build_network(SMALL)
+        weights.params["head1/b"][0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_pyramid(weights, np.zeros((16, 16, 1)))
