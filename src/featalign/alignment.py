@@ -18,12 +18,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import network
 from . import tensor as T
 from .geometry import CameraIntrinsics, SE3Pose, project_points, projection_jacobian, se3_exp
 
 # Central differences at p' +- 1 px plus bilinear interpolation must stay
 # inside the map at every pyramid level.
 STENCIL_MARGIN = 1.0 + 1e-9
+
+# Step length (px) below which per-pixel tracking counts a point as settled.
+PIXEL_STEP_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -164,11 +168,11 @@ def track_pixels(
     f_t: np.ndarray,
     eps: float,
     max_iterations: int = 25,
-    step_tol: float = 0.01,
 ):
     """Batched per-pixel GN tracking.
 
-    Returns (final positions (N, 2), active-and-settled mask). Points whose
+    Returns (final positions (N, 2), active-and-settled mask). A point
+    settles once its step is shorter than ``PIXEL_STEP_TOL``; points whose
     stencil leaves the map freeze where they were and report failure.
     """
     x = np.asarray(starts, dtype=np.float64).copy()
@@ -183,7 +187,7 @@ def track_pixels(
         idx = np.nonzero(work)[0]
         mu, _ = pixel_gauss_newton(feat_tgt, x[idx], f_t[idx], eps)
         x_new = mu.data
-        small = np.linalg.norm(x_new - x[idx], axis=1) < step_tol
+        small = np.linalg.norm(x_new - x[idx], axis=1) < PIXEL_STEP_TOL
         ok = stencil_valid(x_new, width, height)
         x[idx[ok]] = x_new[ok]
         alive[idx[~ok]] = False
@@ -383,8 +387,9 @@ def select_keyframe_points(
 ):
     """Gradient-magnitude top-K pixel selection with a spacing grid.
 
-    Returns (pixels (N, 2) float, inverse depths (N,)). Selection runs on
-    the image so every tracking method sees the same points.
+    Returns (pixels (N, 2) float, inverse depths (N,)); ``k <= 0`` selects
+    none. Selection runs on the image so every tracking method sees the
+    same points.
     """
     img = image[:, :, 0] if image.ndim == 3 else image
     height, width = img.shape
@@ -402,26 +407,27 @@ def select_keyframe_points(
     pixels = []
     for flat in order:
         y, x = divmod(int(flat), width)
-        if mag[y, x] <= 0:
+        if len(pixels) >= k or mag[y, x] <= 0:
             break
         cy, cx = y // spacing, x // spacing
         if occupied[cy, cx]:
             continue
         occupied[cy, cx] = True
         pixels.append((float(x), float(y)))
-        if len(pixels) >= k:
-            break
     pts = np.array(pixels) if pixels else np.empty((0, 2))
     inv_depths = 1.0 / depth[pts[:, 1].astype(int), pts[:, 0].astype(int)] if len(pts) else np.empty(0)
     return pts, inv_depths
 
 
 def network_extractor(weights) -> Callable[[np.ndarray], list]:
-    """Feature-pyramid closure over trained network weights."""
-    from .network import extract_pyramid
+    """Feature-pyramid closure over trained network weights.
+
+    ``network.extract_pyramid`` is looked up at each call, so a wrapper
+    installed on that module attribute sees every extraction.
+    """
 
     def run(image: np.ndarray):
-        return extract_pyramid(weights, image)
+        return network.extract_pyramid(weights, image)
 
     return run
 

@@ -1,24 +1,1 @@
 """Synthetic relocalization-tracking benchmark: scenes, datasets, metrics."""
-
-from .scene import (
-    ConditionTransform,
-    Frame,
-    RelocCandidate,
-    SceneConfig,
-    SyntheticScene,
-    generate_scene,
-    make_correspondences,
-)
-from .evaluate import EvalCurve, evaluate_relocalization
-
-__all__ = [
-    "ConditionTransform",
-    "EvalCurve",
-    "Frame",
-    "RelocCandidate",
-    "SceneConfig",
-    "SyntheticScene",
-    "evaluate_relocalization",
-    "generate_scene",
-    "make_correspondences",
-]

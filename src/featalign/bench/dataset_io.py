@@ -101,7 +101,6 @@ def write_correspondences(path, batches) -> None:
 def read_correspondences(path) -> list:
     """Groups lines back into per-(frame_a, frame_b) batches, input order."""
     grouped: dict = {}
-    order: list = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
@@ -111,12 +110,11 @@ def read_correspondences(path) -> list:
         key = (int(parts[0]), int(parts[1]))
         if key not in grouped:
             grouped[key] = {"pos": [], "neg": []}
-            order.append(key)
         grouped[key][parts[6]].append([float(v) for v in parts[2:6]])
     batches = []
-    for key in order:
-        pos = np.asarray(grouped[key]["pos"], dtype=np.float64).reshape(-1, 4)
-        neg = np.asarray(grouped[key]["neg"], dtype=np.float64).reshape(-1, 4)
+    for key, lines in grouped.items():
+        pos = np.asarray(lines["pos"], dtype=np.float64).reshape(-1, 4)
+        neg = np.asarray(lines["neg"], dtype=np.float64).reshape(-1, 4)
         batches.append(
             CorrespondenceBatch(
                 pos[:, 0:2], pos[:, 2:4], neg[:, 0:2], neg[:, 2:4], key[0], key[1]
@@ -139,8 +137,6 @@ def _condition_to_dict(cond: ConditionTransform) -> dict:
         "brightness": cond.brightness,
         "contrast": cond.contrast,
         "noise_sigma": cond.noise_sigma,
-        "blur_radius": cond.blur_radius,
-        "channel_matrix": [list(row) for row in cond.channel_matrix],
     }
 
 
@@ -233,6 +229,8 @@ def read_split(directory) -> DatasetSplit:
         return _split_from_manifest(root, manifest)
     except KeyError as exc:
         raise DataFault(f"{manifest_path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataFault(f"{manifest_path}: malformed value ({exc})") from exc
 
 
 def _split_from_manifest(root: Path, manifest: dict) -> DatasetSplit:

@@ -15,13 +15,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..alignment import AlignmentConfig, align_pose, select_keyframe_points, track_pixels
+from ..alignment import AlignmentConfig, align_pose, interp, select_keyframe_points, track_pixels
 from ..geometry import SE3Pose
 from ..losses import CorrespondenceBatch, draw_start_points
 from .dataset_io import DatasetSplit
 
 THRESHOLD_STEP = 0.01
 THRESHOLD_MAX = 1.0
+
+# A basin trial succeeds when tracking settles this close (px) to the truth.
+BASIN_SUCCESS_PX = 0.5
 
 
 @dataclass
@@ -101,7 +104,7 @@ def write_curve_csv(path, curve: EvalCurve) -> None:
 _SVG_COLORS = ("#c0392b", "#2471a3", "#1e8449", "#8e44ad", "#b7950b")
 
 
-def write_curves_svg(path, curves: dict, title: str = "relocalization accuracy") -> None:
+def write_curves_svg(path, curves: dict) -> None:
     """Self-contained SVG line plot of one or more cumulative curves."""
     width, height = 640, 460
     ml, mr, mt, mb = 60, 20, 40, 50
@@ -118,7 +121,7 @@ def write_curves_svg(path, curves: dict, title: str = "relocalization accuracy")
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="16" '
-        f'font-family="sans-serif">{title}</text>',
+        'font-family="sans-serif">relocalization accuracy</text>',
     ]
     for k in range(11):
         t = k / 10.0
@@ -175,7 +178,6 @@ def run_relocalization(
     extractor: Callable[[np.ndarray], Sequence[np.ndarray]],
     config: AlignmentConfig,
     point_count: int = 512,
-    point_spacing: int = 4,
 ) -> list:
     """Tracks every candidate of a split against its reference keyframe.
 
@@ -193,9 +195,7 @@ def run_relocalization(
     def points_of(frame_id):
         if frame_id not in points:
             frame = split.frames[frame_id]
-            points[frame_id] = select_keyframe_points(
-                frame.image, frame.depth, k=point_count, spacing=point_spacing
-            )
+            points[frame_id] = select_keyframe_points(frame.image, frame.depth, k=point_count)
         return points[frame_id]
 
     results = []
@@ -221,16 +221,14 @@ def basin_trials(
     radius: float,
     eps: float,
     seed: int,
-    success_px: float = 0.5,
-    max_iterations: int = 25,
 ) -> np.ndarray:
     """Per-pixel convergence-basin trials on level-0 feature maps.
 
     For every ground-truth match, start per-pixel GN tracking at a uniform
     square offset of the given radius around the true location and report
-    per-trial success: settled within ``success_px`` of the truth. The rng
-    seed fixes the offsets, so different feature extractors see identical
-    trials.
+    per-trial success: settled within ``BASIN_SUCCESS_PX`` of the truth.
+    The rng seed fixes the offsets, so different feature extractors see
+    identical trials.
     """
     rng = np.random.default_rng(seed)
     outcomes = []
@@ -241,17 +239,13 @@ def basin_trials(
             level0[frame_id] = extractor(split.frames[frame_id].image)[0]
         return level0[frame_id]
 
-    from ..alignment import interp
-
     for batch in batches:
         feat_a = features_of(batch.frame_a)
         feat_b = features_of(batch.frame_b)
         height, width = feat_b.shape[:2]
         f_t = interp(feat_a, batch.pos_a)
         starts = draw_start_points(rng, batch.pos_b, radius, width, height)
-        final, converged = track_pixels(
-            feat_b, starts, f_t, eps, max_iterations=max_iterations, step_tol=0.01
-        )
+        final, converged = track_pixels(feat_b, starts, f_t, eps)
         err = np.linalg.norm(final - batch.pos_b, axis=1)
-        outcomes.append(converged & (err < success_px))
+        outcomes.append(converged & (err < BASIN_SUCCESS_PX))
     return np.concatenate(outcomes) if outcomes else np.zeros(0, dtype=bool)

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..alignment import interp
 from ..errors import DataFault
 from ..geometry import CameraIntrinsics, SE3Pose, project_points, se3_exp
 from ..losses import CorrespondenceBatch, sample_negatives
@@ -126,46 +127,21 @@ def octave_noise(
 class ConditionTransform:
     """Photometric perturbation standing in for a weather/lighting change.
 
-    Applied as contrast * gain * img^gamma + brightness, then blur, then
-    additive Gaussian noise, clamped to [0, 1]. channel_matrix is the
-    per-channel color map; grayscale scenes use the 1x1 case.
+    Applied as contrast * img^gamma + brightness, then additive Gaussian
+    noise, clamped to [0, 1].
     """
 
     gamma: float = 1.0
     brightness: float = 0.0
     contrast: float = 1.0
     noise_sigma: float = 0.0
-    blur_radius: int = 0
-    channel_matrix: tuple = ((1.0,),)
 
     def apply(self, image: np.ndarray, rng) -> np.ndarray:
         out = np.power(np.clip(image, 0.0, 1.0), self.gamma)
-        matrix = np.asarray(self.channel_matrix, dtype=np.float64)
-        if image.ndim == 3 and matrix.shape == (image.shape[2], image.shape[2]):
-            out = out @ matrix.T
-        else:
-            out = out * float(matrix.reshape(-1)[0])
         out = self.contrast * out + self.brightness
-        if self.blur_radius > 0:
-            out = _box_blur(out, self.blur_radius)
         if self.noise_sigma > 0.0:
             out = out + rng.normal(0.0, self.noise_sigma, out.shape)
         return np.clip(out, 0.0, 1.0)
-
-
-def _box_blur(image: np.ndarray, radius: int) -> np.ndarray:
-    """Separable box blur with reflect padding."""
-    k = 2 * radius + 1
-    squeeze = image.ndim == 2
-    img = image[:, :, None] if squeeze else image
-    padded = np.pad(img, ((radius, radius), (0, 0), (0, 0)), mode="reflect")
-    img = sum(padded[i : i + img.shape[0]] for i in range(k)) / k
-    padded = np.pad(img, ((0, 0), (radius, radius), (0, 0)), mode="reflect")
-    img = sum(padded[:, i : i + img.shape[1]] for i in range(k)) / k
-    return img[:, :, 0] if squeeze else img
-
-
-IDENTITY_CONDITION = ConditionTransform()
 
 
 @dataclass(frozen=True)
@@ -379,7 +355,7 @@ def generate_scene(seed: int, config: SceneConfig) -> SyntheticScene:
     rng = np.random.default_rng([seed, 0xBE7C])
     scene = SyntheticScene(config, seed, [], [], [])
     scene.trajectory = _random_walk(rng, config)
-    conditions = (IDENTITY_CONDITION,) + tuple(config.conditions)
+    conditions = (ConditionTransform(),) + tuple(config.conditions)
     renders = [scene.render(pose) for pose in scene.trajectory]
     frame_id = 0
     for seq, condition in enumerate(conditions):
@@ -404,12 +380,6 @@ def generate_scene(seed: int, config: SceneConfig) -> SyntheticScene:
         scene.candidates.append(RelocCandidate(frame_id, ref_index, rel))
         frame_id += 1
     return scene
-
-
-def _interp_depth(depth: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    from ..alignment import interp
-
-    return interp(depth[:, :, None], coords)[:, 0]
 
 
 def make_correspondences(
@@ -458,7 +428,7 @@ def make_correspondences(
         if valid.any():
             ub = projected[valid]
             z_pred = p_cam[valid, 2]
-            z_map = _interp_depth(fb.depth, ub)
+            z_map = interp(fb.depth[:, :, None], ub)[:, 0]
             consistent = np.abs(z_map - z_pred) / z_pred <= 0.02
             pos_a = np.concatenate([pos_a, ua[valid][consistent]])
             pos_b = np.concatenate([pos_b, ub[consistent]])

@@ -230,9 +230,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _extractor_for(method: str, args, levels_default: int = 3):
+# Pyramid levels of the intensity method, which has no weights file to say.
+INTENSITY_LEVELS = 3
+
+
+def _extractor_for(method: str, args):
     if method == "intensity":
-        return intensity_extractor(levels_default), levels_default
+        return intensity_extractor(INTENSITY_LEVELS), INTENSITY_LEVELS
     path = args.weights if method == "features" else args.contrastive_weights
     if not path or not Path(path).exists():
         raise DataFault(f"method '{method}' needs an existing weights file")
@@ -241,6 +245,8 @@ def _extractor_for(method: str, args, levels_default: int = 3):
 
 
 def cmd_evaluate(args) -> int:
+    if args.points < 1:
+        raise UsageError("--points must be >= 1")
     if args.candidates < 0:
         raise UsageError("--candidates must be >= 0")
     split = read_split(Path(args.dataset) / args.split)
@@ -272,6 +278,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_align(args) -> int:
+    if args.points < 1:
+        raise UsageError("--points must be >= 1")
     split = read_split(Path(args.dataset) / args.split)
     if not (0 <= args.candidate < len(split.candidates)):
         raise UsageError(f"--candidate must be in [0, {len(split.candidates)})")

@@ -53,7 +53,8 @@ class Tape:
 
     def __init__(self):
         self._backwards: list[Callable] = []
-        self._inputs: list[tuple[int, ...]] = []
+        # One entry per primitive input; None marks an untaped input.
+        self._inputs: list[tuple[Optional[int], ...]] = []
         self._shapes: list[tuple[int, ...]] = []
         self._grads: Optional[list] = None
 
@@ -97,7 +98,7 @@ class Tape:
                 continue
             contributions = fn(g)
             for input_node, contrib in zip(self._inputs[node], contributions):
-                if contrib is None:
+                if input_node is None or contrib is None:
                     continue
                 if grads[input_node] is None:
                     grads[input_node] = contrib
@@ -136,29 +137,16 @@ def _tape_of(*tensors) -> Optional[Tape]:
     return tape
 
 
-def _node(t) -> Optional[int]:
-    if isinstance(t, Tensor) and t.tape is not None:
-        return t.node
-    return None
-
-
 def _make(data, inputs: Sequence, backward_fn) -> Tensor:
     """Wires a primitive result into the tape shared by its taped inputs.
 
     ``backward_fn(g)`` must return one gradient (or None) per input in
-    ``inputs`` order; gradients for untaped inputs are dropped.
+    ``inputs`` order; the tape drops the gradients of untaped inputs.
     """
     tape = _tape_of(*inputs)
     if tape is None:
         return Tensor(data)
-    nodes = [_node(t) for t in inputs]
-    live = [(i, n) for i, n in enumerate(nodes) if n is not None]
-
-    def filtered(g):
-        full = backward_fn(g)
-        return [full[i] for i, _ in live]
-
-    node = tape._emit([n for _, n in live], np.asarray(data).shape, filtered)
+    node = tape._emit([t.node for t in inputs], np.asarray(data).shape, backward_fn)
     return Tensor(data, tape, node)
 
 

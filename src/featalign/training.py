@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .alignment import method_config, network_extractor
+from .bench.evaluate import evaluate_relocalization, run_relocalization
 from .errors import NumericalFault
 from .losses import LossConfig, total_loss
 from .network import NetworkConfig, NetworkWeights, build_network, forward_pyramid
@@ -34,6 +35,14 @@ class TrainConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     loss: LossConfig = field(default_factory=LossConfig)
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+        if self.val_candidates < 0:
+            raise ValueError("val_candidates must be >= 0")
+
 
 @dataclass
 class EpochStats:
@@ -42,10 +51,6 @@ class EpochStats:
     contrastive: float
     gauss_newton: float
     val_auc: float
-
-
-def _image_of(split, frame_id: int) -> np.ndarray:
-    return split.frames[frame_id].image
 
 
 def train_network(train_split, val_split, config: TrainConfig):
@@ -72,8 +77,8 @@ def train_network(train_split, val_split, config: TrainConfig):
             rng = np.random.default_rng([config.seed, 23, epoch, slot])
             tape = T.Tape()
             taped = {n: tape.leaf(p) for n, p in zip(names, params)}
-            pyr_a = forward_pyramid(taped, _image_of(train_split, batch.frame_a), config.network)
-            pyr_b = forward_pyramid(taped, _image_of(train_split, batch.frame_b), config.network)
+            pyr_a = forward_pyramid(taped, train_split.frames[batch.frame_a].image, config.network)
+            pyr_b = forward_pyramid(taped, train_split.frames[batch.frame_b].image, config.network)
             loss, parts = total_loss(pyr_a, pyr_b, batch, config.loss, rng)
             value = float(loss.data)
             if not np.isfinite(value):
@@ -104,8 +109,6 @@ def train_network(train_split, val_split, config: TrainConfig):
 
 
 def _validation_auc(val_split, weights: NetworkWeights, config: TrainConfig) -> float:
-    from .bench.evaluate import evaluate_relocalization, run_relocalization
-
     subset = val_split.candidates[: config.val_candidates]
     if not subset:
         return float("nan")

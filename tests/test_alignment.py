@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from featalign import network
 from featalign import tensor as T
 from featalign.alignment import (
     STENCIL_MARGIN,
@@ -14,6 +15,7 @@ from featalign.alignment import (
     interp,
     map_gradient,
     method_config,
+    network_extractor,
     pixel_gauss_newton,
     select_keyframe_points,
     track_pixels,
@@ -274,6 +276,32 @@ def make_two_view(seed=11, baseline=0.06, fine=False):
     img_ref, depth_ref = scene.render(pose_ref)
     img_tgt, _ = scene.render(pose_tgt)
     return img_ref, depth_ref, img_tgt, rel, scene
+
+
+class TestSelectKeyframePoints:
+    @pytest.mark.parametrize("k", [-1, 0, 1, 7])
+    def test_selects_k_points_and_none_below_one(self, k):
+        img_ref, depth_ref, _, _, _ = make_two_view()
+        pixels, inv_depths = select_keyframe_points(img_ref, depth_ref, k=k)
+        assert pixels.shape == (max(k, 0), 2)
+        assert inv_depths.shape == (max(k, 0),)
+
+
+class TestNetworkExtractor:
+    def test_looks_up_extract_pyramid_at_call_time(self, monkeypatch):
+        # Per-layer tracing wraps the module attribute after extractors exist.
+        calls = []
+
+        def fake(weights, image):
+            calls.append((weights, image))
+            return ["pyramid"]
+
+        extractor = network_extractor("weights")
+        monkeypatch.setattr(network, "extract_pyramid", fake)
+        image = np.zeros((16, 16, 1))
+        assert extractor(image) == ["pyramid"]
+        assert len(calls) == 1
+        assert calls[0][0] == "weights" and calls[0][1] is image
 
 
 class TestAlignPose:

@@ -182,6 +182,18 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("data fault:") and detail in err
 
+    def test_malformed_manifest_value_is_data_fault(self, dataset, tmp_path, capsys):
+        corrupt = tmp_path / "ds"
+        shutil.copytree(dataset / "test", corrupt / "test")
+        manifest_path = corrupt / "test" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["frames"] = 3
+        manifest_path.write_text(json.dumps(manifest))
+        rc = cli_main(["evaluate", "--dataset", str(corrupt), "--out", str(tmp_path / "ev7"),
+                       "--methods", "intensity"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data fault:")
+
 
 class TestTrain:
     @pytest.mark.parametrize(
@@ -192,6 +204,9 @@ class TestTrain:
             ["--descriptor-dim", "0"],
             ["--epsilon", "0"],
             ["--starts-per-match", "2"],
+            ["--epochs", "0"],
+            ["--lr", "-1"],
+            ["--val-candidates", "-2"],
         ],
         ids=lambda flags: flags[0],
     )
@@ -288,6 +303,16 @@ class TestGradcheckCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["evaluate", "align"])
+    def test_points_below_one_is_usage_error(self, dataset, tmp_path, capsys, command, points):
+        out = tmp_path / "ev"
+        extra = ["--out", str(out)] if command == "evaluate" else []
+        rc = cli_main([command, "--dataset", str(dataset), "--points", points] + extra)
+        assert rc == 1
+        assert "--points must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_command_is_usage_error(self):
         assert cli_main([]) == 1
 

@@ -174,3 +174,21 @@ class TestSplitIO:
         (d / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataFault, match=key):
             read_split(d)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda manifest: manifest.update(frames=3),
+            lambda manifest: manifest["intrinsics"].update(fx=-1.0),
+            lambda manifest: manifest.update(candidates=[1]),
+        ],
+        ids=["frames_int", "negative_fx", "candidate_int"],
+    )
+    def test_malformed_manifest_value_is_data_fault(self, tmp_path, scene, edit):
+        d = tmp_path / "split"
+        write_split(d, scene, None, seed=21)
+        manifest = json.loads((d / "manifest.json").read_text())
+        edit(manifest)
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataFault, match="malformed value"):
+            read_split(d)
