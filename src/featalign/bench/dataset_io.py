@@ -222,6 +222,8 @@ def read_split(directory) -> DatasetSplit:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataFault(f"{manifest_path}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise DataFault(f"{manifest_path}: manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != MANIFEST_VERSION:
         raise FormatVersionFault(f"{manifest_path}: format version {version} unsupported")
@@ -274,4 +276,10 @@ def _split_from_manifest(root: Path, manifest: dict) -> DatasetSplit:
         if not corr_path.exists():
             raise DataFault(f"{corr_path}: listed correspondence file missing")
         correspondences = read_correspondences(corr_path)
+    references = [(f"candidate {i}", c.candidate_frame, c.reference_frame) for i, c in enumerate(candidates)]
+    references += [(f"correspondences ({b.frame_a}, {b.frame_b})", b.frame_a, b.frame_b) for b in correspondences]
+    for owner, *frame_ids in references:
+        for frame_id in frame_ids:
+            if frame_id not in frames:
+                raise DataFault(f"{root}: {owner} names frame {frame_id!r}, which the split does not hold")
     return DatasetSplit(root, manifest, intrinsics, frames, candidates, correspondences)

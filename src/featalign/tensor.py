@@ -196,9 +196,11 @@ def _relu_grad(x_data: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def relu(x) -> Tensor:
+    # The backward keeps the output, not the input: out > 0 exactly where
+    # x > 0, and the pre-activation can be freed during the forward pass.
     x = astensor(x)
-    xd = x.data
-    return _make(np.maximum(xd, 0.0), [x], lambda g: [_relu_grad(xd, g)])
+    out = np.maximum(x.data, 0.0)
+    return _make(out, [x], lambda g: [_relu_grad(out, g)])
 
 
 def log(x) -> Tensor:
@@ -330,11 +332,33 @@ def inv2x2(x) -> Tensor:
 # spatial ops (feature maps are (H, W, C))
 
 
+# OpenBLAS (0.3.31) makes a GEMM's sums depend on its thread count when the
+# reduction is not a multiple of 32 long, as the decoder's padded 66x66 and
+# 34x34 grids are. conv2d pads its sums over pixels with zero rows up to that
+# multiple, so training writes the same bytes on any thread count.
+_PIXEL_ROWS_MULTIPLE = 32
+# With fewer input channels, per-tap products are too narrow for BLAS and one
+# im2col GEMM runs the forward pass faster.
+_TAP_MIN_CHANNELS = 16
+
+
+def _pixel_rows(n: int) -> int:
+    return -(-n // _PIXEL_ROWS_MULTIPLE) * _PIXEL_ROWS_MULTIPLE
+
+
 def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) on an (H, W, Cin) map.
 
     Kernel is (kh, kw, Cin, Cout); zero padding of ``pad`` pixels on every
     spatial side; square stride.
+
+    Runs as a few GEMMs whose wide side carries the kernel taps. Forward is
+    one GEMM on the im2col matrix (Ho*Wo, kh*kw*Cin) for narrow inputs and
+    kh*kw per-tap products otherwise. Backward picks the smaller wide matrix:
+    stride-1 layers with Cout < Cin write the shifted output gradients into
+    G (Hp*Wp, kh*kw*Cout) over the padded grid, so dW = Xpᵀ G and dX = G Wᵀ;
+    the others rebuild the im2col matrix C for dW = Cᵀ g and scatter the
+    taps of g Wᵀ into dX. An untaped input gets no dX.
     """
     x, w = astensor(x), astensor(w)
     xd, wd = x.data, w.data
@@ -342,36 +366,76 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
         raise ValueError(f"conv2d: expected (H,W,Cin) and (kh,kw,Cin,Cout), got {xd.shape}, {wd.shape}")
     if xd.shape[2] != wd.shape[2]:
         raise ValueError(f"conv2d: channel mismatch {xd.shape} vs {wd.shape}")
-    kh, kw = wd.shape[:2]
-    xp = np.pad(xd, ((pad, pad), (pad, pad), (0, 0))) if pad else xd
-    hp, wp = xp.shape[:2]
+    h, wi, cin = xd.shape
+    kh, kw, _, cout = wd.shape
+    hp, wp = h + 2 * pad, wi + 2 * pad
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ValueError("conv2d: kernel larger than padded input")
-    out = np.zeros((ho, wo, wd.shape[3]))
-    for di in range(kh):
-        for dj in range(kw):
-            xs = xp[di : di + stride * (ho - 1) + 1 : stride, dj : dj + stride * (wo - 1) + 1 : stride]
-            out += xs @ wd[di, dj]
+    # (di, dj, rows, columns of the padded input under tap (di, dj))
+    taps = [
+        (di, dj, slice(di, di + stride * (ho - 1) + 1, stride), slice(dj, dj + stride * (wo - 1) + 1, stride))
+        for di in range(kh)
+        for dj in range(kw)
+    ]
+
+    def padded(rows):
+        """The zero-padded input as a (rows, Cin) matrix; rows past Hp*Wp are zero."""
+        if rows == hp * wp and not pad:
+            return xd.reshape(rows, cin)
+        xp = np.zeros((rows, cin))
+        xp[: hp * wp].reshape(hp, wp, cin)[pad : pad + h, pad : pad + wi] = xd
+        return xp
+
+    def im2col(rows):
+        xp = padded(hp * wp).reshape(hp, wp, cin)
+        cols = np.empty((rows, kh, kw, cin))
+        cols[ho * wo :] = 0.0
+        window = cols[: ho * wo].reshape(ho, wo, kh, kw, cin)
+        for di, dj, si, sj in taps:
+            window[:, :, di, dj] = xp[si, sj]
+        return cols.reshape(rows, -1)
+
+    if cin < _TAP_MIN_CHANNELS:
+        out = (im2col(ho * wo) @ wd.reshape(-1, cout)).reshape(ho, wo, cout)
+    else:
+        xp = padded(hp * wp).reshape(hp, wp, cin)
+        out = np.zeros((ho, wo, cout))
+        for di, dj, si, sj in taps:
+            out += xp[si, sj] @ wd[di, dj]
     inputs = [x, w]
     has_bias = bias is not None
     if has_bias:
         bias = astensor(bias)
         out = out + bias.data
         inputs.append(bias)
+    on_grid = stride == 1 and cout < cin
+    need_dx = x.tape is not None
 
     def backward(g):
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(wd)
-        for di in range(kh):
-            for dj in range(kw):
-                sl_i = slice(di, di + stride * (ho - 1) + 1, stride)
-                sl_j = slice(dj, dj + stride * (wo - 1) + 1, stride)
-                xs = xp[sl_i, sl_j]
-                dw[di, dj] = np.tensordot(xs, g, axes=([0, 1], [0, 1]))
-                dxp[sl_i, sl_j] += g @ wd[di, dj].T
-        dx = dxp[pad : pad + xd.shape[0], pad : pad + xd.shape[1]] if pad else dxp
+        dx = None
+        if on_grid:
+            rows = _pixel_rows(hp * wp)
+            gm = np.zeros((rows, kh * kw * cout))
+            shifted = gm[: hp * wp].reshape(hp, wp, kh, kw, cout)
+            for di, dj, si, sj in taps:
+                shifted[si, sj, di, dj] = g
+            dw = (padded(rows).T @ gm).reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
+            if need_dx:
+                dxp = (gm[: hp * wp] @ wd.transpose(0, 1, 3, 2).reshape(-1, cin)).reshape(hp, wp, cin)
+        else:
+            rows = _pixel_rows(ho * wo)
+            gf = np.zeros((rows, cout))
+            gf[: ho * wo] = g.reshape(-1, cout)
+            dw = (im2col(rows).T @ gf).reshape(wd.shape)
+            if need_dx:
+                dcols = (gf[: ho * wo] @ wd.reshape(-1, cout).T).reshape(ho, wo, kh, kw, cin)
+                dxp = np.zeros((hp, wp, cin))
+                for di, dj, si, sj in taps:
+                    dxp[si, sj] += dcols[:, :, di, dj]
+        if need_dx:
+            dx = dxp[pad : pad + h, pad : pad + wi]
         grads = [dx, dw]
         if has_bias:
             grads.append(g.sum(axis=(0, 1)))

@@ -194,8 +194,43 @@ class TestEvaluate:
         assert rc == 2
         assert capsys.readouterr().err.startswith("data fault:")
 
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (lambda manifest: [1], "not a JSON object"),
+            (lambda manifest: manifest["candidates"][0].update(reference_frame=99999) or manifest,
+             "names frame 99999"),
+            (lambda manifest: manifest["candidates"][0].update(candidate_frame=99999) or manifest,
+             "names frame 99999"),
+        ],
+        ids=["manifest_list", "reference_frame", "candidate_frame"],
+    )
+    def test_broken_manifest_structure_is_data_fault(self, dataset, tmp_path, capsys, edit, detail):
+        corrupt = tmp_path / "ds"
+        shutil.copytree(dataset / "test", corrupt / "test")
+        manifest_path = corrupt / "test" / "manifest.json"
+        manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+        rc = cli_main(["evaluate", "--dataset", str(corrupt), "--out", str(tmp_path / "ev8"),
+                       "--methods", "intensity", "--candidates", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data fault:") and detail in err
+
 
 class TestTrain:
+    def test_correspondence_naming_no_frame_is_data_fault(self, dataset, tmp_path, capsys):
+        corrupt = tmp_path / "ds"
+        shutil.copytree(dataset / "train", corrupt / "train")
+        path = corrupt / "train" / "correspondences.txt"
+        lines = path.read_text().splitlines()
+        lines[0] = " ".join(["99999"] + lines[0].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "w" / "w.gnnw"
+        rc = cli_main(["train", "--dataset", str(corrupt), "--out", str(out), "--epochs", "1",
+                       "--val-candidates", "0"])
+        assert rc == 2
+        assert "names frame 99999" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -218,6 +253,16 @@ class TestTrain:
         assert not out.parent.exists()
 
 
+def run_with_blas_threads(threads: str, argv: list) -> None:
+    """Runs ``featalign argv`` in a fresh process pinned to ``threads`` BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "featalign"] + argv,
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 class TestThreadCountDeterminism:
     def test_evaluate_byte_identical_with_one_and_two_blas_threads(self, tmp_path):
         # 64x64 frames, 8-D descriptors and the default 512 requested points
@@ -229,20 +274,28 @@ class TestThreadCountDeterminism:
                          "--n-pos", "32", "--n-neg", "32"]) == 0
         assert cli_main(["train", "--dataset", str(dataset), "--out", str(weights), "--epochs", "1",
                          "--base-width", "4", "--val-candidates", "0"]) == 0
-        src = str(Path(__file__).resolve().parents[1] / "src")
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"ev_{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            proc = subprocess.run(
-                [sys.executable, "-m", "featalign", "evaluate", "--dataset", str(dataset),
-                 "--out", str(out), "--methods", "intensity,features", "--weights", str(weights)],
-                capture_output=True, text=True, env=env, timeout=600,
-            )
-            assert proc.returncode == 0, proc.stderr[-2000:]
+            run_with_blas_threads(threads, ["evaluate", "--dataset", str(dataset), "--out", str(out),
+                                            "--methods", "intensity,features", "--weights", str(weights)])
             names = ["summary.json", "curve_intensity.csv", "curve_features.csv"]
             outputs.append({name: (out / name).read_bytes() for name in names})
+        assert outputs[0] == outputs[1]
+
+    def test_train_byte_identical_with_one_and_two_blas_threads(self, tmp_path):
+        # The default network at 64x64: its convolution GEMMs sum over up to
+        # 4,356 pixels, large enough for OpenBLAS to split them across threads.
+        dataset = tmp_path / "ds"
+        assert cli_main(["generate", "--out", str(dataset), "--seed", "4", "--frames", "4",
+                         "--candidates", "0", "--val-candidates", "2", "--pairs", "2",
+                         "--n-pos", "32", "--n-neg", "32"]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            weights = tmp_path / f"w_{threads}.gnnw"
+            run_with_blas_threads(threads, ["train", "--dataset", str(dataset), "--out", str(weights),
+                                            "--epochs", "2", "--val-candidates", "2"])
+            outputs.append((weights.read_bytes(), weights.with_suffix(".log.csv").read_bytes()))
         assert outputs[0] == outputs[1]
 
 

@@ -192,3 +192,30 @@ class TestSplitIO:
         (d / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DataFault, match="malformed value"):
             read_split(d)
+
+    def test_manifest_not_an_object_is_data_fault(self, tmp_path, scene):
+        d = tmp_path / "split"
+        write_split(d, scene, None, seed=21)
+        (d / "manifest.json").write_text("[1]")
+        with pytest.raises(DataFault, match="not a JSON object"):
+            read_split(d)
+
+    @pytest.mark.parametrize("key", ["reference_frame", "candidate_frame"])
+    def test_candidate_naming_no_frame_is_data_fault(self, tmp_path, scene, key):
+        d = tmp_path / "split"
+        write_split(d, scene, None, seed=21)
+        manifest = json.loads((d / "manifest.json").read_text())
+        manifest["candidates"][0][key] = 99999
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataFault, match="candidate 0 names frame 99999"):
+            read_split(d)
+
+    def test_correspondence_naming_no_frame_is_data_fault(self, tmp_path, scene, correspondences):
+        d = tmp_path / "split"
+        write_split(d, scene, correspondences, seed=21)
+        path = d / "correspondences.txt"
+        lines = path.read_text().splitlines()
+        lines[0] = " ".join(["99999"] + lines[0].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFault, match="names frame 99999"):
+            read_split(d)

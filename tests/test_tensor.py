@@ -105,11 +105,29 @@ class TestPrimitiveGradients:
         mats = self.rand(6, 2, 2) + np.eye(2) * 2.5
         check_grads(T.inv2x2, [mats])
 
-    @pytest.mark.parametrize("stride,pad,bias", [(1, 0, True), (1, 1, False), (2, 1, True)])
-    def test_conv2d(self, stride, pad, bias):
-        args = [self.rand(6, 6, 2), self.rand(3, 3, 2, 3)]
+    @pytest.mark.parametrize(
+        "stride,pad,bias,shape",
+        [
+            # shape: (H, W, Cin, Cout, k)
+            pytest.param(1, 0, True, (6, 6, 2, 3, 3), id="1-0-True"),
+            pytest.param(1, 1, False, (6, 6, 2, 3, 3), id="1-1-False"),
+            pytest.param(2, 1, True, (6, 6, 2, 3, 3), id="2-1-True"),
+            pytest.param(1, 1, True, (5, 6, 2, 4, 3), id="stride1-cin_lt_cout"),
+            pytest.param(1, 1, True, (6, 5, 4, 2, 3), id="stride1-cin_gt_cout"),
+            pytest.param(1, 1, True, (5, 4, 16, 3, 3), id="stride1-per_tap_forward"),
+            pytest.param(1, 1, True, (6, 6, 1, 3, 3), id="cin1"),
+            pytest.param(1, 0, True, (5, 4, 3, 2, 1), id="1x1-pad0-cin_gt_cout"),
+            pytest.param(1, 0, False, (5, 4, 2, 3, 1), id="1x1-pad0-cin_lt_cout"),
+            pytest.param(2, 1, False, (7, 5, 3, 2, 3), id="stride2-pad1-7x5"),
+            pytest.param(1, 1, False, (7, 5, 4, 2, 3), id="7x5-cin_gt_cout"),
+            pytest.param(1, 1, False, (7, 5, 2, 4, 3), id="7x5-cin_lt_cout"),
+        ],
+    )
+    def test_conv2d(self, stride, pad, bias, shape):
+        h, w, cin, cout, k = shape
+        args = [self.rand(h, w, cin), self.rand(k, k, cin, cout)]
         if bias:
-            args.append(self.rand(3))
+            args.append(self.rand(cout))
             check_grads(lambda x, w, b: T.conv2d(x, w, b, stride=stride, pad=pad), args)
         else:
             check_grads(lambda x, w: T.conv2d(x, w, stride=stride, pad=pad), args)
@@ -170,6 +188,69 @@ class TestPrimitiveForward:
     def test_inv2x2_singular_is_domain_fault(self):
         with pytest.raises(NumericalFault):
             T.inv2x2(T.Tensor(np.zeros((1, 2, 2))))
+
+
+def per_tap_conv2d(x, w, b, g, stride, pad):
+    """Forward value and (dx, dw, db) of a convolution, one product per tap."""
+    kh, kw = w.shape[:2]
+    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+    ho, wo = g.shape[:2]
+    out = np.zeros(g.shape)
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for di in range(kh):
+        for dj in range(kw):
+            rows = slice(di, di + stride * (ho - 1) + 1, stride)
+            cols = slice(dj, dj + stride * (wo - 1) + 1, stride)
+            out += xp[rows, cols] @ w[di, dj]
+            dw[di, dj] = np.tensordot(xp[rows, cols], g, axes=([0, 1], [0, 1]))
+            dxp[rows, cols] += g @ w[di, dj].T
+    return out + b, dxp[pad : pad + x.shape[0], pad : pad + x.shape[1]], dw, g.sum(axis=(0, 1))
+
+
+class TestConv2dLayouts:
+    # The default network's eight layers: (H, Cin, Cout, k, stride, pad).
+    @pytest.mark.parametrize(
+        "h,cin,cout,k,stride,pad",
+        [
+            pytest.param(64, 1, 16, 3, 1, 1, id="enc0"),
+            pytest.param(64, 16, 32, 3, 2, 1, id="enc1"),
+            pytest.param(32, 32, 64, 3, 2, 1, id="enc2"),
+            pytest.param(32, 96, 32, 3, 1, 1, id="dec1"),
+            pytest.param(64, 48, 16, 3, 1, 1, id="dec0"),
+            pytest.param(64, 16, 8, 1, 1, 0, id="head0"),
+            pytest.param(32, 32, 8, 1, 1, 0, id="head1"),
+            pytest.param(16, 64, 8, 1, 1, 0, id="head2"),
+        ],
+    )
+    def test_matches_per_tap_products_at_network_shapes(self, h, cin, cout, k, stride, pad):
+        rng = np.random.default_rng(h + cin + cout)
+        x = np.maximum(rng.standard_normal((h, h, cin)), 0.0)
+        w = rng.standard_normal((k, k, cin, cout)) * np.sqrt(2.0 / (k * k * cin))
+        b = rng.standard_normal(cout)
+        tape = T.Tape()
+        xl, wl, bl = tape.leaf(x), tape.leaf(w), tape.leaf(b)
+        out = T.conv2d(xl, wl, bl, stride=stride, pad=pad)
+        g = rng.standard_normal(out.data.shape)
+        tape.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+        expected = per_tap_conv2d(x, w, b, g, stride, pad)
+        got = (out.data, tape.grad(xl), tape.grad(wl), tape.grad(bl))
+        for name, value, reference in zip(("out", "dx", "dw", "db"), got, expected):
+            # rtol 1e-12 of the largest entry: the two summation orders differ
+            # in the last bits, which cancellation magnifies in a few entries
+            # near zero (up to 1.4e-10 of their own size).
+            scale = np.abs(reference).max()
+            np.testing.assert_allclose(value, reference, rtol=0, atol=1e-12 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("cin,cout,stride", [(1, 4, 1), (6, 2, 1), (3, 5, 2)])
+    def test_untaped_input_gets_no_gradient(self, cin, cout, stride):
+        rng = np.random.default_rng(5)
+        tape = T.Tape()
+        w = tape.leaf(rng.standard_normal((3, 3, cin, cout)))
+        out = T.conv2d(T.Tensor(rng.standard_normal((6, 5, cin))), w, stride=stride, pad=1)
+        dx, dw = tape._backwards[out.node](np.ones(out.data.shape))
+        assert dx is None
+        assert dw.shape == w.data.shape
 
 
 class TestBackward:
