@@ -22,8 +22,9 @@ from . import network
 from . import tensor as T
 from .geometry import CameraIntrinsics, SE3Pose, project_points, projection_jacobian, se3_exp
 
-# Central differences at p' +- 1 px plus bilinear interpolation must stay
-# inside the map at every pyramid level.
+# Central differences at p' +- 1 px must stay inside the map at every pyramid
+# level. A point this far inside reads its derivative from the four corners
+# around it, none on the zero border of the derivative map.
 STENCIL_MARGIN = 1.0 + 1e-9
 
 # Step length (px) below which per-pixel tracking counts a point as settled.
@@ -83,52 +84,42 @@ def interp(feature_map: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return T.bilinear_sample(T.Tensor(feature_map), T.Tensor(coords)).data
 
 
-def map_gradient(feature_map, coords: np.ndarray) -> T.Tensor:
-    """Central-difference map derivative at each coord, (N, D, 2), h = 1 px.
+def map_gradient(feature_map) -> T.Tensor:
+    """The map's central-difference derivative map (H, W, 2D), h = 1 px.
 
-    Expressed through bilinear samples at x +- 1 px. An untaped map (the
-    runtime solvers) is sampled once at all four taps stacked as (4N, 2)
-    coordinates and differenced in numpy; bilinear sampling is elementwise
-    per point, so this is bit-identical to four separate samples. A taped
-    map (training) keeps four taped samples, op for op, so the gradient
-    flows through the same stencil and sums in the same order.
+    Built once per map; ``gradient_at`` samples it at the points.
+    Taped when ``feature_map`` is, so training differentiates through it.
     """
-    ex = np.array([1.0, 0.0])
-    ey = np.array([0.0, 1.0])
-    if getattr(feature_map, "tape", None) is None:
-        taps = np.concatenate([coords + ex, coords - ex, coords + ey, coords - ey])
-        samples = T.bilinear_sample(feature_map, T.Tensor(taps)).data
-        plus_x, minus_x, plus_y, minus_y = samples.reshape(4, len(coords), samples.shape[1])
-        return T.Tensor(np.stack([(plus_x - minus_x) * 0.5, (plus_y - minus_y) * 0.5], axis=-1))
-    jx = T.mul(
-        T.sub(
-            T.bilinear_sample(feature_map, T.Tensor(coords + ex)),
-            T.bilinear_sample(feature_map, T.Tensor(coords - ex)),
-        ),
-        0.5,
-    )
-    jy = T.mul(
-        T.sub(
-            T.bilinear_sample(feature_map, T.Tensor(coords + ey)),
-            T.bilinear_sample(feature_map, T.Tensor(coords - ey)),
-        ),
-        0.5,
-    )
-    return T.stack_last([jx, jy])
+    return T.central_difference(feature_map)
 
 
-def pixel_gauss_newton(feature_map, xs: np.ndarray, f_t, eps: float):
+def gradient_at(grad_map, coords: np.ndarray) -> T.Tensor:
+    """Central-difference derivative (N, D, 2) at each coord from a map.
+
+    ``grad_map`` comes from ``map_gradient``. Raises ``ValueError`` when a
+    coord's +-1 px stencil leaves the map (by ``STENCIL_MARGIN``), so the
+    zero border of the derivative map is never read.
+    """
+    height, width = grad_map.shape[:2]
+    if not np.all(stencil_valid(coords, width, height)):
+        raise ValueError("gradient_at: stencil outside the map")
+    samples = T.bilinear_sample(grad_map, T.Tensor(coords))
+    return T.reshape(samples, (coords.shape[0], grad_map.shape[2] // 2, 2))
+
+
+def pixel_gauss_newton(feature_map, grad_map, xs: np.ndarray, f_t, eps: float):
     """The per-pixel Gauss-Newton step from each start point toward f_t.
 
     Builds H = J^T J + eps I and b = J^T r from the residual r = F(x) - f_t
-    and the central-difference derivative J at x, and returns the tensors
+    and the central-difference derivative J at x, sampled from
+    ``grad_map = map_gradient(feature_map)``, and returns the tensors
     (mu = x - H^-1 b (N, 2), H (N, 2, 2)). Taped when ``feature_map`` or
     ``f_t`` is: the training loss differentiates it, the trackers use its
     data. Every stencil must lie inside the map.
     """
     n = xs.shape[0]
     r = T.sub(T.bilinear_sample(feature_map, T.Tensor(xs)), f_t)
-    jac = map_gradient(feature_map, xs)
+    jac = gradient_at(grad_map, xs)
     jac_t = T.transpose_last2(jac)
     eps_eye = np.broadcast_to(np.eye(2) * eps, (n, 2, 2)).copy()
     hess = T.add(T.matmul(jac_t, jac), T.Tensor(eps_eye))
@@ -164,13 +155,15 @@ def gradient_weight(jac: np.ndarray, const: float) -> np.ndarray:
 
 def track_pixels(
     feat_tgt: np.ndarray,
+    grad_tgt: np.ndarray,
     starts: np.ndarray,
     f_t: np.ndarray,
     eps: float,
     max_iterations: int = 25,
 ):
-    """Batched per-pixel GN tracking.
+    """Batched per-pixel GN tracking on ``feat_tgt``.
 
+    ``grad_tgt`` is ``map_gradient(feat_tgt).data``, built once per map.
     Returns (final positions (N, 2), active-and-settled mask). A point
     settles once its step is shorter than ``PIXEL_STEP_TOL``; points whose
     stencil leaves the map freeze where they were and report failure.
@@ -185,7 +178,7 @@ def track_pixels(
         if not np.any(work):
             break
         idx = np.nonzero(work)[0]
-        mu, _ = pixel_gauss_newton(feat_tgt, x[idx], f_t[idx], eps)
+        mu, _ = pixel_gauss_newton(feat_tgt, grad_tgt, x[idx], f_t[idx], eps)
         x_new = mu.data
         small = np.linalg.norm(x_new - x[idx], axis=1) < PIXEL_STEP_TOL
         ok = stencil_valid(x_new, width, height)
@@ -197,6 +190,7 @@ def track_pixels(
 
 def _assemble(
     feat_tgt,
+    grad_tgt,
     pixels,
     f_ref,
     inv_depths,
@@ -207,9 +201,9 @@ def _assemble(
 ) -> GaussNewtonSystem:
     """Accumulates the 6x6 pose system over all valid points.
 
-    ``f_ref`` holds the reference descriptors at ``pixels``. One iteration
-    samples the target map twice: once in ``interp`` for the residual and
-    once in ``map_gradient`` for all four stencil taps.
+    ``f_ref`` holds the reference descriptors at ``pixels`` and ``grad_tgt``
+    is ``map_gradient(feat_tgt).data``. One iteration samples the target map
+    for the residual and its derivative map for the Jacobian, once each.
 
     Direct route: J_i = J'_i @ dp'/dxi stacked as an (N*D, 6) matrix, then
     one GEMM H = J^T W J and one product b = -J^T W r, with each point's
@@ -230,7 +224,7 @@ def _assemble(
     idx = np.nonzero(valid)[0]
     coords = projected[idx]
     r = interp(feat_tgt, coords) - f_ref[idx]
-    jac_map = map_gradient(feat_tgt, coords).data
+    jac_map = gradient_at(grad_tgt, coords).data
     jac_pose = projection_jacobian(p_cam[idx], intr)
     norms = np.linalg.norm(r, axis=1)
     weights = huber_weight(norms, config.huber_delta)
@@ -275,7 +269,8 @@ def build_pose_system(
 ) -> GaussNewtonSystem:
     """6x6 pose normal equations at the given pose (reference sampled here)."""
     f_ref = interp(feat_ref, pixels)
-    return _assemble(feat_tgt, pixels, f_ref, inv_depths, pose, intr, config, recombined)
+    grad_tgt = map_gradient(feat_tgt).data
+    return _assemble(feat_tgt, grad_tgt, pixels, f_ref, inv_depths, pose, intr, config, recombined)
 
 
 def align_pose(
@@ -304,8 +299,9 @@ def align_pose(
         level_pixels = pixels * scale
         intr = intrinsics.scaled(level)
         f_ref = interp(feat_ref, level_pixels)
+        grad_tgt = map_gradient(feat_tgt).data
         damping = config.eps_pose
-        current = _assemble(feat_tgt, level_pixels, f_ref, inv_depths, pose, intr, config)
+        current = _assemble(feat_tgt, grad_tgt, level_pixels, f_ref, inv_depths, pose, intr, config)
         converged = False
         if not np.isfinite(current.cost):
             continue
@@ -318,12 +314,15 @@ def align_pose(
             except np.linalg.LinAlgError:
                 return None
 
+        probe_system = None
         for _ in range(config.max_iterations):
             total_iterations += 1
             # Convergence is judged on the baseline-damped step; escalated
             # damping only shapes the trust step (a heavily damped step is
-            # small by construction and must not fake convergence).
-            probe = damped_step(current, config.eps_pose)
+            # small by construction and must not fake convergence). A
+            # rejected step leaves ``current`` as it was, and its probe too.
+            if probe_system is not current:
+                probe, probe_system = damped_step(current, config.eps_pose), current
             if probe is not None and np.linalg.norm(probe) < config.step_norm_tol:
                 converged = True
                 break
@@ -335,7 +334,7 @@ def align_pose(
                 continue
             candidate_pose = se3_exp(delta).compose(pose)
             candidate = _assemble(
-                feat_tgt, level_pixels, f_ref, inv_depths, candidate_pose, intr, config
+                feat_tgt, grad_tgt, level_pixels, f_ref, inv_depths, candidate_pose, intr, config
             )
             # Compare weighted residuals over the points valid in BOTH
             # evaluations so composition changes of the valid set cannot

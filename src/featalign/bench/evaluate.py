@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..alignment import AlignmentConfig, align_pose, interp, select_keyframe_points, track_pixels
+from ..alignment import AlignmentConfig, align_pose, interp, map_gradient, select_keyframe_points, track_pixels
 from ..geometry import SE3Pose
 from ..losses import CorrespondenceBatch, draw_start_points
 from .dataset_io import DatasetSplit
@@ -235,17 +235,19 @@ def basin_trials(
     level0: dict = {}
 
     def features_of(frame_id):
+        """The frame's level-0 map and its derivative map."""
         if frame_id not in level0:
-            level0[frame_id] = extractor(split.frames[frame_id].image)[0]
+            feat = extractor(split.frames[frame_id].image)[0]
+            level0[frame_id] = feat, map_gradient(feat).data
         return level0[frame_id]
 
     for batch in batches:
-        feat_a = features_of(batch.frame_a)
-        feat_b = features_of(batch.frame_b)
+        feat_a, _ = features_of(batch.frame_a)
+        feat_b, grad_b = features_of(batch.frame_b)
         height, width = feat_b.shape[:2]
         f_t = interp(feat_a, batch.pos_a)
         starts = draw_start_points(rng, batch.pos_b, radius, width, height)
-        final, converged = track_pixels(feat_b, starts, f_t, eps)
+        final, converged = track_pixels(feat_b, grad_b, starts, f_t, eps)
         err = np.linalg.norm(final - batch.pos_b, axis=1)
         outcomes.append(converged & (err < BASIN_SUCCESS_PX))
     return np.concatenate(outcomes) if outcomes else np.zeros(0, dtype=bool)

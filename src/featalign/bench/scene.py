@@ -239,9 +239,11 @@ class SyntheticScene:
         parameter ``t``; the height slopes make it a contraction, so the
         intersection is unique (no self-occlusion). Most rays reach an exact
         fixed point (``f(t) == t``); a few percent end oscillating in the
-        last bit. A ray's update depends only on its own ``t``, so each
-        iteration updates only the rays whose ``t`` changed in the previous
-        one, and the march stops when none did or after
+        last bit between two values. A ray's update depends only on its own
+        ``t``, so each iteration updates only the rays still moving: a ray
+        stops at a fixed point, or once it is back at its value of two
+        iterations ago, taking the value of the pair that the parity of the
+        iterations left selects. The march stops when no ray moves or after
         ``_RAY_ITERATIONS``; every ray ends where the full fixed-count
         iteration would leave it.
         """
@@ -258,15 +260,22 @@ class SyntheticScene:
         d_world = d_cam @ pose.rotation.T
         origin = pose.translation
         t = np.full(pixels.shape[0], self.config.depth_base - origin[2])
+        t_prev = np.full(pixels.shape[0], np.nan)
         active = np.arange(pixels.shape[0])
-        for _ in range(_RAY_ITERATIONS):
+        for i in range(_RAY_ITERATIONS):
             t_active = t[active]
             d_active = d_world[active]
             x = origin[0] + t_active * d_active[:, 0]
             y = origin[1] + t_active * d_active[:, 1]
             t_next = (self.surface_height(x, y) - origin[2]) / d_active[:, 2]
-            t[active] = t_next
-            active = active[t_next != t_active]
+            # A ray back at its value of two iterations ago alternates
+            # between t_active and t_next; an odd number of iterations left
+            # would end it on t_active.
+            cycled = t_next == t_prev[active]
+            odd_left = (_RAY_ITERATIONS - 1 - i) % 2 == 1
+            t[active] = np.where(cycled & odd_left, t_active, t_next)
+            t_prev[active] = t_active
+            active = active[(t_next != t_active) & ~cycled]
             if not active.size:
                 break
         return t

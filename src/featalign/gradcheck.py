@@ -92,11 +92,11 @@ def _primitive_blocks(rng):
         ("avg_pool2", T.avg_pool2, [r(6, 4, 3)]),
         ("upsample2_nearest", T.upsample2_nearest, [r(3, 2, 4)]),
         ("concat_channels", lambda a, b: T.concat_channels([a, b]), [r(3, 3, 2), r(3, 3, 3)]),
-        ("stack_last", lambda a, b: T.stack_last([a, b]), [r(4, 2), r(4, 2)]),
         ("reduce_sum", lambda a: T.reduce_sum(a, axis=1), [r(3, 4, 2)]),
         ("det2x2", T.det2x2, [spd]),
         ("inv2x2", T.inv2x2, [spd.copy()]),
         ("bilinear_sample", lambda m, c: T.bilinear_sample(m, c), [r(6, 7, 3), coords]),
+        ("central_difference", T.central_difference, [r(5, 6, 2)]),
     ]
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .alignment import STENCIL_MARGIN, pixel_gauss_newton
+from .alignment import STENCIL_MARGIN, map_gradient, pixel_gauss_newton
 from .errors import NumericalFault
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -187,7 +187,7 @@ def gauss_newton_loss(
         vicinity = config.vicinity_radius
     f_t = T.bilinear_sample(feat_a, T.Tensor(batch.pos_a))
     xs = draw_start_points(rng, batch.pos_b, vicinity, width, height)
-    mu, hess = pixel_gauss_newton(feat_b, xs, f_t, config.epsilon)
+    mu, hess = pixel_gauss_newton(feat_b, map_gradient(feat_b), xs, f_t, config.epsilon)
     e1, e2 = gaussian_nll_terms(mu, hess, batch.pos_b)
     if np.any(e1.data < -1e-9):
         raise NumericalFault("Gauss-Newton loss: negative quadratic term")

@@ -241,16 +241,6 @@ def concat_channels(xs: Sequence) -> Tensor:
     return _make(np.concatenate([t.data for t in xs], axis=-1), xs, backward)
 
 
-def stack_last(xs: Sequence) -> Tensor:
-    xs = [astensor(t) for t in xs]
-    count = len(xs)
-
-    def backward(g):
-        return [g[..., i] for i in range(count)]
-
-    return _make(np.stack([t.data for t in xs], axis=-1), xs, backward)
-
-
 def reduce_sum(x, axis: Optional[int] = None) -> Tensor:
     x = astensor(x)
     shape = x.data.shape
@@ -468,6 +458,40 @@ def upsample2_nearest(x) -> Tensor:
     return _make(out, [x], backward)
 
 
+def central_difference(x) -> Tensor:
+    """Grid central differences of an (H, W, D) map, as an (H, W, 2D) map.
+
+    Channel 2c holds (F[y, x+1, c] - F[y, x-1, c]) / 2 and channel 2c+1
+    holds (F[y+1, x, c] - F[y-1, x, c]) / 2, so a sample reshapes to
+    (N, D, 2). Entries whose stencil leaves the grid (the first and last
+    column for x, row for y) are zero. Bilinear sampling is linear in the
+    map, so a sample of this map equals the central difference of bilinear
+    samples at x +- 1 px, up to rounding, wherever that stencil stays at
+    least one pixel off the last row and column.
+    """
+    x = astensor(x)
+    m = x.data
+    if m.ndim != 3:
+        raise ValueError(f"central_difference expects (H, W, D) map, got {m.shape}")
+    h, w, d = m.shape
+    out = np.zeros((h, w, d, 2))
+    out[:, 1:-1, :, 0] = (m[:, 2:] - m[:, :-2]) * 0.5
+    out[1:-1, :, :, 1] = (m[2:] - m[:-2]) * 0.5
+
+    def backward(g):
+        g = g.reshape(h, w, d, 2)
+        gx = g[:, 1:-1, :, 0] * 0.5
+        gy = g[1:-1, :, :, 1] * 0.5
+        dm = np.zeros_like(m)
+        dm[:, 2:] += gx
+        dm[:, :-2] -= gx
+        dm[2:] += gy
+        dm[:-2] -= gy
+        return [dm]
+
+    return _make(out.reshape(h, w, 2 * d), [x], backward)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -475,9 +499,9 @@ def upsample2_nearest(x) -> Tensor:
 def bilinear_sample(feature_map, coords) -> Tensor:
     """Samples an (H, W, C) map at N continuous (x, y) pixel positions.
 
-    Integer coordinates hit grid values exactly. Coordinates must satisfy
-    0 <= x <= W-1 and 0 <= y <= H-1. Gradients flow both into the map
-    (scatter onto the four corners) and into the coordinates (local
+    Integer coordinates hit grid values exactly. Coordinates must be finite
+    and satisfy 0 <= x <= W-1 and 0 <= y <= H-1. Gradients flow both into
+    the map (scatter onto the four corners) and into the coordinates (local
     first-order differences), which the training losses rely on.
     """
     feature_map, coords = astensor(feature_map), astensor(coords)
@@ -486,34 +510,37 @@ def bilinear_sample(feature_map, coords) -> Tensor:
         raise ValueError(f"bilinear_sample expects (H, W, C) map, got {m.shape}")
     if cd.ndim != 2 or cd.shape[1] != 2:
         raise ValueError(f"bilinear_sample expects (N, 2) coords, got {cd.shape}")
-    h, w, _ = m.shape
+    h, w, c = m.shape
+    n = cd.shape[0]
     xs, ys = cd[:, 0], cd[:, 1]
-    if np.any(xs < 0) or np.any(xs > w - 1) or np.any(ys < 0) or np.any(ys > h - 1):
+    # NaN fails every comparison, so the test is written to pass only in range.
+    if n and not (xs.min() >= 0 and xs.max() <= w - 1 and ys.min() >= 0 and ys.max() <= h - 1):
         raise ValueError("bilinear_sample: coordinates outside the map")
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 2)
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 2)
-    tx = (xs - x0)[:, None]
-    ty = (ys - y0)[:, None]
-    m00 = m[y0, x0]
-    m01 = m[y0, x0 + 1]
-    m10 = m[y0 + 1, x0]
-    m11 = m[y0 + 1, x0 + 1]
-    # Four-corner weighted form: exact at integer coordinates.
-    w00 = (1 - tx) * (1 - ty)
-    w01 = tx * (1 - ty)
-    w10 = (1 - tx) * ty
-    w11 = tx * ty
-    out = w00 * m00 + w01 * m01 + w10 * m10 + w11 * m11
+    x0 = np.minimum(xs.astype(np.int64), w - 2)
+    y0 = np.minimum(ys.astype(np.int64), h - 2)
+    tx = xs - x0
+    ty = ys - y0
+    # Corners in the order (y0, x0), (y0, x0+1), (y0+1, x0), (y0+1, x0+1),
+    # gathered by one take on the (H*W, C) view.
+    flat = y0 * w + x0
+    corners_idx = np.concatenate([flat, flat + 1, flat + w, flat + w + 1])
+    corners = m.reshape(h * w, c).take(corners_idx, axis=0).reshape(4, n, c)
+    weights = np.empty((4, n, 1))
+    weights[0, :, 0] = (1 - tx) * (1 - ty)
+    weights[1, :, 0] = tx * (1 - ty)
+    weights[2, :, 0] = (1 - tx) * ty
+    weights[3, :, 0] = tx * ty
+    # Four-corner weighted form, summed in corner order: exact at integer
+    # coordinates.
+    out = (weights * corners).sum(axis=0)
 
     def backward(g):
-        dmap = np.zeros_like(m)
-        np.add.at(dmap, (y0, x0), w00 * g)
-        np.add.at(dmap, (y0, x0 + 1), w01 * g)
-        np.add.at(dmap, (y0 + 1, x0), w10 * g)
-        np.add.at(dmap, (y0 + 1, x0 + 1), w11 * g)
-        ddx = (1 - ty) * (m01 - m00) + ty * (m11 - m10)
-        ddy = (1 - tx) * (m10 - m00) + tx * (m11 - m01)
+        dmap = np.zeros((h * w, c))
+        np.add.at(dmap, corners_idx, (weights * g).reshape(4 * n, c))
+        m00, m01, m10, m11 = corners
+        ddx = (1 - ty)[:, None] * (m01 - m00) + ty[:, None] * (m11 - m10)
+        ddy = (1 - tx)[:, None] * (m10 - m00) + tx[:, None] * (m11 - m01)
         dcoords = np.stack([(g * ddx).sum(axis=1), (g * ddy).sum(axis=1)], axis=1)
-        return [dmap, dcoords]
+        return [dmap.reshape(h, w, c), dcoords]
 
     return _make(out, [feature_map, coords], backward)

@@ -43,6 +43,40 @@ def max_relative_error(analytic, numeric, floor=1e-6):
     return err if np.isfinite(err) else float("inf")
 
 
+def fancy_index_bilinear(m, coords, g):
+    """Bilinear samples of an (H, W, C) map at (N, 2) coords, with the
+    gradients of sum(samples * g) w.r.t. the map and the coords.
+
+    Four fancy-indexed corner gathers and four scatters, in the corner order
+    (y0, x0), (y0, x0+1), (y0+1, x0), (y0+1, x0+1); the library's sampler
+    must give the same bits.
+    """
+    h, w, _ = m.shape
+    xs, ys = coords[:, 0], coords[:, 1]
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 2)
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 2)
+    tx = (xs - x0)[:, None]
+    ty = (ys - y0)[:, None]
+    m00 = m[y0, x0]
+    m01 = m[y0, x0 + 1]
+    m10 = m[y0 + 1, x0]
+    m11 = m[y0 + 1, x0 + 1]
+    w00 = (1 - tx) * (1 - ty)
+    w01 = tx * (1 - ty)
+    w10 = (1 - tx) * ty
+    w11 = tx * ty
+    out = w00 * m00 + w01 * m01 + w10 * m10 + w11 * m11
+    dmap = np.zeros_like(m)
+    np.add.at(dmap, (y0, x0), w00 * g)
+    np.add.at(dmap, (y0, x0 + 1), w01 * g)
+    np.add.at(dmap, (y0 + 1, x0), w10 * g)
+    np.add.at(dmap, (y0 + 1, x0 + 1), w11 * g)
+    ddx = (1 - ty) * (m01 - m00) + ty * (m11 - m10)
+    ddy = (1 - tx) * (m10 - m00) + tx * (m11 - m01)
+    dcoords = np.stack([(g * ddx).sum(axis=1), (g * ddy).sum(axis=1)], axis=1)
+    return out, dmap, dcoords
+
+
 def corrupt_depth(split_dir, value):
     """Writes ``value`` into one row of the first frame's depth map and
     re-records its crc32, so only a check on the depth values can catch it.

@@ -10,6 +10,7 @@ from featalign.alignment import (
     AlignmentConfig,
     align_pose,
     build_pose_system,
+    gradient_at,
     intensity_extractor,
     intensity_pyramid,
     interp,
@@ -24,6 +25,8 @@ from featalign.bench.dataset_io import DatasetSplit
 from featalign.bench.evaluate import run_relocalization
 from featalign.bench.scene import Frame, RelocCandidate, SceneConfig, generate_scene
 from featalign.geometry import CameraIntrinsics, SE3Pose, project_points, se3_exp
+
+from helpers import fancy_index_bilinear
 
 INTR = CameraIntrinsics(fx=60.0, fy=60.0, cx=31.5, cy=31.5, width=64, height=64)
 
@@ -114,10 +117,12 @@ class TestPixelGN:
         a = np.array([[1.3, 0.2], [-0.4, 0.9], [0.1, 0.5]])
         x_star = np.array([9.25, 7.5])
         fmap = linear_field(16, 16, a, x_star)
-        final, _ = track_pixels(fmap, np.array([[7.0, 6.0]]), np.zeros((1, 3)), eps=1e-12, max_iterations=1)
+        grad = map_gradient(fmap).data
+        start = np.array([[7.0, 6.0]])
+        final, _ = track_pixels(fmap, grad, start, np.zeros((1, 3)), eps=1e-12, max_iterations=1)
         np.testing.assert_allclose(final[0], x_star, atol=1e-6)
         # The stencil derivative of a linear field is A, so H = A^T A + eps I.
-        _, hess = pixel_gauss_newton(fmap, np.array([[7.0, 6.0]]), np.zeros((1, 3)), eps=1e-3)
+        _, hess = pixel_gauss_newton(fmap, grad, start, np.zeros((1, 3)), eps=1e-3)
         np.testing.assert_allclose(hess.data[0], a.T @ a + 1e-3 * np.eye(2), atol=1e-12)
 
     def test_zero_residual_zero_step(self):
@@ -125,10 +130,11 @@ class TestPixelGN:
         fmap = rng.standard_normal((12, 12, 2))
         x_s = np.array([[5.25, 6.75]])
         f_t = interp(fmap, x_s)
-        mu, hess = pixel_gauss_newton(fmap, x_s, f_t, eps=1e-3)
+        grad = map_gradient(fmap).data
+        mu, hess = pixel_gauss_newton(fmap, grad, x_s, f_t, eps=1e-3)
         np.testing.assert_allclose(mu.data, x_s, atol=1e-12)
         np.testing.assert_array_equal(hess.data[0], hess.data[0].T)
-        final, settled = track_pixels(fmap, x_s, f_t, eps=1e-3, max_iterations=1)
+        final, settled = track_pixels(fmap, grad, x_s, f_t, eps=1e-3, max_iterations=1)
         np.testing.assert_allclose(final, x_s, atol=1e-12)
         assert settled.all()
 
@@ -137,7 +143,12 @@ class TestPixelGN:
         ys, xs = np.meshgrid(np.arange(16.0), np.arange(16.0), indexing="ij")
         fmap = (0.8 * xs)[:, :, None]
         final, _ = track_pixels(
-            fmap, np.array([[8.0, 8.0]]), np.array([[0.8 * 5.0]]), eps=1e-9, max_iterations=1
+            fmap,
+            map_gradient(fmap).data,
+            np.array([[8.0, 8.0]]),
+            np.array([[0.8 * 5.0]]),
+            eps=1e-9,
+            max_iterations=1,
         )
         assert abs(final[0, 1] - 8.0) < 1e-9
         assert final[0, 0] < 8.0
@@ -145,7 +156,9 @@ class TestPixelGN:
     def test_stencil_out_of_bounds_is_failure(self):
         fmap = np.zeros((8, 8, 1))
         start = np.array([[0.5, 4.0]])
-        final, settled = track_pixels(fmap, start, np.zeros((1, 1)), eps=1e-3, max_iterations=1)
+        final, settled = track_pixels(
+            fmap, map_gradient(fmap).data, start, np.zeros((1, 1)), eps=1e-3, max_iterations=1
+        )
         assert not settled[0]
         np.testing.assert_array_equal(final, start)
 
@@ -154,16 +167,30 @@ class TestPixelGN:
         x_star = np.array([8.0, 9.0])
         fmap = linear_field(20, 20, a, x_star)
         starts = x_star + np.array([[3.0, -2.0], [-3.5, 1.0], [0.5, 3.5]])
-        final, ok = track_pixels(fmap, starts, np.zeros((3, 2)), eps=1e-9)
+        final, ok = track_pixels(fmap, map_gradient(fmap).data, starts, np.zeros((3, 2)), eps=1e-9)
         assert ok.all()
         np.testing.assert_allclose(final, np.tile(x_star, (3, 1)), atol=1e-3)
 
 
-class TestMapGradient:
-    """The untaped stencil (one stacked gather) against the taped one (four gathers)."""
+def four_tap_gradient(fmap, coords):
+    """The central difference of four bilinear samples at x +- 1 px, (N, D, 2)."""
+    zeros = np.zeros((len(coords), fmap.shape[2]))
 
-    @pytest.mark.parametrize("channels", [1, 8])
-    def test_untaped_equals_taped_bitwise(self, channels):
+    def sample(at):
+        return fancy_index_bilinear(fmap, at, zeros)[0]
+
+    ex = np.array([1.0, 0.0])
+    ey = np.array([0.0, 1.0])
+    jx = (sample(coords + ex) - sample(coords - ex)) * 0.5
+    jy = (sample(coords + ey) - sample(coords - ey)) * 0.5
+    return np.stack([jx, jy], axis=-1)
+
+
+class TestMapGradient:
+    """Samples of the derivative map against the four-tap stencil."""
+
+    @staticmethod
+    def map_and_coords(channels):
         rng = np.random.default_rng(5)
         height, width = 20, 27
         fmap = rng.standard_normal((height, width, channels))
@@ -176,21 +203,39 @@ class TestMapGradient:
         )
         lo, hi_x, hi_y = STENCIL_MARGIN, width - 1 - STENCIL_MARGIN, height - 1 - STENCIL_MARGIN
         edges = np.array([[lo, lo], [hi_x, hi_y], [lo, hi_y], [hi_x, lo], [lo, 7.5], [12.25, hi_y]])
-        coords = np.concatenate([edges, coords, np.array([[3.0, 4.0], [10.0, 11.0]])])
+        return fmap, np.concatenate([edges, coords, np.array([[3.0, 4.0], [10.0, 11.0]])])
+
+    @pytest.mark.parametrize("channels", [1, 8])
+    def test_matches_four_tap_stencil(self, channels):
+        # Sampling is linear in the map, so the sampled grid differences
+        # equal the differenced samples up to rounding.
+        fmap, coords = self.map_and_coords(channels)
+        expected = four_tap_gradient(fmap, coords)
+        got = gradient_at(map_gradient(fmap), coords).data
+        assert got.shape == (len(coords), channels, 2)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("channels", [1, 8])
+    def test_untaped_equals_taped_bitwise(self, channels):
+        fmap, coords = self.map_and_coords(channels)
         tape = T.Tape()
-        taped = map_gradient(tape.leaf(fmap), coords)
-        untaped = map_gradient(fmap, coords)
+        taped = gradient_at(map_gradient(tape.leaf(fmap)), coords)
+        untaped = gradient_at(map_gradient(fmap), coords)
         assert taped.tape is tape and untaped.tape is None
-        assert untaped.data.shape == (len(coords), channels, 2)
         assert np.array_equal(untaped.data, taped.data)
 
     def test_tap_outside_map_raises(self):
         fmap = np.zeros((10, 12, 2))
-        for coords in (np.array([[STENCIL_MARGIN - 0.5, 5.0]]), np.array([[5.0, 10 - STENCIL_MARGIN]])):
+        for coords in (
+            np.array([[STENCIL_MARGIN - 0.5, 5.0]]),
+            np.array([[5.0, 10 - STENCIL_MARGIN]]),
+            np.array([[12 - STENCIL_MARGIN, 5.0]]),
+            np.array([[5.0, 0.5]]),
+        ):
             with pytest.raises(ValueError):
-                map_gradient(fmap, coords)
+                gradient_at(map_gradient(fmap), coords)
             with pytest.raises(ValueError):
-                map_gradient(T.Tape().leaf(fmap), coords)
+                gradient_at(map_gradient(T.Tape().leaf(fmap)), coords)
 
 
 def random_scene_points(rng, n=40):
@@ -347,6 +392,29 @@ class TestAlignPose:
         assert r1.pose.translation.tobytes() == r2.pose.translation.tobytes()
         assert r1.iterations == r2.iterations
         assert r1.final_residual == r2.final_residual
+
+    def test_each_damped_system_solved_once(self, monkeypatch):
+        # A rejected step leaves the current system as it was; its probe
+        # step is reused, and only the escalated damping is solved anew.
+        img_ref, depth_ref, img_tgt, rel, scene = make_two_view(seed=12)
+        pyr_ref = intensity_pyramid(img_ref, 3)
+        pyr_tgt = intensity_pyramid(0.6 * img_tgt + 0.2, 3)
+        pixels, inv_depths = select_keyframe_points(img_ref, depth_ref, k=256, spacing=4)
+        solved = []
+        solve = np.linalg.solve
+
+        def recording_solve(h, b):
+            solved.append((h.tobytes(), b.tobytes()))
+            return solve(h, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        result = align_pose(
+            pyr_ref, pyr_tgt, pixels, inv_depths, SE3Pose.identity(), scene.intrinsics,
+            method_config("intensity"),
+        )
+        systems = {b for _, b in solved}
+        assert result.iterations > len(systems), "no step was rejected"
+        assert len(set(solved)) == len(solved)
 
     def test_monotone_accepted_cost(self):
         # With the Levenberg fallback, accepted iterations never increase

@@ -21,7 +21,7 @@ from featalign.errors import DataFault
 from featalign.geometry import project_points
 from featalign.alignment import TrackResult
 from featalign.bench.scene import RelocCandidate
-from featalign.geometry import SE3Pose
+from featalign.geometry import SE3Pose, se3_exp
 
 
 def forward_backward_error(scene, frame_a, frame_b, pos_a, pos_b):
@@ -82,6 +82,32 @@ class TestGenerateScene:
         exact = scene.ray_depth(frame.pose, pix)
         stored = frame.depth[pix[:, 1].astype(int), pix[:, 0].astype(int)]
         np.testing.assert_allclose(stored, exact, rtol=1e-12)
+
+    def test_ray_depth_equals_fixed_count_march(self):
+        # Rays that stop early, at a fixed point or in a last-bit two-cycle,
+        # must end where every ray marched the full 36 iterations would.
+        scene = generate_scene(7, SceneConfig(n_frames=4, n_candidates=2))
+        us, vs = np.meshgrid(np.arange(64.0), np.arange(64.0))
+        pix = np.stack([us.ravel(), vs.ravel()], axis=1)
+        rng = np.random.default_rng(3)
+        pix = np.concatenate([pix, rng.uniform(0, 63, (500, 2))])
+        intr = scene.intrinsics
+        poses = [f.pose for f in scene.frames] + [
+            f.pose.compose(se3_exp(rng.uniform(-0.05, 0.05, 6))) for f in scene.frames
+        ]
+        for pose in poses:
+            d_cam = np.stack(
+                [(pix[:, 0] - intr.cx) / intr.fx, (pix[:, 1] - intr.cy) / intr.fy, np.ones(len(pix))],
+                axis=1,
+            )
+            d_world = d_cam @ pose.rotation.T
+            origin = pose.translation
+            t = np.full(len(pix), scene.config.depth_base - origin[2])
+            for _ in range(36):
+                x = origin[0] + t * d_world[:, 0]
+                y = origin[1] + t * d_world[:, 1]
+                t = (scene.surface_height(x, y) - origin[2]) / d_world[:, 2]
+            assert np.array_equal(scene.ray_depth(pose, pix), t)
 
     def test_sequences_share_depth_per_trajectory_index(self):
         cfg = SceneConfig(n_frames=3, conditions=scene_mod.default_train_conditions())

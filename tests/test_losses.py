@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from featalign import tensor as T
-from featalign.alignment import pixel_gauss_newton
+from featalign.alignment import map_gradient, pixel_gauss_newton
 from featalign.losses import (
     LOG_2PI,
     CorrespondenceBatch,
@@ -315,7 +315,9 @@ class TestGaussianBelief:
         # the true landing point and the information matrix is (1 + eps) I.
         fmap = ramp_map(16, 16)
         target = np.array([9.0, 6.0])
-        mu, hess = pixel_gauss_newton(fmap, np.array([[7.5, 7.5]]), target[None, :], eps=1e-9)
+        mu, hess = pixel_gauss_newton(
+            fmap, map_gradient(fmap), np.array([[7.5, 7.5]]), target[None, :], eps=1e-9
+        )
         np.testing.assert_allclose(mu.data[0], target, atol=1e-6)
         np.testing.assert_allclose(hess.data[0], np.eye(2), atol=1e-6)
         covariance = T.inv2x2(hess).data[0]

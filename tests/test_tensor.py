@@ -8,7 +8,7 @@ from featalign.errors import FormatVersionFault, NumericalFault, TruncatedFileFa
 from featalign.optim import adam_init, adam_step
 from featalign.weights_io import load_weights, save_weights
 
-from helpers import max_relative_error, numeric_gradient
+from helpers import fancy_index_bilinear, max_relative_error, numeric_gradient
 
 
 def check_grads(builder, arrays, seed=0, h=1e-5, tol=1e-6):
@@ -79,9 +79,6 @@ class TestPrimitiveGradients:
             lambda a, b: T.concat_channels([a, b]), [self.rand(3, 3, 2), self.rand(3, 3, 4)]
         )
 
-    def test_stack_last(self):
-        check_grads(lambda a, b: T.stack_last([a, b]), [self.rand(4, 2), self.rand(4, 2)])
-
     def test_reduce_sum_all(self):
         check_grads(lambda a: T.reshape(T.reduce_sum(a), (1,)), [self.rand(3, 4)])
 
@@ -149,6 +146,47 @@ class TestPrimitiveGradients:
             axis=1,
         )
         check_grads(lambda m, c: T.bilinear_sample(m, c), [fmap, coords])
+
+    @pytest.mark.parametrize("shape", [(6, 7, 3), (5, 4, 1)])
+    def test_central_difference(self, shape):
+        check_grads(T.central_difference, [self.rand(*shape)])
+
+
+class TestBilinearSampler:
+    """The one-gather sampler against the four-gather fancy-index form."""
+
+    @pytest.mark.parametrize("channels", [1, 8])
+    def test_values_and_gradients_bitwise(self, channels):
+        rng = np.random.default_rng(11)
+        height, width = 9, 13
+        fmap = rng.standard_normal((height, width, channels))
+        n = 300
+        coords = np.stack([rng.uniform(0, width - 1, n), rng.uniform(0, height - 1, n)], axis=1)
+        corners = np.array(
+            [[0.0, 0.0], [width - 1, 0.0], [0.0, height - 1], [width - 1, height - 1]]
+        )
+        integers = np.stack([rng.integers(0, width, 20), rng.integers(0, height, 20)], axis=1)
+        edges = np.array([[width - 1, 3.25], [width - 1, 4.0], [2.5, height - 1]])
+        # Repeated points make the scatter sum into the same grid entries.
+        coords = np.concatenate([coords, corners, integers, edges, coords[:40]])
+        g = rng.standard_normal((len(coords), channels))
+        want_out, want_dmap, want_dcoords = fancy_index_bilinear(fmap, coords, g)
+        tape = T.Tape()
+        m, c = tape.leaf(fmap), tape.leaf(coords)
+        out = T.bilinear_sample(m, c)
+        tape.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(tape.grad(m), want_dmap)
+        assert np.array_equal(tape.grad(c), want_dcoords)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_rejects_non_finite_coordinates(self, bad, axis):
+        fmap = np.zeros((4, 4, 2))
+        coords = np.array([[1.0, 2.0], [1.5, 2.5]])
+        coords[1, axis] = bad
+        with pytest.raises(ValueError, match="outside the map"):
+            T.bilinear_sample(T.Tensor(fmap), T.Tensor(coords))
 
 
 class TestPrimitiveForward:

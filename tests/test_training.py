@@ -86,9 +86,10 @@ class TestTrainNetwork:
 
 
 class TestTrainingStepTape:
-    def test_default_network_step_records_247_nodes(self, tiny_dataset):
-        # The training stencil stays four taped samples per map_gradient;
-        # a change to the taped op sequence shows up as a different count.
+    def test_default_network_step_records_223_nodes(self, tiny_dataset):
+        # Each GN loss level records one derivative map and one taped sample
+        # of it; a change to the taped op sequence shows up as a different
+        # count.
         split = read_split(tiny_dataset / "train")
         batch = split.correspondences[0]
         config = NetworkConfig()
@@ -97,7 +98,7 @@ class TestTrainingStepTape:
         pyr_a = forward_pyramid(taped, split.frames[batch.frame_a].image, config)
         pyr_b = forward_pyramid(taped, split.frames[batch.frame_b].image, config)
         total_loss(pyr_a, pyr_b, batch, LossConfig(), np.random.default_rng(0))
-        assert len(tape) == 247
+        assert len(tape) == 223
 
 
 def training_step_tape(split, run_backward: bool):
@@ -111,7 +112,7 @@ def training_step_tape(split, run_backward: bool):
     loss, _ = total_loss(pyr_a, pyr_b, batch, LossConfig(), np.random.default_rng(0))
     if run_backward:
         tape.backward(loss)
-        assert len(tape) == 247
+        assert len(tape) == 223
         with pytest.raises(ValueError):
             tape.backward(loss)
     return weakref.ref(tape)
