@@ -53,21 +53,46 @@ class AlignmentConfig:
 
 
 @dataclass
-class GaussNewtonSystem:
-    """Normal equations H delta = b with a scalar robust-cost summary.
+class PoseCost:
+    """The robust cost at one pose, and what its linearization reads.
 
     ``valid`` and ``point_cost`` hold, per input point, whether it projected
     inside the map and its weighted robust cost (0 where invalid); the
-    solver's accept test compares them over the points valid in two systems.
+    solver's accept test compares them over the points valid at two poses.
+    Over the valid points it keeps the projected ``coords``, the camera-frame
+    points ``p_cam``, the residuals ``r``, the IRLS ``weights`` and, where
+    the gradient weight read it, the map derivative ``jac_map``, so the
+    system is built without projecting or sampling again. Those are None
+    when too few points are valid (``cost`` is then inf).
     """
 
-    h: np.ndarray
-    b: np.ndarray
     n_valid: int
     cost: float
     inlier_count: int
     valid: np.ndarray
     point_cost: np.ndarray
+    coords: Optional[np.ndarray] = None
+    p_cam: Optional[np.ndarray] = None
+    r: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray] = None
+    jac_map: Optional[np.ndarray] = None
+
+
+@dataclass
+class GaussNewtonSystem:
+    """Normal equations H delta = b, linearized at the pose of ``at``."""
+
+    h: np.ndarray
+    b: np.ndarray
+    at: PoseCost
+
+    @property
+    def n_valid(self) -> int:
+        return self.at.n_valid
+
+    @property
+    def cost(self) -> float:
+        return self.at.cost
 
 
 @dataclass
@@ -100,9 +125,7 @@ def gradient_at(grad_map, coords: np.ndarray) -> T.Tensor:
     coord's +-1 px stencil leaves the map (by ``STENCIL_MARGIN``), so the
     zero border of the derivative map is never read.
     """
-    height, width = grad_map.shape[:2]
-    if not np.all(stencil_valid(coords, width, height)):
-        raise ValueError("gradient_at: stencil outside the map")
+    _check_stencil(coords, grad_map.shape)
     samples = T.bilinear_sample(grad_map, T.Tensor(coords))
     return T.reshape(samples, (coords.shape[0], grad_map.shape[2] // 2, 2))
 
@@ -135,6 +158,12 @@ def stencil_valid(coords: np.ndarray, width: int, height: int) -> np.ndarray:
         & (coords[:, 1] >= STENCIL_MARGIN)
         & (coords[:, 1] <= height - 1 - STENCIL_MARGIN)
     )
+
+
+def _check_stencil(coords: np.ndarray, map_shape) -> None:
+    height, width = map_shape[:2]
+    if not np.all(stencil_valid(coords, width, height)):
+        raise ValueError("stencil outside the map")
 
 
 def huber_weight(norms: np.ndarray, delta: float) -> np.ndarray:
@@ -188,22 +217,66 @@ def track_pixels(
     return x, alive & settled
 
 
-def _assemble(
-    feat_tgt,
-    grad_tgt,
-    pixels,
-    f_ref,
-    inv_depths,
-    pose,
-    intr,
-    config: AlignmentConfig,
-    recombined: bool = False,
-) -> GaussNewtonSystem:
-    """Accumulates the 6x6 pose system over all valid points.
+def _target_maps(feat_tgt: np.ndarray, config: AlignmentConfig):
+    """The derivative map of ``feat_tgt`` and the map a trial pose samples.
 
-    ``f_ref`` holds the reference descriptors at ``pixels`` and ``grad_tgt``
-    is ``map_gradient(feat_tgt).data``. One iteration samples the target map
-    for the residual and its derivative map for the Jacobian, once each.
+    A trial samples ``feat_tgt`` alone, or, when the gradient weight needs
+    the derivative at every trial, the stacked ``[F | dF]`` map (H, W, 3D),
+    so one gather reads the residual and the derivative.
+    """
+    grad_tgt = map_gradient(feat_tgt).data
+    if config.use_gradient_weight:
+        return grad_tgt, np.concatenate([feat_tgt, grad_tgt], axis=2)
+    return grad_tgt, feat_tgt
+
+
+def _pose_cost(sample_map, pixels, f_ref, inv_depths, pose, intr, config: AlignmentConfig) -> PoseCost:
+    """The weighted robust cost at ``pose``: one projection, one gather.
+
+    ``sample_map`` comes from ``_target_maps`` and ``f_ref`` holds the
+    reference descriptors at ``pixels``.
+    """
+    n_points, dim = f_ref.shape
+    projected, p_cam, valid = project_points(
+        pixels, inv_depths, pose, intr, intr, border=max(config.border_margin, STENCIL_MARGIN)
+    )
+    point_cost = np.zeros(n_points)
+    if valid.sum() < config.min_valid_points:
+        return PoseCost(int(valid.sum()), np.inf, 0, valid, point_cost)
+    idx = np.nonzero(valid)[0]
+    coords = projected[idx]
+    if config.use_gradient_weight:
+        _check_stencil(coords, sample_map.shape)
+        samples = interp(sample_map, coords)
+        r = samples[:, :dim] - f_ref[idx]
+        # Contiguous, as gradient_at returns it, so the einsum and matmul
+        # reading it run the same kernels and give the same bits.
+        jac_map = np.ascontiguousarray(samples[:, dim:]).reshape(len(idx), dim, 2)
+        grad_w = gradient_weight(jac_map, config.gradient_weight_const)
+    else:
+        r = interp(sample_map, coords) - f_ref[idx]
+        jac_map, grad_w = None, np.ones(len(idx))
+    norms = np.linalg.norm(r, axis=1)
+    point_cost[idx] = grad_w * huber_cost(norms, config.huber_delta)
+    return PoseCost(
+        n_valid=int(len(idx)),
+        cost=float(np.mean(point_cost[idx])),
+        inlier_count=int(np.sum(norms <= config.huber_delta)),
+        valid=valid,
+        point_cost=point_cost,
+        coords=coords,
+        p_cam=p_cam[idx],
+        r=r,
+        weights=huber_weight(norms, config.huber_delta) * grad_w,
+        jac_map=jac_map,
+    )
+
+
+def _linearize(at: PoseCost, grad_tgt, intr, recombined: bool = False) -> GaussNewtonSystem:
+    """Accumulates the 6x6 pose system over the valid points of ``at``.
+
+    ``grad_tgt`` is ``map_gradient(feat_tgt).data``; it is sampled here
+    unless the cost evaluation already read the derivative.
 
     Direct route: J_i = J'_i @ dp'/dxi stacked as an (N*D, 6) matrix, then
     one GEMM H = J^T W J and one product b = -J^T W r, with each point's
@@ -212,28 +285,11 @@ def _assemble(
     through dp'/dxi with einsum; algebraically identical, and the reference
     the direct route is tested against.
     """
-    n_points = pixels.shape[0]
-    projected, p_cam, valid = project_points(
-        pixels, inv_depths, pose, intr, intr, border=max(config.border_margin, STENCIL_MARGIN)
-    )
-    point_cost = np.zeros(n_points)
-    if valid.sum() < config.min_valid_points:
-        return GaussNewtonSystem(
-            np.zeros((6, 6)), np.zeros(6), int(valid.sum()), np.inf, 0, valid, point_cost
-        )
-    idx = np.nonzero(valid)[0]
-    coords = projected[idx]
-    r = interp(feat_tgt, coords) - f_ref[idx]
-    jac_map = gradient_at(grad_tgt, coords).data
-    jac_pose = projection_jacobian(p_cam[idx], intr)
-    norms = np.linalg.norm(r, axis=1)
-    weights = huber_weight(norms, config.huber_delta)
-    grad_w = (
-        gradient_weight(jac_map, config.gradient_weight_const)
-        if config.use_gradient_weight
-        else np.ones(len(idx))
-    )
-    weights = weights * grad_w
+    if not np.isfinite(at.cost):
+        return GaussNewtonSystem(np.zeros((6, 6)), np.zeros(6), at)
+    jac_map = at.jac_map if at.jac_map is not None else gradient_at(grad_tgt, at.coords).data
+    jac_pose = projection_jacobian(at.p_cam, intr)
+    r, weights = at.r, at.weights
     if recombined:
         h_pix = np.einsum("ndi,ndj->nij", jac_map, jac_map)
         b_pix = np.einsum("ndi,nd->ni", jac_map, r)
@@ -244,17 +300,7 @@ def _assemble(
         weighted = jac * np.repeat(weights, r.shape[1])[:, None]
         h = weighted.T @ jac
         b = -(weighted.T @ r.ravel())
-    h = 0.5 * (h + h.T)
-    point_cost[idx] = grad_w * huber_cost(norms, config.huber_delta)
-    return GaussNewtonSystem(
-        h=h,
-        b=b,
-        n_valid=int(len(idx)),
-        cost=float(np.mean(point_cost[idx])),
-        inlier_count=int(np.sum(norms <= config.huber_delta)),
-        valid=valid,
-        point_cost=point_cost,
-    )
+    return GaussNewtonSystem(0.5 * (h + h.T), b, at)
 
 
 def build_pose_system(
@@ -269,8 +315,17 @@ def build_pose_system(
 ) -> GaussNewtonSystem:
     """6x6 pose normal equations at the given pose (reference sampled here)."""
     f_ref = interp(feat_ref, pixels)
-    grad_tgt = map_gradient(feat_tgt).data
-    return _assemble(feat_tgt, grad_tgt, pixels, f_ref, inv_depths, pose, intr, config, recombined)
+    grad_tgt, sample_map = _target_maps(feat_tgt, config)
+    at = _pose_cost(sample_map, pixels, f_ref, inv_depths, pose, intr, config)
+    return _linearize(at, grad_tgt, intr, recombined)
+
+
+def _damped_step(system: GaussNewtonSystem, lam: float):
+    h = system.h + lam * np.diag(np.diag(system.h)) + lam * 1e-12 * np.eye(6)
+    try:
+        return np.linalg.solve(h, system.b)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def align_pose(
@@ -286,33 +341,28 @@ def align_pose(
 
     Per level, iterate: solve (H + damping diag(H)) delta = b, propose
     exp(delta) @ pose, accept only if the weighted residual decreases
-    (halving damping), otherwise raise damping tenfold. Level solutions seed
-    the next finer level.
+    (halving damping), otherwise raise damping tenfold. A trial pose only
+    evaluates the cost; the system is linearized at the level start and at
+    each accepted pose, from that pose's cost evaluation. Level solutions
+    seed the next finer level.
     """
     pose = init_pose
     total_iterations = 0
     converged = False
-    last_system: Optional[GaussNewtonSystem] = None
+    last_cost: Optional[PoseCost] = None
     for level in config.levels:
-        feat_ref, feat_tgt = pyr_ref[level], pyr_tgt[level]
         scale = 1.0 / (2.0**level)
         level_pixels = pixels * scale
         intr = intrinsics.scaled(level)
-        f_ref = interp(feat_ref, level_pixels)
-        grad_tgt = map_gradient(feat_tgt).data
+        f_ref = interp(pyr_ref[level], level_pixels)
+        grad_tgt, sample_map = _target_maps(pyr_tgt[level], config)
         damping = config.eps_pose
-        current = _assemble(feat_tgt, grad_tgt, level_pixels, f_ref, inv_depths, pose, intr, config)
+        at = _pose_cost(sample_map, level_pixels, f_ref, inv_depths, pose, intr, config)
         converged = False
-        if not np.isfinite(current.cost):
+        if not np.isfinite(at.cost):
             continue
-        last_system = current
-
-        def damped_step(sys_, lam):
-            h = sys_.h + lam * np.diag(np.diag(sys_.h)) + lam * 1e-12 * np.eye(6)
-            try:
-                return np.linalg.solve(h, sys_.b)
-            except np.linalg.LinAlgError:
-                return None
+        current = _linearize(at, grad_tgt, intr)
+        last_cost = at
 
         probe_system = None
         for _ in range(config.max_iterations):
@@ -322,46 +372,46 @@ def align_pose(
             # small by construction and must not fake convergence). A
             # rejected step leaves ``current`` as it was, and its probe too.
             if probe_system is not current:
-                probe, probe_system = damped_step(current, config.eps_pose), current
+                probe, probe_system = _damped_step(current, config.eps_pose), current
             if probe is not None and np.linalg.norm(probe) < config.step_norm_tol:
                 converged = True
                 break
-            delta = probe if damping == config.eps_pose else damped_step(current, damping)
+            delta = probe if damping == config.eps_pose else _damped_step(current, damping)
             if delta is None:
                 damping *= 10.0
                 if damping > config.max_damping:
                     break
                 continue
             candidate_pose = se3_exp(delta).compose(pose)
-            candidate = _assemble(
-                feat_tgt, grad_tgt, level_pixels, f_ref, inv_depths, candidate_pose, intr, config
+            candidate = _pose_cost(
+                sample_map, level_pixels, f_ref, inv_depths, candidate_pose, intr, config
             )
-            # Compare weighted residuals over the points valid in BOTH
-            # evaluations so composition changes of the valid set cannot
-            # mask a genuine improvement (or fake one).
-            common = current.valid & candidate.valid
+            # Compare weighted residuals over the points valid at BOTH
+            # poses so composition changes of the valid set cannot mask a
+            # genuine improvement (or fake one).
+            common = current.at.valid & candidate.valid
             if (
                 np.isfinite(candidate.cost)
                 and candidate.n_valid >= config.min_valid_points
                 and common.sum() >= config.min_valid_points
-                and candidate.point_cost[common].mean() < current.point_cost[common].mean()
+                and candidate.point_cost[common].mean() < current.at.point_cost[common].mean()
             ):
                 pose = candidate_pose
-                current = candidate
-                last_system = candidate
+                current = _linearize(candidate, grad_tgt, intr)
+                last_cost = candidate
                 damping = max(damping * 0.5, config.eps_pose)
             else:
                 damping *= 10.0
                 if damping > config.max_damping:
                     break
-    if last_system is None:
+    if last_cost is None:
         return TrackResult(init_pose, False, total_iterations, np.inf, 0.0)
-    inlier_fraction = last_system.inlier_count / max(1, pixels.shape[0])
+    inlier_fraction = last_cost.inlier_count / max(1, pixels.shape[0])
     return TrackResult(
         pose=pose,
         converged=converged,
         iterations=total_iterations,
-        final_residual=last_system.cost,
+        final_residual=last_cost.cost,
         inlier_fraction=float(inlier_fraction),
     )
 
@@ -391,7 +441,7 @@ def select_keyframe_points(
     same points.
     """
     img = image[:, :, 0] if image.ndim == 3 else image
-    height, width = img.shape
+    width = img.shape[1]
     gx = np.zeros_like(img)
     gy = np.zeros_like(img)
     gx[:, 1:-1] = (img[:, 2:] - img[:, :-2]) * 0.5
@@ -401,21 +451,14 @@ def select_keyframe_points(
     mag[-margin:, :] = -1.0
     mag[:, :margin] = -1.0
     mag[:, -margin:] = -1.0
+    # Strongest first; the first pixel of each spacing cell wins.
     order = np.argsort(mag, axis=None)[::-1]
-    occupied = np.zeros((height // spacing + 1, width // spacing + 1), dtype=bool)
-    pixels = []
-    for flat in order:
-        y, x = divmod(int(flat), width)
-        if len(pixels) >= k or mag[y, x] <= 0:
-            break
-        cy, cx = y // spacing, x // spacing
-        if occupied[cy, cx]:
-            continue
-        occupied[cy, cx] = True
-        pixels.append((float(x), float(y)))
-    pts = np.array(pixels) if pixels else np.empty((0, 2))
-    inv_depths = 1.0 / depth[pts[:, 1].astype(int), pts[:, 0].astype(int)] if len(pts) else np.empty(0)
-    return pts, inv_depths
+    order = order[mag.ravel()[order] > 0]
+    ys, xs = np.divmod(order, width)
+    cells = (ys // spacing) * (width // spacing + 1) + xs // spacing
+    first = np.sort(np.unique(cells, return_index=True)[1])[: max(k, 0)]
+    ys, xs = ys[first], xs[first]
+    return np.stack([xs, ys], axis=1).astype(np.float64), 1.0 / depth[ys, xs]
 
 
 def network_extractor(weights) -> Callable[[np.ndarray], list]:

@@ -224,7 +224,8 @@ def cmd_train(args) -> int:
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_network(out, weights)
-    log_path = Path(args.log) if args.log else out.with_suffix(".log.csv")
+    log_path = _resolve_out(args.log) if args.log else out.with_suffix(".log.csv")
+    log_path.parent.mkdir(parents=True, exist_ok=True)
     log_path.write_text(history_csv(history))
     _echo_config(out.parent, args)
     return 0
@@ -249,16 +250,17 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--points must be >= 1")
     if args.candidates < 0:
         raise UsageError("--candidates must be >= 0")
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise UsageError("--methods names no method")
+    unknown = set(methods) - {"intensity", "features", "contrastive"}
+    if unknown:
+        raise UsageError(f"unknown methods: {sorted(unknown)}")
     split = read_split(Path(args.dataset) / args.split)
     if args.candidates > 0:
         split.candidates = split.candidates[: args.candidates]
     if not split.candidates:
         raise DataFault(f"split '{args.split}' has no relocalization candidates")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    known = {"intensity", "features", "contrastive"}
-    unknown = set(methods) - known
-    if unknown:
-        raise UsageError(f"unknown methods: {sorted(unknown)}")
     out = _resolve_out(args.out)
     out.mkdir(parents=True, exist_ok=True)
     curves = {}

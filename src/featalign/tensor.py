@@ -535,8 +535,10 @@ def bilinear_sample(feature_map, coords) -> Tensor:
     out = (weights * corners).sum(axis=0)
 
     def backward(g):
-        dmap = np.zeros((h * w, c))
-        np.add.at(dmap, corners_idx, (weights * g).reshape(4 * n, c))
+        # One bincount on (corner * C + channel) adds in index order, as
+        # np.add.at would, so shared corners accumulate identically.
+        flat_idx = (corners_idx[:, None] * c + np.arange(c)).ravel()
+        dmap = np.bincount(flat_idx, weights=(weights * g).ravel(), minlength=h * w * c)
         m00, m01, m10, m11 = corners
         ddx = (1 - ty)[:, None] * (m01 - m00) + ty[:, None] * (m11 - m10)
         ddy = (1 - tx)[:, None] * (m10 - m00) + tx[:, None] * (m11 - m01)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from featalign import network
+from featalign import alignment, network
 from featalign import tensor as T
 from featalign.alignment import (
     STENCIL_MARGIN,
@@ -11,6 +11,9 @@ from featalign.alignment import (
     align_pose,
     build_pose_system,
     gradient_at,
+    gradient_weight,
+    huber_cost,
+    huber_weight,
     intensity_extractor,
     intensity_pyramid,
     interp,
@@ -24,7 +27,13 @@ from featalign.alignment import (
 from featalign.bench.dataset_io import DatasetSplit
 from featalign.bench.evaluate import run_relocalization
 from featalign.bench.scene import Frame, RelocCandidate, SceneConfig, generate_scene
-from featalign.geometry import CameraIntrinsics, SE3Pose, project_points, se3_exp
+from featalign.geometry import (
+    CameraIntrinsics,
+    SE3Pose,
+    project_points,
+    projection_jacobian,
+    se3_exp,
+)
 
 from helpers import fancy_index_bilinear
 
@@ -323,6 +332,36 @@ def make_two_view(seed=11, baseline=0.06, fine=False):
     return img_ref, depth_ref, img_tgt, rel, scene
 
 
+def loop_keyframe_points(image, depth, k, spacing=4, margin=3):
+    """The per-pixel selection loop: strongest first, one pixel per cell."""
+    img = image[:, :, 0] if image.ndim == 3 else image
+    height, width = img.shape
+    gx = np.zeros_like(img)
+    gy = np.zeros_like(img)
+    gx[:, 1:-1] = (img[:, 2:] - img[:, :-2]) * 0.5
+    gy[1:-1, :] = (img[2:, :] - img[:-2, :]) * 0.5
+    mag = np.hypot(gx, gy)
+    mag[:margin, :] = -1.0
+    mag[-margin:, :] = -1.0
+    mag[:, :margin] = -1.0
+    mag[:, -margin:] = -1.0
+    order = np.argsort(mag, axis=None)[::-1]
+    occupied = np.zeros((height // spacing + 1, width // spacing + 1), dtype=bool)
+    pixels = []
+    for flat in order:
+        y, x = divmod(int(flat), width)
+        if len(pixels) >= k or mag[y, x] <= 0:
+            break
+        cy, cx = y // spacing, x // spacing
+        if occupied[cy, cx]:
+            continue
+        occupied[cy, cx] = True
+        pixels.append((float(x), float(y)))
+    pts = np.array(pixels) if pixels else np.empty((0, 2))
+    inv_depths = 1.0 / depth[pts[:, 1].astype(int), pts[:, 0].astype(int)] if len(pts) else np.empty(0)
+    return pts, inv_depths
+
+
 class TestSelectKeyframePoints:
     @pytest.mark.parametrize("k", [-1, 0, 1, 7])
     def test_selects_k_points_and_none_below_one(self, k):
@@ -330,6 +369,20 @@ class TestSelectKeyframePoints:
         pixels, inv_depths = select_keyframe_points(img_ref, depth_ref, k=k)
         assert pixels.shape == (max(k, 0), 2)
         assert inv_depths.shape == (max(k, 0),)
+
+    @pytest.mark.parametrize("k", [-3, 0, 1, 7, 64, 255, 400])
+    def test_equals_selection_loop(self, k):
+        img_ref, depth_ref, _, _, _ = make_two_view()
+        # Quantized intensities tie many gradient magnitudes, and a flat
+        # band gives zero magnitudes the selection must skip.
+        quantized = np.round(img_ref * 8.0) / 8.0
+        quantized[20:30] = 0.5
+        for image in (img_ref, quantized):
+            pixels, inv_depths = select_keyframe_points(image, depth_ref, k=k)
+            want_pixels, want_inv = loop_keyframe_points(image, depth_ref, k)
+            assert pixels.dtype == want_pixels.dtype and inv_depths.dtype == want_inv.dtype
+            assert np.array_equal(pixels, want_pixels)
+            assert np.array_equal(inv_depths, want_inv)
 
 
 class TestNetworkExtractor:
@@ -434,6 +487,192 @@ class TestAlignPose:
             pyr_ref, pyr_tgt, pixels, inv_depths, SE3Pose.identity(), scene.intrinsics, cfg
         )
         assert result.final_residual <= start_cost
+
+
+def loop_pose_system(feat_tgt, grad_tgt, pixels, f_ref, inv_depths, pose, intr, config):
+    """A full pose system at one pose: (H, b, valid, point costs, cost, inliers)."""
+    projected, p_cam, valid = project_points(
+        pixels, inv_depths, pose, intr, intr, border=max(config.border_margin, STENCIL_MARGIN)
+    )
+    point_cost = np.zeros(pixels.shape[0])
+    if valid.sum() < config.min_valid_points:
+        return np.zeros((6, 6)), np.zeros(6), valid, point_cost, np.inf, 0
+    idx = np.nonzero(valid)[0]
+    coords = projected[idx]
+    r = interp(feat_tgt, coords) - f_ref[idx]
+    jac_map = gradient_at(grad_tgt, coords).data
+    jac_pose = projection_jacobian(p_cam[idx], intr)
+    norms = np.linalg.norm(r, axis=1)
+    grad_w = (
+        gradient_weight(jac_map, config.gradient_weight_const)
+        if config.use_gradient_weight
+        else np.ones(len(idx))
+    )
+    weights = huber_weight(norms, config.huber_delta) * grad_w
+    jac = (jac_map @ jac_pose).reshape(-1, 6)
+    weighted = jac * np.repeat(weights, r.shape[1])[:, None]
+    h = weighted.T @ jac
+    b = -(weighted.T @ r.ravel())
+    point_cost[idx] = grad_w * huber_cost(norms, config.huber_delta)
+    inliers = int(np.sum(norms <= config.huber_delta))
+    return 0.5 * (h + h.T), b, valid, point_cost, float(np.mean(point_cost[idx])), inliers
+
+
+def loop_align_pose(pyr_ref, pyr_tgt, pixels, inv_depths, init_pose, intrinsics, config):
+    """The solver loop that builds a full system at every trial pose.
+
+    Returns (TrackResult, levels started, steps accepted, steps rejected).
+    """
+    pose = init_pose
+    total_iterations = started = accepted = rejected = 0
+    converged = False
+    last = None
+
+    def damped_step(system, lam):
+        h, b = system[0], system[1]
+        try:
+            return np.linalg.solve(h + lam * np.diag(np.diag(h)) + lam * 1e-12 * np.eye(6), b)
+        except np.linalg.LinAlgError:
+            return None
+
+    for level in config.levels:
+        level_pixels = pixels * (1.0 / (2.0**level))
+        intr = intrinsics.scaled(level)
+        f_ref = interp(pyr_ref[level], level_pixels)
+        grad_tgt = map_gradient(pyr_tgt[level]).data
+        args = (pyr_tgt[level], grad_tgt, level_pixels, f_ref, inv_depths)
+        damping = config.eps_pose
+        current = loop_pose_system(*args, pose, intr, config)
+        converged = False
+        if not np.isfinite(current[4]):
+            continue
+        started += 1
+        last = current
+        for _ in range(config.max_iterations):
+            total_iterations += 1
+            probe = damped_step(current, config.eps_pose)
+            if probe is not None and np.linalg.norm(probe) < config.step_norm_tol:
+                converged = True
+                break
+            delta = probe if damping == config.eps_pose else damped_step(current, damping)
+            if delta is None:
+                damping *= 10.0
+                if damping > config.max_damping:
+                    break
+                continue
+            candidate_pose = se3_exp(delta).compose(pose)
+            candidate = loop_pose_system(*args, candidate_pose, intr, config)
+            common = current[2] & candidate[2]
+            if (
+                np.isfinite(candidate[4])
+                and candidate[2].sum() >= config.min_valid_points
+                and common.sum() >= config.min_valid_points
+                and candidate[3][common].mean() < current[3][common].mean()
+            ):
+                pose, current, last = candidate_pose, candidate, candidate
+                damping = max(damping * 0.5, config.eps_pose)
+                accepted += 1
+            else:
+                rejected += 1
+                damping *= 10.0
+                if damping > config.max_damping:
+                    break
+    if last is None:
+        return alignment.TrackResult(init_pose, False, total_iterations, np.inf, 0.0), 0, 0, 0
+    result = alignment.TrackResult(
+        pose, converged, total_iterations, last[4], float(last[5] / max(1, pixels.shape[0]))
+    )
+    return result, started, accepted, rejected
+
+
+def random_feature_problem(seed):
+    """D = 8 random smooth pyramids, a target perturbed from the reference."""
+    rng = np.random.default_rng(seed)
+    base = T.Tensor(rng.standard_normal((128, 128, 8)))
+    ref0 = T.avg_pool2(base).data
+    tgt0 = ref0 + 0.2 * rng.standard_normal(ref0.shape)
+    pyr_ref, pyr_tgt = [ref0], [tgt0]
+    for _ in range(2):
+        pyr_ref.append(T.avg_pool2(T.Tensor(pyr_ref[-1])).data)
+        pyr_tgt.append(T.avg_pool2(T.Tensor(pyr_tgt[-1])).data)
+    pixels, inv_depths = random_scene_points(rng, n=120)
+    init = se3_exp(rng.uniform(-0.02, 0.02, 6))
+    return pyr_ref, pyr_tgt, pixels, inv_depths, init, INTR
+
+
+def rendered_problem(seed):
+    img_ref, depth_ref, img_tgt, _, scene = make_two_view(seed=seed)
+    pixels, inv_depths = select_keyframe_points(img_ref, depth_ref, k=256, spacing=4)
+    pyr_ref = intensity_pyramid(img_ref, 3)
+    pyr_tgt = intensity_pyramid(0.6 * img_tgt + 0.2, 3)
+    return pyr_ref, pyr_tgt, pixels, inv_depths, SE3Pose.identity(), scene.intrinsics
+
+
+def assert_same_track(got, want):
+    assert got.pose.rotation.tobytes() == want.pose.rotation.tobytes()
+    assert got.pose.translation.tobytes() == want.pose.translation.tobytes()
+    assert got.converged == want.converged
+    assert got.iterations == want.iterations
+    assert got.final_residual == want.final_residual
+    assert got.inlier_fraction == want.inlier_fraction
+
+
+class TestCostOnlyTrials:
+    """A trial pose evaluates the cost only; accepted poses are linearized."""
+
+    @pytest.mark.parametrize(
+        "problem, method",
+        [
+            (lambda: random_feature_problem(1), "features"),
+            (lambda: random_feature_problem(2), "features"),
+            (lambda: rendered_problem(12), "intensity"),
+            (lambda: rendered_problem(13), "intensity"),
+        ],
+        ids=["features-1", "features-2", "intensity-12", "intensity-13"],
+    )
+    def test_bit_identical_to_full_system_per_trial(self, problem, method):
+        args = problem() + (method_config(method),)
+        want, _, accepted, rejected = loop_align_pose(*args)
+        assert accepted > 0 and rejected > 0
+        assert_same_track(align_pose(*args), want)
+
+    @pytest.mark.parametrize("method", ["features", "intensity"])
+    def test_linearized_once_per_level_start_and_accepted_step(self, monkeypatch, method):
+        problem = random_feature_problem(1) if method == "features" else rendered_problem(12)
+        args = problem + (method_config(method),)
+        _, started, accepted, rejected = loop_align_pose(*args)
+        counts = {"projection_jacobian": 0, "gradient_at": 0, "project_points": 0}
+
+        def counting(name):
+            inner = getattr(alignment, name)
+
+            def wrapper(*a, **kw):
+                counts[name] += 1
+                return inner(*a, **kw)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(alignment, name, counting(name))
+        align_pose(*args)
+        assert counts["projection_jacobian"] == started + accepted
+        assert counts["project_points"] == started + accepted + rejected
+        # Without the gradient weight a trial samples no derivative; with
+        # it, the stacked map gives the derivative and gradient_at is idle.
+        assert counts["gradient_at"] == (started + accepted if method == "features" else 0)
+
+    def test_stencil_outside_map_raises(self, monkeypatch):
+        # Projection keeps valid points inside the stencil margin; the cost
+        # evaluation still checks before it reads the stacked derivative.
+        pyr_ref, pyr_tgt, pixels, inv_depths, init, intr = rendered_problem(12)
+        projected, p_cam, valid = project_points(pixels, inv_depths, init, intr, intr, border=2.0)
+        projected[0] = [0.5, 10.0]
+        valid[0] = True
+        monkeypatch.setattr(alignment, "project_points", lambda *a, **kw: (projected, p_cam, valid))
+        with pytest.raises(ValueError, match="stencil outside the map"):
+            build_pose_system(
+                pyr_ref[0], pyr_tgt[0], pixels, inv_depths, init, intr, method_config("intensity")
+            )
 
 
 def relocalize(img_ref, depth_ref, img_tgt, intrinsics, k):

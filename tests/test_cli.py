@@ -141,6 +141,16 @@ class TestEvaluate:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("methods", [",", " , ,", ""])
+    def test_empty_method_list_is_usage_error(self, dataset, tmp_path, capsys, methods):
+        out = tmp_path / "ev5"
+        rc = cli_main(
+            ["evaluate", "--dataset", str(dataset), "--out", str(out), "--methods", methods]
+        )
+        assert rc == 1
+        assert "--methods names no method" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_is_data_fault(self, tmp_path):
         rc = cli_main(
             ["evaluate", "--dataset", str(tmp_path / "void"), "--out", str(tmp_path / "e")]
@@ -230,6 +240,22 @@ class TestTrain:
                        "--val-candidates", "0"])
         assert rc == 2
         assert "names frame 99999" in capsys.readouterr().err
+
+    def test_log_path_under_output_root_and_created(self, dataset, tmp_path, monkeypatch):
+        # --log resolves against FEATALIGN_OUTPUT_ROOT like --out, and its
+        # directory is created.
+        monkeypatch.setenv("FEATALIGN_OUTPUT_ROOT", str(tmp_path))
+        rc = cli_main(
+            [
+                "train", "--dataset", str(dataset), "--out", "w/w.gnnw", "--log", "logs/a/l.csv",
+                "--epochs", "1", "--base-width", "4", "--descriptor-dim", "4", "--levels", "2",
+                "--val-candidates", "0",
+            ]
+        )
+        assert rc == 0
+        assert (tmp_path / "w" / "w.gnnw").exists()
+        assert (tmp_path / "logs" / "a" / "l.csv").read_text().startswith("epoch,total,")
+        assert not (tmp_path / "w" / "w.log.csv").exists()
 
     @pytest.mark.parametrize(
         "flags",

@@ -179,6 +179,21 @@ class TestBilinearSampler:
         assert np.array_equal(tape.grad(m), want_dmap)
         assert np.array_equal(tape.grad(c), want_dcoords)
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_shared_corners_accumulate_in_index_order(self, channels):
+        # Thousands of points on a 3x4 map: every grid entry sums hundreds
+        # of contributions, so any other summation order changes its bits.
+        rng = np.random.default_rng(12)
+        fmap = rng.standard_normal((3, 4, channels))
+        n = 2000
+        coords = np.stack([rng.uniform(0, 3, n), rng.uniform(0, 2, n)], axis=1)
+        g = rng.standard_normal((n, channels)) * rng.uniform(1e-3, 1e3, (n, 1))
+        _, want_dmap, _ = fancy_index_bilinear(fmap, coords, g)
+        tape = T.Tape()
+        m = tape.leaf(fmap)
+        tape.backward(T.reduce_sum(T.mul(T.bilinear_sample(m, T.Tensor(coords)), T.Tensor(g))))
+        assert np.array_equal(tape.grad(m), want_dmap)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("axis", [0, 1])
     def test_rejects_non_finite_coordinates(self, bad, axis):
