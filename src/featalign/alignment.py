@@ -14,7 +14,7 @@ deterministic for identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -33,20 +33,23 @@ PIXEL_STEP_TOL = 0.01
 
 @dataclass(frozen=True)
 class AlignmentConfig:
-    max_iterations: int = 50
+    # Per-level iteration cap, baseline Levenberg damping, projection border
+    # (px) and the damping at which a level gives up; no method varies them.
+    max_iterations: ClassVar[int] = 50
+    eps_pose: ClassVar[float] = 1e-4
+    border_margin: ClassVar[float] = 2.0
+    max_damping: ClassVar[float] = 1e6
+
     step_norm_tol: float = 1e-6
     huber_delta: float = 2.0
     gradient_weight_const: float = 0.05
     use_gradient_weight: bool = False
     levels: tuple = (2, 1, 0)
-    eps_pose: float = 1e-4
     eps_pixel: float = 1e-3
-    border_margin: float = 2.0
     min_valid_points: int = 6
-    max_damping: float = 1e6
 
     def __post_init__(self):
-        if self.step_norm_tol <= 0 or self.huber_delta <= 0 or self.eps_pose <= 0:
+        if self.step_norm_tol <= 0 or self.huber_delta <= 0:
             raise ValueError("tolerances must be positive")
         if list(self.levels) != sorted(self.levels, reverse=True):
             raise ValueError("levels must be ordered coarse to fine")
@@ -60,10 +63,10 @@ class PoseCost:
     inside the map and its weighted robust cost (0 where invalid); the
     solver's accept test compares them over the points valid at two poses.
     Over the valid points it keeps the projected ``coords``, the camera-frame
-    points ``p_cam``, the residuals ``r``, the IRLS ``weights`` and, where
-    the gradient weight read it, the map derivative ``jac_map``, so the
-    system is built without projecting or sampling again. Those are None
-    when too few points are valid (``cost`` is then inf).
+    points ``p_cam``, the residuals ``r``, the IRLS ``weights`` and the map
+    derivative ``jac_map``, so the system is built without projecting or
+    sampling again. Those are None when too few points are valid (``cost``
+    is then inf).
     """
 
     n_valid: int
@@ -217,24 +220,19 @@ def track_pixels(
     return x, alive & settled
 
 
-def _target_maps(feat_tgt: np.ndarray, config: AlignmentConfig):
-    """The derivative map of ``feat_tgt`` and the map a trial pose samples.
+def _target_map(feat_tgt: np.ndarray) -> np.ndarray:
+    """The stacked ``[F | dF]`` map (H, W, 3D) a pose evaluation samples.
 
-    A trial samples ``feat_tgt`` alone, or, when the gradient weight needs
-    the derivative at every trial, the stacked ``[F | dF]`` map (H, W, 3D),
-    so one gather reads the residual and the derivative.
+    One gather reads a point's residual and its derivative.
     """
-    grad_tgt = map_gradient(feat_tgt).data
-    if config.use_gradient_weight:
-        return grad_tgt, np.concatenate([feat_tgt, grad_tgt], axis=2)
-    return grad_tgt, feat_tgt
+    return np.concatenate([feat_tgt, map_gradient(feat_tgt).data], axis=2)
 
 
-def _pose_cost(sample_map, pixels, f_ref, inv_depths, pose, intr, config: AlignmentConfig) -> PoseCost:
+def _pose_cost(target, pixels, f_ref, inv_depths, pose, intr, config: AlignmentConfig) -> PoseCost:
     """The weighted robust cost at ``pose``: one projection, one gather.
 
-    ``sample_map`` comes from ``_target_maps`` and ``f_ref`` holds the
-    reference descriptors at ``pixels``.
+    ``target`` comes from ``_target_map`` and ``f_ref`` holds the reference
+    descriptors at ``pixels``.
     """
     n_points, dim = f_ref.shape
     projected, p_cam, valid = project_points(
@@ -245,17 +243,16 @@ def _pose_cost(sample_map, pixels, f_ref, inv_depths, pose, intr, config: Alignm
         return PoseCost(int(valid.sum()), np.inf, 0, valid, point_cost)
     idx = np.nonzero(valid)[0]
     coords = projected[idx]
+    _check_stencil(coords, target.shape)
+    samples = interp(target, coords)
+    r = samples[:, :dim] - f_ref[idx]
+    # Contiguous, as gradient_at returns it, so the einsum and matmul
+    # reading it run the same kernels and give the same bits.
+    jac_map = np.ascontiguousarray(samples[:, dim:]).reshape(len(idx), dim, 2)
     if config.use_gradient_weight:
-        _check_stencil(coords, sample_map.shape)
-        samples = interp(sample_map, coords)
-        r = samples[:, :dim] - f_ref[idx]
-        # Contiguous, as gradient_at returns it, so the einsum and matmul
-        # reading it run the same kernels and give the same bits.
-        jac_map = np.ascontiguousarray(samples[:, dim:]).reshape(len(idx), dim, 2)
         grad_w = gradient_weight(jac_map, config.gradient_weight_const)
     else:
-        r = interp(sample_map, coords) - f_ref[idx]
-        jac_map, grad_w = None, np.ones(len(idx))
+        grad_w = np.ones(len(idx))
     norms = np.linalg.norm(r, axis=1)
     point_cost[idx] = grad_w * huber_cost(norms, config.huber_delta)
     return PoseCost(
@@ -272,11 +269,8 @@ def _pose_cost(sample_map, pixels, f_ref, inv_depths, pose, intr, config: Alignm
     )
 
 
-def _linearize(at: PoseCost, grad_tgt, intr, recombined: bool = False) -> GaussNewtonSystem:
+def _linearize(at: PoseCost, intr, recombined: bool = False) -> GaussNewtonSystem:
     """Accumulates the 6x6 pose system over the valid points of ``at``.
-
-    ``grad_tgt`` is ``map_gradient(feat_tgt).data``; it is sampled here
-    unless the cost evaluation already read the derivative.
 
     Direct route: J_i = J'_i @ dp'/dxi stacked as an (N*D, 6) matrix, then
     one GEMM H = J^T W J and one product b = -J^T W r, with each point's
@@ -287,9 +281,8 @@ def _linearize(at: PoseCost, grad_tgt, intr, recombined: bool = False) -> GaussN
     """
     if not np.isfinite(at.cost):
         return GaussNewtonSystem(np.zeros((6, 6)), np.zeros(6), at)
-    jac_map = at.jac_map if at.jac_map is not None else gradient_at(grad_tgt, at.coords).data
+    jac_map, r, weights = at.jac_map, at.r, at.weights
     jac_pose = projection_jacobian(at.p_cam, intr)
-    r, weights = at.r, at.weights
     if recombined:
         h_pix = np.einsum("ndi,ndj->nij", jac_map, jac_map)
         b_pix = np.einsum("ndi,nd->ni", jac_map, r)
@@ -315,9 +308,8 @@ def build_pose_system(
 ) -> GaussNewtonSystem:
     """6x6 pose normal equations at the given pose (reference sampled here)."""
     f_ref = interp(feat_ref, pixels)
-    grad_tgt, sample_map = _target_maps(feat_tgt, config)
-    at = _pose_cost(sample_map, pixels, f_ref, inv_depths, pose, intr, config)
-    return _linearize(at, grad_tgt, intr, recombined)
+    at = _pose_cost(_target_map(feat_tgt), pixels, f_ref, inv_depths, pose, intr, config)
+    return _linearize(at, intr, recombined)
 
 
 def _damped_step(system: GaussNewtonSystem, lam: float):
@@ -349,69 +341,62 @@ def align_pose(
     pose = init_pose
     total_iterations = 0
     converged = False
-    last_cost: Optional[PoseCost] = None
+    current: Optional[GaussNewtonSystem] = None
     for level in config.levels:
         scale = 1.0 / (2.0**level)
         level_pixels = pixels * scale
         intr = intrinsics.scaled(level)
         f_ref = interp(pyr_ref[level], level_pixels)
-        grad_tgt, sample_map = _target_maps(pyr_tgt[level], config)
+        target = _target_map(pyr_tgt[level])
         damping = config.eps_pose
-        at = _pose_cost(sample_map, level_pixels, f_ref, inv_depths, pose, intr, config)
+        at = _pose_cost(target, level_pixels, f_ref, inv_depths, pose, intr, config)
         converged = False
         if not np.isfinite(at.cost):
             continue
-        current = _linearize(at, grad_tgt, intr)
-        last_cost = at
-
-        probe_system = None
+        # Convergence is judged on the baseline-damped ``probe`` step of
+        # ``current``; escalated damping only shapes the trust step (a
+        # heavily damped step is small by construction and must not fake
+        # convergence).
+        current = _linearize(at, intr)
+        probe = _damped_step(current, config.eps_pose)
         for _ in range(config.max_iterations):
             total_iterations += 1
-            # Convergence is judged on the baseline-damped step; escalated
-            # damping only shapes the trust step (a heavily damped step is
-            # small by construction and must not fake convergence). A
-            # rejected step leaves ``current`` as it was, and its probe too.
-            if probe_system is not current:
-                probe, probe_system = _damped_step(current, config.eps_pose), current
             if probe is not None and np.linalg.norm(probe) < config.step_norm_tol:
                 converged = True
                 break
             delta = probe if damping == config.eps_pose else _damped_step(current, damping)
-            if delta is None:
-                damping *= 10.0
-                if damping > config.max_damping:
-                    break
-                continue
-            candidate_pose = se3_exp(delta).compose(pose)
-            candidate = _pose_cost(
-                sample_map, level_pixels, f_ref, inv_depths, candidate_pose, intr, config
-            )
-            # Compare weighted residuals over the points valid at BOTH
-            # poses so composition changes of the valid set cannot mask a
-            # genuine improvement (or fake one).
-            common = current.at.valid & candidate.valid
-            if (
-                np.isfinite(candidate.cost)
-                and candidate.n_valid >= config.min_valid_points
-                and common.sum() >= config.min_valid_points
-                and candidate.point_cost[common].mean() < current.at.point_cost[common].mean()
-            ):
-                pose = candidate_pose
-                current = _linearize(candidate, grad_tgt, intr)
-                last_cost = candidate
-                damping = max(damping * 0.5, config.eps_pose)
-            else:
-                damping *= 10.0
-                if damping > config.max_damping:
-                    break
-    if last_cost is None:
+            if delta is not None:
+                candidate_pose = se3_exp(delta).compose(pose)
+                candidate = _pose_cost(
+                    target, level_pixels, f_ref, inv_depths, candidate_pose, intr, config
+                )
+                # Compare weighted residuals over the points valid at BOTH
+                # poses so composition changes of the valid set cannot mask
+                # a genuine improvement (or fake one).
+                common = current.at.valid & candidate.valid
+                if (
+                    np.isfinite(candidate.cost)
+                    and candidate.n_valid >= config.min_valid_points
+                    and common.sum() >= config.min_valid_points
+                    and candidate.point_cost[common].mean() < current.at.point_cost[common].mean()
+                ):
+                    pose = candidate_pose
+                    current = _linearize(candidate, intr)
+                    probe = _damped_step(current, config.eps_pose)
+                    damping = max(damping * 0.5, config.eps_pose)
+                    continue
+            # A cost increase and a singular solve are both rejected steps.
+            damping *= 10.0
+            if damping > config.max_damping:
+                break
+    if current is None:
         return TrackResult(init_pose, False, total_iterations, np.inf, 0.0)
-    inlier_fraction = last_cost.inlier_count / max(1, pixels.shape[0])
+    inlier_fraction = current.at.inlier_count / max(1, pixels.shape[0])
     return TrackResult(
         pose=pose,
         converged=converged,
         iterations=total_iterations,
-        final_residual=last_cost.cost,
+        final_residual=current.cost,
         inlier_fraction=float(inlier_fraction),
     )
 
@@ -442,11 +427,8 @@ def select_keyframe_points(
     """
     img = image[:, :, 0] if image.ndim == 3 else image
     width = img.shape[1]
-    gx = np.zeros_like(img)
-    gy = np.zeros_like(img)
-    gx[:, 1:-1] = (img[:, 2:] - img[:, :-2]) * 0.5
-    gy[1:-1, :] = (img[2:, :] - img[:-2, :]) * 0.5
-    mag = np.hypot(gx, gy)
+    grad = T.central_difference(img[:, :, None]).data
+    mag = np.hypot(grad[:, :, 0], grad[:, :, 1])
     mag[:margin, :] = -1.0
     mag[-margin:, :] = -1.0
     mag[:, :margin] = -1.0

@@ -247,17 +247,8 @@ class SyntheticScene:
         ``_RAY_ITERATIONS``; every ray ends where the full fixed-count
         iteration would leave it.
         """
-        intr = self.intrinsics
         pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-        d_cam = np.stack(
-            [
-                (pixels[:, 0] - intr.cx) / intr.fx,
-                (pixels[:, 1] - intr.cy) / intr.fy,
-                np.ones(pixels.shape[0]),
-            ],
-            axis=1,
-        )
-        d_world = d_cam @ pose.rotation.T
+        d_world = self.intrinsics.rays(pixels) @ pose.rotation.T
         origin = pose.translation
         t = np.full(pixels.shape[0], self.config.depth_base - origin[2])
         t_prev = np.full(pixels.shape[0], np.nan)
@@ -286,16 +277,7 @@ class SyntheticScene:
         us, vs = np.meshgrid(np.arange(cfg.width), np.arange(cfg.height))
         pixels = np.stack([us.ravel(), vs.ravel()], axis=1).astype(np.float64)
         t = self.ray_depth(pose, pixels)
-        intr = self.intrinsics
-        d_cam = np.stack(
-            [
-                (pixels[:, 0] - intr.cx) / intr.fx,
-                (pixels[:, 1] - intr.cy) / intr.fy,
-                np.ones(pixels.shape[0]),
-            ],
-            axis=1,
-        )
-        points = pose.translation + (d_cam * t[:, None]) @ pose.rotation.T
+        points = pose.translation + (self.intrinsics.rays(pixels) * t[:, None]) @ pose.rotation.T
         image = self.texture(points[:, 0], points[:, 1]).reshape(cfg.height, cfg.width)
         depth = t.reshape(cfg.height, cfg.width)
         if not np.all(depth > 0):

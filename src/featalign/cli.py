@@ -193,6 +193,24 @@ def _training_pairs(scene, args):
     return batches
 
 
+def _check_levels(split, levels: int) -> None:
+    """The coarsest level must tile the image and hold every stored match."""
+    div = 2 ** (levels - 1)
+    width, height = split.intrinsics.width, split.intrinsics.height
+    if width % div or height % div:
+        raise UsageError(f"--levels {levels} needs image sides divisible by {div}, got {width}x{height}")
+    # Scaled as the loss scales them, then held to the sampler's bounds.
+    limit = np.array([width // div - 1, height // div - 1])
+    for batch in split.correspondences:
+        coarse = batch.scaled(1.0 / div)
+        coords = np.concatenate([coarse.pos_a, coarse.pos_b, coarse.neg_a, coarse.neg_b])
+        if np.any(coords < 0) or np.any(coords > limit):
+            raise UsageError(
+                f"--levels {levels}: a training match lies outside the "
+                f"{width // div}x{height // div} coarsest level"
+            )
+
+
 def cmd_train(args) -> int:
     try:
         config = TrainConfig(
@@ -217,6 +235,7 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from exc
     dataset = Path(args.dataset)
     train_split = read_split(dataset / "train")
+    _check_levels(train_split, args.levels)
     val_split = None
     if args.val_candidates > 0 and (dataset / "val" / "manifest.json").exists():
         val_split = read_split(dataset / "val")
@@ -253,6 +272,8 @@ def cmd_evaluate(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods names no method")
+    if len(set(methods)) < len(methods):
+        raise UsageError(f"--methods names a method twice: {args.methods}")
     unknown = set(methods) - {"intensity", "features", "contrastive"}
     if unknown:
         raise UsageError(f"unknown methods: {sorted(unknown)}")

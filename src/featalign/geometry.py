@@ -100,6 +100,17 @@ class CameraIntrinsics:
             self.height // int(s),
         )
 
+    def rays(self, pixels: np.ndarray) -> np.ndarray:
+        """Camera-frame ray directions (N, 3) of pixels (N, 2), scaled to z = 1."""
+        return np.stack(
+            [
+                (pixels[:, 0] - self.cx) / self.fx,
+                (pixels[:, 1] - self.cy) / self.fy,
+                np.ones(pixels.shape[0]),
+            ],
+            axis=1,
+        )
+
 
 def so3_exp(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula with a series branch near zero."""
@@ -194,10 +205,7 @@ def project_points(
     image minus ``border`` pixels; its entries are left in place but must
     not be used.
     """
-    z_src = 1.0 / inverse_depths
-    x = (pixels[:, 0] - intr_src.cx) / intr_src.fx * z_src
-    y = (pixels[:, 1] - intr_src.cy) / intr_src.fy * z_src
-    p_cam = pose.apply(np.stack([x, y, z_src], axis=1))
+    p_cam = pose.apply(intr_src.rays(pixels) * (1.0 / inverse_depths)[:, None])
     z = p_cam[:, 2]
     safe_z = np.where(z > 0, z, 1.0)
     u = intr_dst.fx * p_cam[:, 0] / safe_z + intr_dst.cx

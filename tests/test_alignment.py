@@ -657,9 +657,48 @@ class TestCostOnlyTrials:
         align_pose(*args)
         assert counts["projection_jacobian"] == started + accepted
         assert counts["project_points"] == started + accepted + rejected
-        # Without the gradient weight a trial samples no derivative; with
-        # it, the stacked map gives the derivative and gradient_at is idle.
-        assert counts["gradient_at"] == (started + accepted if method == "features" else 0)
+        # Every cost evaluation reads the derivative from the stacked map.
+        assert counts["gradient_at"] == 0
+
+    @pytest.mark.parametrize("method", ["features", "intensity"])
+    def test_singular_solve_is_a_rejected_step(self, monkeypatch, method):
+        # An escalated-damping system whose step was accepted fails to
+        # solve instead; the solver raises the damping and goes on, as the
+        # full-system loop does, and the track changes.
+        problem = random_feature_problem(2) if method == "features" else rendered_problem(12)
+        args = problem + (method_config(method),)
+        solve = np.linalg.solve
+        solved = []
+
+        def recording_solve(h, b):
+            solved.append((h.tobytes(), b.tobytes()))
+            return solve(h, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        free, *_ = loop_align_pose(*args)
+        # A right-hand side seen before is a rejected step's escalated
+        # damping; a new one right after it means that step was accepted.
+        seen = set()
+        for (h, b), (_, b_next) in zip(solved, solved[1:]):
+            if b in seen and b_next not in seen:
+                singular = h
+                break
+            seen.add(b)
+        failed = []
+
+        def failing_solve(h, b):
+            if h.tobytes() == singular:
+                failed.append(h)
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(h, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        want, *_ = loop_align_pose(*args)
+        assert failed and want.final_residual != free.final_residual
+        failed.clear()
+        got = align_pose(*args)
+        assert failed
+        assert_same_track(got, want)
 
     def test_stencil_outside_map_raises(self, monkeypatch):
         # Projection keeps valid points inside the stencil margin; the cost

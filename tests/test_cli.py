@@ -151,6 +151,20 @@ class TestEvaluate:
         assert "--methods names no method" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("methods", ["intensity,intensity", "features, intensity,features"])
+    def test_repeated_method_is_usage_error(self, tmp_path, capsys, methods):
+        # No dataset exists there: the methods are checked before the split is read.
+        out = tmp_path / "ev6"
+        rc = cli_main(
+            [
+                "evaluate", "--dataset", str(tmp_path / "void"), "--out", str(out),
+                "--methods", methods,
+            ]
+        )
+        assert rc == 1
+        assert "--methods names a method twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_is_data_fault(self, tmp_path):
         rc = cli_main(
             ["evaluate", "--dataset", str(tmp_path / "void"), "--out", str(tmp_path / "e")]
@@ -261,6 +275,9 @@ class TestTrain:
         "flags",
         [
             ["--levels", "1"],
+            # Level 3 of a 32-px image is 4 px; level 6 does not tile it.
+            pytest.param(["--levels", "4"], id="--levels 4"),
+            pytest.param(["--levels", "7"], id="--levels 7"),
             ["--vicinity", "0.5"],
             ["--descriptor-dim", "0"],
             ["--epsilon", "0"],
