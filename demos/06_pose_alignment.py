@@ -22,7 +22,7 @@ from featalign.geometry import SE3Pose, se3_exp
 
 scene = generate_scene(11, SceneConfig(
     n_frames=1, width=96, height=96, fx=67.5, fy=67.5, cx=47.5, cy=47.5,
-    texture_base_freq=0.3, texture_octaves=3,
+    texture_base_freq=0.3,
 ))
 pose_ref = scene.trajectory[0]
 true_rel = se3_exp(np.array([0.06, -0.03, 0.02, 0.004, -0.003, 0.002]))

@@ -30,6 +30,9 @@ STENCIL_MARGIN = 1.0 + 1e-9
 # Step length (px) below which per-pixel tracking counts a point as settled.
 PIXEL_STEP_TOL = 0.01
 
+# Keyframe points are never selected within this many px of the border.
+KEYFRAME_MARGIN = 3
+
 
 @dataclass(frozen=True)
 class AlignmentConfig:
@@ -62,11 +65,11 @@ class PoseCost:
     ``valid`` and ``point_cost`` hold, per input point, whether it projected
     inside the map and its weighted robust cost (0 where invalid); the
     solver's accept test compares them over the points valid at two poses.
-    Over the valid points it keeps the projected ``coords``, the camera-frame
-    points ``p_cam``, the residuals ``r``, the IRLS ``weights`` and the map
-    derivative ``jac_map``, so the system is built without projecting or
-    sampling again. Those are None when too few points are valid (``cost``
-    is then inf).
+    Over the valid points it keeps the camera-frame points ``p_cam``, the
+    residuals ``r``, the IRLS ``weights`` and the map derivative
+    ``jac_map``, so the system is built without projecting or sampling
+    again. Those are None when too few points are valid (``cost`` is then
+    inf).
     """
 
     n_valid: int
@@ -74,7 +77,6 @@ class PoseCost:
     inlier_count: int
     valid: np.ndarray
     point_cost: np.ndarray
-    coords: Optional[np.ndarray] = None
     p_cam: Optional[np.ndarray] = None
     r: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
@@ -261,7 +263,6 @@ def _pose_cost(target, pixels, f_ref, inv_depths, pose, intr, config: AlignmentC
         inlier_count=int(np.sum(norms <= config.huber_delta)),
         valid=valid,
         point_cost=point_cost,
-        coords=coords,
         p_cam=p_cam[idx],
         r=r,
         weights=huber_weight(norms, config.huber_delta) * grad_w,
@@ -417,7 +418,6 @@ def select_keyframe_points(
     depth: np.ndarray,
     k: int = 512,
     spacing: int = 4,
-    margin: int = 3,
 ):
     """Gradient-magnitude top-K pixel selection with a spacing grid.
 
@@ -429,10 +429,10 @@ def select_keyframe_points(
     width = img.shape[1]
     grad = T.central_difference(img[:, :, None]).data
     mag = np.hypot(grad[:, :, 0], grad[:, :, 1])
-    mag[:margin, :] = -1.0
-    mag[-margin:, :] = -1.0
-    mag[:, :margin] = -1.0
-    mag[:, -margin:] = -1.0
+    mag[:KEYFRAME_MARGIN, :] = -1.0
+    mag[-KEYFRAME_MARGIN:, :] = -1.0
+    mag[:, :KEYFRAME_MARGIN] = -1.0
+    mag[:, -KEYFRAME_MARGIN:] = -1.0
     # Strongest first; the first pixel of each spacing cell wins.
     order = np.argsort(mag, axis=None)[::-1]
     order = order[mag.ravel()[order] > 0]
@@ -473,20 +473,9 @@ def method_config(method: str, levels: int = 3) -> AlignmentConfig:
     on the benchmark scenes; below it, probe steps stall on interpolation
     micro-structure and the flag would underreport genuine convergence.
     """
-    lv = tuple(range(levels - 1, -1, -1))
-    if method == "intensity":
-        return AlignmentConfig(
-            levels=lv,
-            step_norm_tol=3e-5,
-            huber_delta=0.07,
-            use_gradient_weight=True,
-            gradient_weight_const=0.05,
-            eps_pixel=1e-6,
-        )
+    intensity = dict(huber_delta=0.07, use_gradient_weight=True, eps_pixel=1e-6)
     return AlignmentConfig(
-        levels=lv,
+        levels=tuple(range(levels - 1, -1, -1)),
         step_norm_tol=3e-5,
-        huber_delta=2.0,
-        use_gradient_weight=False,
-        eps_pixel=1e-3,
+        **(intensity if method == "intensity" else {}),
     )

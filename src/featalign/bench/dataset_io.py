@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .. import __version__
 from ..errors import ChecksumFault, DataFault, FormatVersionFault, TruncatedFileFault
 from ..geometry import CameraIntrinsics, SE3Pose
 from ..losses import CorrespondenceBatch
-from .scene import ConditionTransform, Frame, RelocCandidate, SyntheticScene
+from .scene import Frame, RelocCandidate, SyntheticScene
 
 MANIFEST_VERSION = 1
 
@@ -83,18 +83,12 @@ def read_depth(path) -> np.ndarray:
 def write_correspondences(path, batches) -> None:
     lines = []
     for batch in batches:
-        for i in range(batch.n_pos):
-            lines.append(
-                f"{batch.frame_a} {batch.frame_b} "
-                f"{float(batch.pos_a[i, 0])!r} {float(batch.pos_a[i, 1])!r} "
-                f"{float(batch.pos_b[i, 0])!r} {float(batch.pos_b[i, 1])!r} pos"
-            )
-        for i in range(batch.n_neg):
-            lines.append(
-                f"{batch.frame_a} {batch.frame_b} "
-                f"{float(batch.neg_a[i, 0])!r} {float(batch.neg_a[i, 1])!r} "
-                f"{float(batch.neg_b[i, 0])!r} {float(batch.neg_b[i, 1])!r} neg"
-            )
+        for label, at_a, at_b in (("pos", batch.pos_a, batch.pos_b), ("neg", batch.neg_a, batch.neg_b)):
+            for (ua, va), (ub, vb) in zip(at_a, at_b):
+                lines.append(
+                    f"{batch.frame_a} {batch.frame_b} "
+                    f"{float(ua)!r} {float(va)!r} {float(ub)!r} {float(vb)!r} {label}"
+                )
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -131,15 +125,6 @@ def _pose_from_list(values) -> SE3Pose:
     return SE3Pose.from_matrix(np.asarray(values, dtype=np.float64).reshape(4, 4))
 
 
-def _condition_to_dict(cond: ConditionTransform) -> dict:
-    return {
-        "gamma": cond.gamma,
-        "brightness": cond.brightness,
-        "contrast": cond.contrast,
-        "noise_sigma": cond.noise_sigma,
-    }
-
-
 @dataclass
 class DatasetSplit:
     """A fully loaded split: frames by id, candidates, matches, metadata."""
@@ -157,7 +142,6 @@ def write_split(
     scene: SyntheticScene,
     correspondences=None,
     config_echo: dict | None = None,
-    seed: int | None = None,
 ) -> None:
     """Serializes one scene (plus optional training matches) as a split."""
     root = Path(directory)
@@ -182,11 +166,10 @@ def write_split(
                 "crc32_depth": zlib.crc32(depth_blob),
             }
         )
-    conditions = [_condition_to_dict(c) for c in (scene.config.conditions)]
     manifest = {
         "format_version": MANIFEST_VERSION,
         "writer_version": __version__,
-        "seed": scene.seed if seed is None else seed,
+        "seed": scene.seed,
         "config_echo": config_echo or {},
         "intrinsics": {
             "fx": intr.fx,
@@ -196,7 +179,7 @@ def write_split(
             "width": intr.width,
             "height": intr.height,
         },
-        "conditions": conditions,
+        "conditions": [asdict(c) for c in scene.config.conditions],
         "frames": frame_records,
         "candidates": [
             {
@@ -253,13 +236,20 @@ def _split_from_manifest(root: Path, manifest: dict) -> DatasetSplit:
             raise ChecksumFault(f"{image_path}: checksum mismatch")
         if zlib.crc32(depth_blob) != record["crc32_depth"]:
             raise ChecksumFault(f"{depth_path}: checksum mismatch")
+        image = read_pgm(image_path)
         depth = read_depth(depth_path)
+        for path, array in ((image_path, image), (depth_path, depth)):
+            if array.shape != (intrinsics.height, intrinsics.width):
+                raise DataFault(
+                    f"{path}: {array.shape[1]}x{array.shape[0]} does not match the "
+                    f"{intrinsics.width}x{intrinsics.height} intrinsics"
+                )
         # Tracking inverts depth at the selected keyframe points.
         if not np.all(np.isfinite(depth) & (depth > 0)):
             raise DataFault(f"{depth_path}: depth must be finite and positive")
         frames[record["id"]] = Frame(
             frame_id=record["id"],
-            image=read_pgm(image_path)[:, :, None],
+            image=image[:, :, None],
             depth=depth,
             pose=_pose_from_list(record["pose"]),
             condition_id=record["condition_id"],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -146,6 +146,18 @@ class ConditionTransform:
 
 @dataclass(frozen=True)
 class SceneConfig:
+    # The surface's mean depth and noise shape, and the range of candidate
+    # offsets and their minimum image overlap; no scene varies them.
+    depth_base: ClassVar[float] = 4.0
+    height_octaves: ClassVar[int] = 2
+    height_base_freq: ClassVar[float] = 0.25
+    texture_octaves: ClassVar[int] = 3
+    texture_persistence: ClassVar[float] = 0.55
+    baseline_min: ClassVar[float] = 0.08
+    baseline_max: ClassVar[float] = 0.5
+    candidate_rotation_deg: ClassVar[float] = 2.0
+    overlap_threshold: ClassVar[float] = 0.6
+
     width: int = 64
     height: int = 64
     fx: float = 45.0
@@ -156,31 +168,20 @@ class SceneConfig:
     # ray/surface intersection is unique: |grad h| <= 2A * 1.875 * 0.5/1.5
     # = 0.625 A per axis at these octaves, times |d_xy/d_z| <= 1.02 at the
     # widest corner, keeps the fixed point a contraction for A <= 0.5.
-    depth_base: float = 4.0
     height_amplitude: float = 0.5
-    height_octaves: int = 2
-    height_base_freq: float = 0.25
-    texture_octaves: int = 3
     texture_base_freq: float = 0.4
-    texture_persistence: float = 0.55
     n_frames: int = 8
     step_translation: float = 0.12
     step_rotation_deg: float = 1.5
     conditions: tuple = ()
     n_candidates: int = 0
     candidate_condition: int = 0
-    baseline_min: float = 0.08
-    baseline_max: float = 0.5
-    candidate_rotation_deg: float = 2.0
-    overlap_threshold: float = 0.6
 
     def __post_init__(self):
         if self.n_frames < 1:
             raise ValueError("trajectory needs at least one frame")
         if self.width < 8 or self.height < 8:
             raise ValueError("image too small")
-        if self.baseline_min < 0 or self.baseline_max < self.baseline_min:
-            raise ValueError("bad candidate baseline range")
         if self.candidate_condition < 0 or self.candidate_condition > len(self.conditions):
             raise ValueError("candidate_condition indexes the condition list (0 = canonical)")
 
@@ -433,7 +434,7 @@ def make_correspondences(
         reps = int(np.ceil(n_neg / n_pos))
         neg_a = np.tile(pos_a, (reps, 1))[:n_neg]
         anchors = np.tile(pos_b, (reps, 1))[:n_neg]
-        neg_b = sample_negatives(rng, anchors, width, height, margin=m, min_dist=8.0)
+        neg_b = sample_negatives(rng, anchors, width, height, margin=m)
     else:
         neg_a = np.empty((0, 2))
         neg_b = np.empty((0, 2))

@@ -62,6 +62,9 @@ def _echo_config(directory: Path, args: argparse.Namespace) -> None:
     (directory / "run_config.json").write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
+POINTS_HELP = "keyframe points per candidate; at most one per 4x4-pixel cell, so at most 256 on 64-px frames"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="featalign", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -84,19 +87,19 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--dataset", required=True)
     tr.add_argument("--out", required=True, help="weights file path (.gnnw)")
     tr.add_argument("--log", default=None, help="loss log CSV path (default: alongside weights)")
-    tr.add_argument("--epochs", type=int, default=24)
-    tr.add_argument("--lr", type=float, default=1e-4,
+    tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    tr.add_argument("--lr", type=float, default=TrainConfig.lr,
                     help="ADAM learning rate (desk-scale default 1e-4; 1e-6 suits "
                          "much larger runs and is accepted unchanged)")
-    tr.add_argument("--gn-weight", type=float, default=0.1,
+    tr.add_argument("--gn-weight", type=float, default=LossConfig.gn_weight,
                     help="weight of the Gauss-Newton loss term (0 = contrastive only)")
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--descriptor-dim", type=int, default=8)
-    tr.add_argument("--levels", type=int, default=3)
-    tr.add_argument("--base-width", type=int, default=16)
-    tr.add_argument("--vicinity", type=float, default=4.0)
-    tr.add_argument("--epsilon", type=float, default=1e-3)
-    tr.add_argument("--val-candidates", type=int, default=12,
+    tr.add_argument("--seed", type=int, default=NetworkConfig.seed)
+    tr.add_argument("--descriptor-dim", type=int, default=NetworkConfig.descriptor_dim)
+    tr.add_argument("--levels", type=int, default=NetworkConfig.pyramid_levels)
+    tr.add_argument("--base-width", type=int, default=NetworkConfig.base_width)
+    tr.add_argument("--vicinity", type=float, default=LossConfig.vicinity_radius)
+    tr.add_argument("--epsilon", type=float, default=LossConfig.epsilon)
+    tr.add_argument("--val-candidates", type=int, default=TrainConfig.val_candidates,
                     help="validation relocalizations per epoch (0 disables)")
 
     ev = sub.add_parser("evaluate", help="relocalization curves per method")
@@ -107,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of: intensity, features, contrastive")
     ev.add_argument("--weights", default=None, help="trained weights (features method)")
     ev.add_argument("--contrastive-weights", default=None)
-    ev.add_argument("--points", type=int, default=512)
+    ev.add_argument("--points", type=int, default=512, help=POINTS_HELP)
     ev.add_argument("--candidates", type=int, default=0, help="limit candidates (0 = all)")
 
     al = sub.add_parser("align", help="track one candidate and print the result")
@@ -116,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     al.add_argument("--candidate", type=int, default=0)
     al.add_argument("--method", default="intensity", choices=("intensity", "features"))
     al.add_argument("--weights", default=None)
-    al.add_argument("--points", type=int, default=512)
+    al.add_argument("--points", type=int, default=512, help=POINTS_HELP)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of every backward rule")
     gc.add_argument("--seed", type=int, default=0)
@@ -151,12 +154,11 @@ def cmd_generate(args) -> int:
     }
     echo = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     for index, (name, cfg) in enumerate(split_configs.items()):
-        split_seed = args.seed * 10 + index
-        scene = generate_scene(split_seed, cfg)
+        scene = generate_scene(args.seed * 10 + index, cfg)
         correspondences = None
         if name == "train":
             correspondences = _training_pairs(scene, args)
-        write_split(root / name, scene, correspondences, config_echo=echo, seed=split_seed)
+        write_split(root / name, scene, correspondences, config_echo=echo)
     _echo_config(root, args)
     return 0
 
@@ -193,12 +195,19 @@ def _training_pairs(scene, args):
     return batches
 
 
-def _check_levels(split, levels: int) -> None:
-    """The coarsest level must tile the image and hold every stored match."""
+def _check_tiling(split, levels: int, owner: str, fault) -> None:
+    """Raises ``fault`` naming ``owner`` unless ``levels`` pyramid levels tile the images."""
     div = 2 ** (levels - 1)
     width, height = split.intrinsics.width, split.intrinsics.height
     if width % div or height % div:
-        raise UsageError(f"--levels {levels} needs image sides divisible by {div}, got {width}x{height}")
+        raise fault(f"{owner}: {levels} pyramid levels need image sides divisible by {div}, got {width}x{height}")
+
+
+def _check_levels(split, levels: int) -> None:
+    """The coarsest level must tile the image and hold every stored match."""
+    _check_tiling(split, levels, f"--levels {levels}", UsageError)
+    div = 2 ** (levels - 1)
+    width, height = split.intrinsics.width, split.intrinsics.height
     # Scaled as the loss scales them, then held to the sampler's bounds.
     limit = np.array([width // div - 1, height // div - 1])
     for batch in split.correspondences:
@@ -216,10 +225,8 @@ def cmd_train(args) -> int:
         config = TrainConfig(
             epochs=args.epochs,
             lr=args.lr,
-            seed=args.seed,
             val_candidates=args.val_candidates,
             network=NetworkConfig(
-                input_channels=1,
                 descriptor_dim=args.descriptor_dim,
                 pyramid_levels=args.levels,
                 base_width=args.base_width,
@@ -254,13 +261,16 @@ def cmd_train(args) -> int:
 INTENSITY_LEVELS = 3
 
 
-def _extractor_for(method: str, args):
+def _extractor_for(method: str, args, split):
+    """The method's pyramid extractor and level count, once its levels tile the split's images."""
     if method == "intensity":
+        _check_tiling(split, INTENSITY_LEVELS, "intensity method", DataFault)
         return intensity_extractor(INTENSITY_LEVELS), INTENSITY_LEVELS
     path = args.weights if method == "features" else args.contrastive_weights
     if not path or not Path(path).exists():
         raise DataFault(f"method '{method}' needs an existing weights file")
     weights = load_network(path)
+    _check_tiling(split, weights.config.pyramid_levels, path, DataFault)
     return network_extractor(weights), weights.config.pyramid_levels
 
 
@@ -282,12 +292,12 @@ def cmd_evaluate(args) -> int:
         split.candidates = split.candidates[: args.candidates]
     if not split.candidates:
         raise DataFault(f"split '{args.split}' has no relocalization candidates")
+    extractors = {method: _extractor_for(method, args, split) for method in methods}
     out = _resolve_out(args.out)
     out.mkdir(parents=True, exist_ok=True)
     curves = {}
     summaries = {}
-    for method in methods:
-        extractor, levels = _extractor_for(method, args)
+    for method, (extractor, levels) in extractors.items():
         config = method_config("intensity" if method == "intensity" else "features", levels)
         results = run_relocalization(split, extractor, config, point_count=args.points)
         curve, summary = evaluate_relocalization(results)
@@ -308,7 +318,7 @@ def cmd_align(args) -> int:
         raise UsageError(f"--candidate must be in [0, {len(split.candidates)})")
     candidate = split.candidates[args.candidate]
     split.candidates = [candidate]
-    extractor, levels = _extractor_for(args.method, args)
+    extractor, levels = _extractor_for(args.method, args, split)
     config = method_config(args.method, levels)
     [(_, result)] = run_relocalization(split, extractor, config, point_count=args.points)
     err = float(np.linalg.norm(result.pose.translation - candidate.relative_pose.translation))

@@ -16,7 +16,7 @@ through the sampled features, the residual, and the numerical derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -26,17 +26,21 @@ from .errors import NumericalFault
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# A non-match lies farther than this (px) from the true match, so
+# near-misses are not punished.
+NEGATIVE_MIN_DIST = 8.0
+
 
 @dataclass(frozen=True)
 class LossConfig:
-    margin: float = 1.0
+    # Hinge margin of the contrastive non-match term; no run varies it.
+    margin: ClassVar[float] = 1.0
+
     gn_weight: float = 0.1
     vicinity_radius: float = 4.0
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
         if self.gn_weight < 0:
             raise ValueError("gn_weight must be >= 0")
         if self.epsilon <= 0:
@@ -87,12 +91,11 @@ class CorrespondenceBatch:
         )
 
 
-def sample_negatives(rng, pos_b: np.ndarray, width: int, height: int,
-                     margin: float = 2.0, min_dist: float = 8.0):
+def sample_negatives(rng, pos_b: np.ndarray, width: int, height: int, margin: float = 2.0):
     """Draws one non-match location in image b per positive.
 
-    Uniform over the valid interior, rejecting points closer than
-    ``min_dist`` px to the true match so near-misses are not punished.
+    Uniform over the valid interior, rejecting points within
+    ``NEGATIVE_MIN_DIST`` px of the true match.
     """
     n = pos_b.shape[0]
     out = np.empty((n, 2))
@@ -104,7 +107,7 @@ def sample_negatives(rng, pos_b: np.ndarray, width: int, height: int,
                     rng.uniform(margin, height - 1 - margin),
                 ]
             )
-            if np.linalg.norm(cand - pos_b[i]) > min_dist:
+            if np.linalg.norm(cand - pos_b[i]) > NEGATIVE_MIN_DIST:
                 out[i] = cand
                 break
     return out

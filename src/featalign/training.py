@@ -4,7 +4,7 @@ Each step runs the Siamese forward pass (one set of weights, two images) on
 a stored correspondence batch, backpropagates the combined loss, and
 applies ADAM. Per-epoch validation tracks relocalization quality and the
 best epoch is checkpointed, mirroring how the benchmark selects models.
-Everything is deterministic from the config seed.
+Everything is deterministic from the network config's seed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ VAL_POINTS = 192
 class TrainConfig:
     epochs: int = 24
     lr: float = 1e-4
-    seed: int = 0
     val_candidates: int = 12
     network: NetworkConfig = field(default_factory=NetworkConfig)
     loss: LossConfig = field(default_factory=LossConfig)
@@ -70,11 +69,11 @@ def train_network(train_split, val_split, config: TrainConfig):
     history: list[EpochStats] = []
     best_params, best_score = None, -np.inf
     for epoch in range(config.epochs):
-        order = np.random.default_rng([config.seed, 17, epoch]).permutation(len(batches))
+        order = np.random.default_rng([config.network.seed, 17, epoch]).permutation(len(batches))
         sums = {"total": 0.0, "contrastive": 0.0, "gauss_newton": 0.0}
         for slot, batch_index in enumerate(order):
             batch = batches[batch_index]
-            rng = np.random.default_rng([config.seed, 23, epoch, slot])
+            rng = np.random.default_rng([config.network.seed, 23, epoch, slot])
             tape = T.Tape()
             taped = {n: tape.leaf(p) for n, p in zip(names, params)}
             pyr_a = forward_pyramid(taped, train_split.frames[batch.frame_a].image, config.network)
@@ -104,8 +103,7 @@ def train_network(train_split, val_split, config: TrainConfig):
         score = val_auc if np.isfinite(val_auc) else -sums["total"] / n
         if score > best_score:
             best_params, best_score = {m: p.copy() for m, p in zip(names, params)}, score
-    final = NetworkWeights(config.network, best_params if best_params is not None else dict(zip(names, params)))
-    return final, history
+    return NetworkWeights(config.network, best_params), history
 
 
 def _validation_auc(val_split, weights: NetworkWeights, config: TrainConfig) -> float:

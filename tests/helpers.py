@@ -1,5 +1,5 @@
 """Shared test oracles, independent of the library's own differentiation,
-and a dataset-corruption helper for the input checks."""
+and dataset-corruption helpers for the input checks."""
 
 import json
 import zlib
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from featalign.bench.dataset_io import read_depth, write_depth
+from featalign.bench.dataset_io import read_depth, read_pgm, write_depth, write_pgm
 
 
 def numeric_gradient(f, x, h=1e-5):
@@ -77,15 +77,25 @@ def fancy_index_bilinear(m, coords, g):
     return out, dmap, dcoords
 
 
-def corrupt_depth(split_dir, value):
-    """Writes ``value`` into one row of the first frame's depth map and
-    re-records its crc32, so only a check on the depth values can catch it.
+def rewrite_first_frame(split_dir, kind, edit):
+    """Replaces the first frame's ``kind`` file ("image" or "depth") with
+    ``edit`` of its array and re-records its crc32, so only a check on the
+    contents can catch it.
     """
     manifest_path = Path(split_dir) / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     record = manifest["frames"][0]
-    depth_path = Path(split_dir) / record["depth"]
-    depth = read_depth(depth_path)
-    depth[depth.shape[0] // 2, :] = value
-    record["crc32_depth"] = zlib.crc32(write_depth(depth_path, depth))
+    path = Path(split_dir) / record[kind]
+    read, write = (read_pgm, write_pgm) if kind == "image" else (read_depth, write_depth)
+    record[f"crc32_{kind}"] = zlib.crc32(write(path, edit(read(path))))
     manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+
+
+def corrupt_depth(split_dir, value):
+    """Writes ``value`` into one row of the first frame's depth map."""
+
+    def edit(depth):
+        depth[depth.shape[0] // 2, :] = value
+        return depth
+
+    rewrite_first_frame(split_dir, "depth", edit)

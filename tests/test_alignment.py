@@ -319,7 +319,7 @@ def make_two_view(seed=11, baseline=0.06, fine=False):
     if fine:
         scene_cfg = SceneConfig(
             n_frames=1, width=96, height=96, fx=67.5, fy=67.5, cx=47.5, cy=47.5,
-            texture_base_freq=0.3, texture_octaves=3,
+            texture_base_freq=0.3,
         )
     else:
         scene_cfg = SceneConfig(n_frames=1)

@@ -140,8 +140,6 @@ class TestGenerateScene:
     def test_degenerate_config_fault(self):
         with pytest.raises(ValueError):
             SceneConfig(n_frames=0)
-        with pytest.raises(ValueError):
-            SceneConfig(baseline_min=0.5, baseline_max=0.2)
 
 
 def reference_value_noise(x, y, seed):

@@ -14,9 +14,10 @@ import featalign.tensor as tensor_mod
 from featalign.bench.dataset_io import read_split
 from featalign.cli import main as cli_main
 from featalign.gradcheck import run_gradcheck
+from featalign.network import NetworkConfig, build_network, save_network
 from featalign.weights_io import load_weights, save_weights
 
-from helpers import corrupt_depth
+from helpers import corrupt_depth, rewrite_first_frame
 
 
 def tree_digest(root: Path) -> dict:
@@ -170,6 +171,34 @@ class TestEvaluate:
             ["evaluate", "--dataset", str(tmp_path / "void"), "--out", str(tmp_path / "e")]
         )
         assert rc == 2
+
+    def test_frame_size_disagreeing_with_intrinsics_is_data_fault(self, dataset, tmp_path, capsys):
+        corrupt = tmp_path / "ds"
+        shutil.copytree(dataset, corrupt)
+        rewrite_first_frame(corrupt / "test", "depth", lambda depth: depth[:16, :16])
+        rc = cli_main(["evaluate", "--dataset", str(corrupt), "--out", str(tmp_path / "ev"),
+                       "--methods", "intensity", "--candidates", "3"])
+        assert rc == 2
+        assert "frame_00000.depth: 16x16 does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "align"])
+    def test_weights_whose_pyramid_does_not_tile_are_data_fault(self, tmp_path, capsys, command):
+        # Four levels halve three times: 36 px sides are not divisible by 8.
+        dataset = tmp_path / "ds36"
+        assert cli_main(["generate", "--out", str(dataset), "--size", "36", "--frames", "2",
+                         "--candidates", "1", "--val-candidates", "0", "--pairs", "1",
+                         "--n-pos", "8", "--n-neg", "0"]) == 0
+        weights = tmp_path / "w4.gnnw"
+        save_network(weights, build_network(NetworkConfig(pyramid_levels=4, base_width=4, descriptor_dim=2)))
+        out = tmp_path / "ev"
+        argv = {
+            "evaluate": ["--out", str(out), "--methods", "intensity,features"],
+            "align": ["--method", "features"],
+        }[command]
+        rc = cli_main([command, "--dataset", str(dataset), "--weights", str(weights)] + argv)
+        assert rc == 2
+        assert f"{weights}: 4 pyramid levels need image sides divisible by 8" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_negative_candidates_is_usage_error(self, dataset, tmp_path, capsys):
         out = tmp_path / "ev5"

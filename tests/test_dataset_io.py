@@ -18,7 +18,7 @@ from featalign.bench.dataset_io import (
 from featalign.bench.scene import ConditionTransform, SceneConfig, generate_scene, make_correspondences
 from featalign.errors import ChecksumFault, DataFault, FormatVersionFault, TruncatedFileFault
 
-from helpers import corrupt_depth
+from helpers import corrupt_depth, rewrite_first_frame
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ class TestPrimitivesIO:
 class TestSplitIO:
     def test_write_read_write_bit_identical(self, tmp_path, scene, correspondences):
         d1 = tmp_path / "split1"
-        write_split(d1, scene, correspondences, config_echo={"n_frames": 3}, seed=21)
+        write_split(d1, scene, correspondences, config_echo={"n_frames": 3})
         split = read_split(d1)
         assert len(split.frames) == len(scene.frames)
         assert len(split.candidates) == 2
@@ -111,7 +111,7 @@ class TestSplitIO:
             )
         reloaded.candidates = split.candidates
         d2 = tmp_path / "split2"
-        write_split(d2, reloaded, split.correspondences, config_echo={"n_frames": 3}, seed=21)
+        write_split(d2, reloaded, split.correspondences, config_echo={"n_frames": 3})
         for rel in ["manifest.json", "correspondences.txt"]:
             assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), rel
         for frame_file in sorted((d1 / "frames").iterdir()):
@@ -129,7 +129,7 @@ class TestSplitIO:
 
     def test_corrupted_magic_is_version_fault(self, tmp_path, scene):
         d = tmp_path / "split"
-        write_split(d, scene, None, seed=21)
+        write_split(d, scene, None)
         manifest = d / "manifest.json"
         text = manifest.read_text().replace('"format_version": 1', '"format_version": 9')
         manifest.write_text(text)
@@ -138,7 +138,7 @@ class TestSplitIO:
 
     def test_checksum_fault(self, tmp_path, scene):
         d = tmp_path / "split"
-        write_split(d, scene, None, seed=21)
+        write_split(d, scene, None)
         victim = sorted((d / "frames").glob("*.depth"))[0]
         blob = bytearray(victim.read_bytes())
         blob[-1] ^= 0xFF
@@ -149,14 +149,22 @@ class TestSplitIO:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_nonfinite_or_nonpositive_depth_is_data_fault(self, tmp_path, scene, bad):
         d = tmp_path / "split"
-        write_split(d, scene, None, seed=21)
+        write_split(d, scene, None)
         corrupt_depth(d, bad)
         with pytest.raises(DataFault, match="finite and positive"):
             read_split(d)
 
+    @pytest.mark.parametrize("kind, suffix", [("image", "pgm"), ("depth", "depth")])
+    def test_frame_size_disagreeing_with_intrinsics_is_data_fault(self, tmp_path, scene, kind, suffix):
+        d = tmp_path / "split"
+        write_split(d, scene, None)
+        rewrite_first_frame(d, kind, lambda array: array[:32, :32])
+        with pytest.raises(DataFault, match=rf"frame_00000\.{suffix}: 32x32 does not match the 64x64"):
+            read_split(d)
+
     def test_missing_file_is_data_fault(self, tmp_path, scene):
         d = tmp_path / "split"
-        write_split(d, scene, None, seed=21)
+        write_split(d, scene, None)
         sorted((d / "frames").glob("*.pgm"))[0].unlink()
         with pytest.raises(DataFault):
             read_split(d)
@@ -168,7 +176,7 @@ class TestSplitIO:
     @pytest.mark.parametrize("key", ["intrinsics", "frames", "candidates"])
     def test_missing_manifest_key_is_data_fault(self, tmp_path, scene, key):
         d = tmp_path / "split"
-        write_split(d, scene, None, seed=21)
+        write_split(d, scene, None)
         manifest = json.loads((d / "manifest.json").read_text())
         del manifest[key]
         (d / "manifest.json").write_text(json.dumps(manifest))
@@ -186,7 +194,7 @@ class TestSplitIO:
     )
     def test_malformed_manifest_value_is_data_fault(self, tmp_path, scene, edit):
         d = tmp_path / "split"
-        write_split(d, scene, None, seed=21)
+        write_split(d, scene, None)
         manifest = json.loads((d / "manifest.json").read_text())
         edit(manifest)
         (d / "manifest.json").write_text(json.dumps(manifest))
@@ -195,7 +203,7 @@ class TestSplitIO:
 
     def test_manifest_not_an_object_is_data_fault(self, tmp_path, scene):
         d = tmp_path / "split"
-        write_split(d, scene, None, seed=21)
+        write_split(d, scene, None)
         (d / "manifest.json").write_text("[1]")
         with pytest.raises(DataFault, match="not a JSON object"):
             read_split(d)
@@ -203,7 +211,7 @@ class TestSplitIO:
     @pytest.mark.parametrize("key", ["reference_frame", "candidate_frame"])
     def test_candidate_naming_no_frame_is_data_fault(self, tmp_path, scene, key):
         d = tmp_path / "split"
-        write_split(d, scene, None, seed=21)
+        write_split(d, scene, None)
         manifest = json.loads((d / "manifest.json").read_text())
         manifest["candidates"][0][key] = 99999
         (d / "manifest.json").write_text(json.dumps(manifest))
@@ -212,7 +220,7 @@ class TestSplitIO:
 
     def test_correspondence_naming_no_frame_is_data_fault(self, tmp_path, scene, correspondences):
         d = tmp_path / "split"
-        write_split(d, scene, correspondences, seed=21)
+        write_split(d, scene, correspondences)
         path = d / "correspondences.txt"
         lines = path.read_text().splitlines()
         lines[0] = " ".join(["99999"] + lines[0].split()[1:])

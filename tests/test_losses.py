@@ -125,7 +125,7 @@ class TestContrastive:
 
 class TestGaussNewtonLoss:
     def config(self, **kw):
-        base = dict(margin=1.0, gn_weight=1.0, vicinity_radius=2.0, epsilon=1e-12)
+        base = dict(gn_weight=1.0, vicinity_radius=2.0, epsilon=1e-12)
         base.update(kw)
         return LossConfig(**base)
 
@@ -328,7 +328,7 @@ class TestSampleNegatives:
     def test_distance_and_bounds(self):
         rng = np.random.default_rng(18)
         pos_b = rng.uniform(10, 50, (40, 2))
-        neg = sample_negatives(rng, pos_b, width=64, height=64, margin=2.0, min_dist=8.0)
+        neg = sample_negatives(rng, pos_b, width=64, height=64, margin=2.0)
         assert np.all(neg[:, 0] >= 2.0) and np.all(neg[:, 0] <= 61.0)
         assert np.all(neg[:, 1] >= 2.0) and np.all(neg[:, 1] <= 61.0)
         assert np.all(np.linalg.norm(neg - pos_b, axis=1) > 8.0)

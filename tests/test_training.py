@@ -34,7 +34,6 @@ def small_config(**kw):
     base = dict(
         epochs=2,
         lr=1e-3,
-        seed=3,
         val_candidates=0,
         network=NetworkConfig(1, 4, 2, base_width=4, seed=3),
         loss=LossConfig(gn_weight=0.1, vicinity_radius=2.0),
