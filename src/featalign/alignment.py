@@ -377,7 +377,6 @@ def align_pose(
                 common = current.at.valid & candidate.valid
                 if (
                     np.isfinite(candidate.cost)
-                    and candidate.n_valid >= config.min_valid_points
                     and common.sum() >= config.min_valid_points
                     and candidate.point_cost[common].mean() < current.at.point_cost[common].mean()
                 ):
@@ -403,11 +402,8 @@ def align_pose(
 
 
 def intensity_pyramid(image: np.ndarray, levels: int) -> list:
-    """Grayscale image pyramid by 2x2 averaging, 1-channel feature maps."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 2:
-        img = img[:, :, None]
-    out = [img]
+    """Pyramid of an (H, W) image by 2x2 averaging, 1-channel feature maps."""
+    out = [np.asarray(image, dtype=np.float64)[:, :, None]]
     for _ in range(1, levels):
         out.append(T.avg_pool2(T.Tensor(out[-1])).data)
     return out
@@ -419,15 +415,14 @@ def select_keyframe_points(
     k: int = 512,
     spacing: int = 4,
 ):
-    """Gradient-magnitude top-K pixel selection with a spacing grid.
+    """Gradient-magnitude top-K pixel selection on an (H, W) image, with a spacing grid.
 
     Returns (pixels (N, 2) float, inverse depths (N,)); ``k <= 0`` selects
     none. Selection runs on the image so every tracking method sees the
     same points.
     """
-    img = image[:, :, 0] if image.ndim == 3 else image
-    width = img.shape[1]
-    grad = T.central_difference(img[:, :, None]).data
+    width = image.shape[1]
+    grad = T.central_difference(image[:, :, None]).data
     mag = np.hypot(grad[:, :, 0], grad[:, :, 1])
     mag[:KEYFRAME_MARGIN, :] = -1.0
     mag[-KEYFRAME_MARGIN:, :] = -1.0

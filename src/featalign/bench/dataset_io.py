@@ -37,8 +37,6 @@ MANIFEST_VERSION = 1
 def write_pgm(path, image: np.ndarray) -> bytes:
     """Writes a [0, 1] float image as binary 8-bit PGM; returns the bytes."""
     img8 = np.clip(np.rint(np.asarray(image) * 255.0), 0, 255).astype(np.uint8)
-    if img8.ndim == 3:
-        img8 = img8[:, :, 0]
     header = f"P5\n{img8.shape[1]} {img8.shape[0]}\n255\n".encode()
     blob = header + img8.tobytes()
     Path(path).write_bytes(blob)
@@ -249,7 +247,7 @@ def _split_from_manifest(root: Path, manifest: dict) -> DatasetSplit:
             raise DataFault(f"{depth_path}: depth must be finite and positive")
         frames[record["id"]] = Frame(
             frame_id=record["id"],
-            image=image[:, :, None],
+            image=image,
             depth=depth,
             pose=_pose_from_list(record["pose"]),
             condition_id=record["condition_id"],

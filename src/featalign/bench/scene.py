@@ -191,6 +191,8 @@ class SceneConfig:
 
 @dataclass
 class Frame:
+    """One view: ``image`` is an (H, W) float array in [0, 1], ``depth`` (H, W)."""
+
     frame_id: int
     image: np.ndarray
     depth: np.ndarray

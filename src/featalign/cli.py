@@ -62,6 +62,9 @@ def _echo_config(directory: Path, args: argparse.Namespace) -> None:
     (directory / "run_config.json").write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
+# The tracking methods ``evaluate`` compares, in report order.
+METHODS = ("intensity", "features", "contrastive")
+
 POINTS_HELP = "keyframe points per candidate; at most one per 4x4-pixel cell, so at most 256 on 64-px frames"
 
 
@@ -106,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--out", required=True, help="output directory")
     ev.add_argument("--split", default="test")
-    ev.add_argument("--methods", default="intensity,features,contrastive",
-                    help="comma list of: intensity, features, contrastive")
+    ev.add_argument("--methods", default=",".join(METHODS), help="comma list of: " + ", ".join(METHODS))
     ev.add_argument("--weights", default=None, help="trained weights (features method)")
     ev.add_argument("--contrastive-weights", default=None)
     ev.add_argument("--points", type=int, default=512, help=POINTS_HELP)
@@ -261,17 +263,19 @@ def cmd_train(args) -> int:
 INTENSITY_LEVELS = 3
 
 
-def _extractor_for(method: str, args, split):
-    """The method's pyramid extractor and level count, once its levels tile the split's images."""
+def _method(method: str, args, split):
+    """The method's pyramid extractor and solver settings, once they fit the split's one-channel frames."""
     if method == "intensity":
         _check_tiling(split, INTENSITY_LEVELS, "intensity method", DataFault)
-        return intensity_extractor(INTENSITY_LEVELS), INTENSITY_LEVELS
+        return intensity_extractor(INTENSITY_LEVELS), method_config(method, INTENSITY_LEVELS)
     path = args.weights if method == "features" else args.contrastive_weights
     if not path or not Path(path).exists():
         raise DataFault(f"method '{method}' needs an existing weights file")
     weights = load_network(path)
+    if weights.config.input_channels != 1:
+        raise DataFault(f"{path}: network reads {weights.config.input_channels}-channel images, frames have one")
     _check_tiling(split, weights.config.pyramid_levels, path, DataFault)
-    return network_extractor(weights), weights.config.pyramid_levels
+    return network_extractor(weights), method_config("features", weights.config.pyramid_levels)
 
 
 def cmd_evaluate(args) -> int:
@@ -284,7 +288,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--methods names no method")
     if len(set(methods)) < len(methods):
         raise UsageError(f"--methods names a method twice: {args.methods}")
-    unknown = set(methods) - {"intensity", "features", "contrastive"}
+    unknown = set(methods) - set(METHODS)
     if unknown:
         raise UsageError(f"unknown methods: {sorted(unknown)}")
     split = read_split(Path(args.dataset) / args.split)
@@ -292,13 +296,12 @@ def cmd_evaluate(args) -> int:
         split.candidates = split.candidates[: args.candidates]
     if not split.candidates:
         raise DataFault(f"split '{args.split}' has no relocalization candidates")
-    extractors = {method: _extractor_for(method, args, split) for method in methods}
+    resolved = {method: _method(method, args, split) for method in methods}
     out = _resolve_out(args.out)
     out.mkdir(parents=True, exist_ok=True)
     curves = {}
     summaries = {}
-    for method, (extractor, levels) in extractors.items():
-        config = method_config("intensity" if method == "intensity" else "features", levels)
+    for method, (extractor, config) in resolved.items():
         results = run_relocalization(split, extractor, config, point_count=args.points)
         curve, summary = evaluate_relocalization(results)
         curves[method] = curve
@@ -318,8 +321,7 @@ def cmd_align(args) -> int:
         raise UsageError(f"--candidate must be in [0, {len(split.candidates)})")
     candidate = split.candidates[args.candidate]
     split.candidates = [candidate]
-    extractor, levels = _extractor_for(args.method, args, split)
-    config = method_config(args.method, levels)
+    extractor, config = _method(args.method, args, split)
     [(_, result)] = run_relocalization(split, extractor, config, point_count=args.points)
     err = float(np.linalg.norm(result.pose.translation - candidate.relative_pose.translation))
     print(

@@ -130,10 +130,8 @@ def forward_pyramid(params: Mapping, image, config: NetworkConfig) -> list:
 
 
 def extract_pyramid(weights: NetworkWeights, image: np.ndarray) -> list:
-    """Pure descriptor extraction: no tape, one (H/2^l, W/2^l, D) array per level."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 2:
-        image = image[:, :, None]
+    """Pure descriptor extraction: no tape, one (H/2^l, W/2^l, D) array per level of an (H, W) image."""
+    image = np.asarray(image, dtype=np.float64)[:, :, None]
     levels = [head.data for head in forward_pyramid(weights.params, image, weights.config)]
     if not all(np.all(np.isfinite(level)) for level in levels):
         raise ValueError("feature pyramid contains non-finite values")

@@ -500,9 +500,9 @@ def bilinear_sample(feature_map, coords) -> Tensor:
     """Samples an (H, W, C) map at N continuous (x, y) pixel positions.
 
     Integer coordinates hit grid values exactly. Coordinates must be finite
-    and satisfy 0 <= x <= W-1 and 0 <= y <= H-1. Gradients flow both into
-    the map (scatter onto the four corners) and into the coordinates (local
-    first-order differences), which the training losses rely on.
+    and satisfy 0 <= x <= W-1 and 0 <= y <= H-1. Gradients flow into the
+    map (scatter onto the four corners) and, for taped coordinates only,
+    into the coordinates (local first-order differences).
     """
     feature_map, coords = astensor(feature_map), astensor(coords)
     m, cd = feature_map.data, coords.data
@@ -533,12 +533,15 @@ def bilinear_sample(feature_map, coords) -> Tensor:
     # Four-corner weighted form, summed in corner order: exact at integer
     # coordinates.
     out = (weights * corners).sum(axis=0)
+    need_dcoords = coords.tape is not None
 
     def backward(g):
         # One bincount on (corner * C + channel) adds in index order, as
         # np.add.at would, so shared corners accumulate identically.
         flat_idx = (corners_idx[:, None] * c + np.arange(c)).ravel()
         dmap = np.bincount(flat_idx, weights=(weights * g).ravel(), minlength=h * w * c)
+        if not need_dcoords:
+            return [dmap.reshape(h, w, c), None]
         m00, m01, m10, m11 = corners
         ddx = (1 - ty)[:, None] * (m01 - m00) + ty[:, None] * (m11 - m10)
         ddy = (1 - tx)[:, None] * (m10 - m00) + tx[:, None] * (m11 - m01)

@@ -9,8 +9,7 @@ Everything is deterministic from the network config's seed.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,6 +65,8 @@ def train_network(train_split, val_split, config: TrainConfig):
     params = [weights.params[n] for n in names]
     state: AdamState = adam_init(params)
     batches = list(train_split.correspondences)
+    if val_split is not None:
+        val_split = replace(val_split, candidates=val_split.candidates[: config.val_candidates])
     history: list[EpochStats] = []
     best_params, best_score = None, -np.inf
     for epoch in range(config.epochs):
@@ -76,8 +77,8 @@ def train_network(train_split, val_split, config: TrainConfig):
             rng = np.random.default_rng([config.network.seed, 23, epoch, slot])
             tape = T.Tape()
             taped = {n: tape.leaf(p) for n, p in zip(names, params)}
-            pyr_a = forward_pyramid(taped, train_split.frames[batch.frame_a].image, config.network)
-            pyr_b = forward_pyramid(taped, train_split.frames[batch.frame_b].image, config.network)
+            pyr_a = forward_pyramid(taped, train_split.frames[batch.frame_a].image[:, :, None], config.network)
+            pyr_b = forward_pyramid(taped, train_split.frames[batch.frame_b].image[:, :, None], config.network)
             loss, parts = total_loss(pyr_a, pyr_b, batch, config.loss, rng)
             value = float(loss.data)
             if not np.isfinite(value):
@@ -94,8 +95,8 @@ def train_network(train_split, val_split, config: TrainConfig):
         n = max(1, len(batches))
         epoch_weights = NetworkWeights(config.network, {m: p for m, p in zip(names, params)})
         val_auc = float("nan")
-        if val_split is not None and config.val_candidates > 0:
-            val_auc = _validation_auc(val_split, epoch_weights, config)
+        if val_split is not None and val_split.candidates:
+            val_auc = _validation_auc(val_split, epoch_weights)
         history.append(
             EpochStats(epoch, sums["total"] / n, sums["contrastive"] / n,
                        sums["gauss_newton"] / n, val_auc)
@@ -106,14 +107,9 @@ def train_network(train_split, val_split, config: TrainConfig):
     return NetworkWeights(config.network, best_params), history
 
 
-def _validation_auc(val_split, weights: NetworkWeights, config: TrainConfig) -> float:
-    subset = val_split.candidates[: config.val_candidates]
-    if not subset:
-        return float("nan")
-    trimmed = copy.copy(val_split)
-    trimmed.candidates = subset
+def _validation_auc(val_split, weights: NetworkWeights) -> float:
     results = run_relocalization(
-        trimmed,
+        val_split,
         network_extractor(weights),
         method_config("features", weights.config.pyramid_levels),
         point_count=VAL_POINTS,

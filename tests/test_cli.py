@@ -200,6 +200,21 @@ class TestEvaluate:
         assert f"{weights}: 4 pyramid levels need image sides divisible by 8" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "align"])
+    def test_weights_for_multichannel_images_are_data_fault(self, dataset, tmp_path, capsys, command):
+        # Every frame has one channel, so a 3-channel network cannot read it.
+        weights = tmp_path / "rgb.gnnw"
+        save_network(weights, build_network(NetworkConfig(input_channels=3, base_width=4, descriptor_dim=2)))
+        out = tmp_path / "ev"
+        argv = {
+            "evaluate": ["--out", str(out), "--methods", "features", "--candidates", "1"],
+            "align": ["--method", "features"],
+        }[command]
+        rc = cli_main([command, "--dataset", str(dataset), "--weights", str(weights)] + argv)
+        assert rc == 2
+        assert f"{weights}: network reads 3-channel images" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_negative_candidates_is_usage_error(self, dataset, tmp_path, capsys):
         out = tmp_path / "ev5"
         rc = cli_main(

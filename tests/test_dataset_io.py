@@ -106,7 +106,7 @@ class TestSplitIO:
             from featalign.bench.scene import Frame
 
             reloaded.frames.append(
-                Frame(lf.frame_id, lf.image[:, :, 0], lf.depth, lf.pose, lf.condition_id,
+                Frame(lf.frame_id, lf.image, lf.depth, lf.pose, lf.condition_id,
                       lf.sequence, lf.index)
             )
         reloaded.candidates = split.candidates
@@ -116,6 +116,13 @@ class TestSplitIO:
             assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), rel
         for frame_file in sorted((d1 / "frames").iterdir()):
             assert frame_file.read_bytes() == (d2 / "frames" / frame_file.name).read_bytes()
+
+    def test_loaded_frames_have_generated_layout(self, tmp_path, scene):
+        write_split(tmp_path / "split", scene, None)
+        split = read_split(tmp_path / "split")
+        for frame in scene.frames:
+            loaded = split.frames[frame.frame_id].image
+            assert (loaded.shape, loaded.dtype) == (frame.image.shape, frame.image.dtype)
 
     def test_roundtrip_property_many_depths(self, tmp_path):
         # Criterion-7 suite: dataset round-trip bit-exactness, >= 1000 cases.

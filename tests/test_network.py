@@ -54,7 +54,7 @@ class TestBuild:
 
     def test_forward_on_zeros_finite(self):
         weights = build_network(SMALL)
-        pyr = extract_pyramid(weights, np.zeros((16, 16, 1)))
+        pyr = extract_pyramid(weights, np.zeros((16, 16)))
         for lvl in pyr:
             assert np.all(np.isfinite(lvl))
 
@@ -69,12 +69,12 @@ class TestExtract:
     def test_shape_contract(self):
         cfg = NetworkConfig(input_channels=1, descriptor_dim=8, pyramid_levels=3, base_width=4)
         weights = build_network(cfg)
-        pyr = extract_pyramid(weights, np.random.default_rng(0).uniform(size=(64, 64, 1)))
+        pyr = extract_pyramid(weights, np.random.default_rng(0).uniform(size=(64, 64)))
         assert [lvl.shape for lvl in pyr] == [(64, 64, 8), (32, 32, 8), (16, 16, 8)]
 
     def test_siamese_identical_pyramids(self):
         weights = build_network(SMALL)
-        img = np.random.default_rng(1).uniform(size=(32, 32, 1))
+        img = np.random.default_rng(1).uniform(size=(32, 32))
         p1 = extract_pyramid(weights, img)
         p2 = extract_pyramid(weights, img)
         for a, b in zip(p1, p2):
@@ -82,8 +82,8 @@ class TestExtract:
 
     def test_dimension_fault(self):
         weights = build_network(SMALL)
-        with pytest.raises(ValueError):
-            extract_pyramid(weights, np.zeros((30, 32, 1)))
+        with pytest.raises(ValueError, match="divisible"):
+            extract_pyramid(weights, np.zeros((30, 32)))
 
     def test_receptive_field_bounded(self):
         # Perturbing one pixel changes only the interval computed from the
@@ -91,11 +91,11 @@ class TestExtract:
         cfg = NetworkConfig(input_channels=1, descriptor_dim=4, pyramid_levels=3, base_width=4, seed=9)
         weights = build_network(cfg)
         rng = np.random.default_rng(5)
-        img = rng.uniform(size=(64, 64, 1))
+        img = rng.uniform(size=(64, 64))
         base = extract_pyramid(weights, img)[0]
         py, px = 33, 17
         img2 = img.copy()
-        img2[py, px, 0] += 1.5
+        img2[py, px] += 1.5
         changed = np.abs(extract_pyramid(weights, img2)[0] - base).sum(axis=2) > 0
         ys, xs = np.nonzero(changed)
         assert len(ys) > 0
@@ -128,4 +128,4 @@ class TestNetworkIO:
         weights = build_network(SMALL)
         weights.params["head1/b"][0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            extract_pyramid(weights, np.zeros((16, 16, 1)))
+            extract_pyramid(weights, np.zeros((16, 16)))

@@ -94,8 +94,8 @@ class TestTrainingStepTape:
         config = NetworkConfig()
         tape = T.Tape()
         taped = {n: tape.leaf(p) for n, p in build_network(config).params.items()}
-        pyr_a = forward_pyramid(taped, split.frames[batch.frame_a].image, config)
-        pyr_b = forward_pyramid(taped, split.frames[batch.frame_b].image, config)
+        pyr_a = forward_pyramid(taped, split.frames[batch.frame_a].image[:, :, None], config)
+        pyr_b = forward_pyramid(taped, split.frames[batch.frame_b].image[:, :, None], config)
         total_loss(pyr_a, pyr_b, batch, LossConfig(), np.random.default_rng(0))
         assert len(tape) == 223
 
@@ -106,8 +106,8 @@ def training_step_tape(split, run_backward: bool):
     config = NetworkConfig()
     tape = T.Tape()
     taped = {n: tape.leaf(p) for n, p in build_network(config).params.items()}
-    pyr_a = forward_pyramid(taped, split.frames[batch.frame_a].image, config)
-    pyr_b = forward_pyramid(taped, split.frames[batch.frame_b].image, config)
+    pyr_a = forward_pyramid(taped, split.frames[batch.frame_a].image[:, :, None], config)
+    pyr_b = forward_pyramid(taped, split.frames[batch.frame_b].image[:, :, None], config)
     loss, _ = total_loss(pyr_a, pyr_b, batch, LossConfig(), np.random.default_rng(0))
     if run_backward:
         tape.backward(loss)
