@@ -27,8 +27,10 @@ from .geometry import CameraIntrinsics, SE3Pose, project_points, projection_jaco
 # around it, none on the zero border of the derivative map.
 STENCIL_MARGIN = 1.0 + 1e-9
 
-# Step length (px) below which per-pixel tracking counts a point as settled.
+# Step length (px) below which per-pixel tracking counts a point as settled,
+# and the number of steps it takes at most.
 PIXEL_STEP_TOL = 0.01
+PIXEL_MAX_ITERATIONS = 25
 
 # Keyframe points are never selected within this many px of the border.
 KEYFRAME_MARGIN = 3
@@ -60,7 +62,7 @@ class AlignmentConfig:
 
 @dataclass
 class PoseCost:
-    """The robust cost at one pose, and what its linearization reads.
+    """The robust cost at one pose, and its linearization once built.
 
     ``valid`` and ``point_cost`` hold, per input point, whether it projected
     inside the map and its weighted robust cost (0 where invalid); the
@@ -69,7 +71,8 @@ class PoseCost:
     residuals ``r``, the IRLS ``weights`` and the map derivative
     ``jac_map``, so the system is built without projecting or sampling
     again. Those are None when too few points are valid (``cost`` is then
-    inf).
+    inf). ``_linearize`` sets the normal equations H delta = b (``h``,
+    ``b``); a trial pose's record leaves them None.
     """
 
     n_valid: int
@@ -81,23 +84,8 @@ class PoseCost:
     r: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     jac_map: Optional[np.ndarray] = None
-
-
-@dataclass
-class GaussNewtonSystem:
-    """Normal equations H delta = b, linearized at the pose of ``at``."""
-
-    h: np.ndarray
-    b: np.ndarray
-    at: PoseCost
-
-    @property
-    def n_valid(self) -> int:
-        return self.at.n_valid
-
-    @property
-    def cost(self) -> float:
-        return self.at.cost
+    h: Optional[np.ndarray] = None
+    b: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -193,21 +181,21 @@ def track_pixels(
     starts: np.ndarray,
     f_t: np.ndarray,
     eps: float,
-    max_iterations: int = 25,
 ):
     """Batched per-pixel GN tracking on ``feat_tgt``.
 
     ``grad_tgt`` is ``map_gradient(feat_tgt).data``, built once per map.
     Returns (final positions (N, 2), active-and-settled mask). A point
-    settles once its step is shorter than ``PIXEL_STEP_TOL``; points whose
-    stencil leaves the map freeze where they were and report failure.
+    settles once its step is shorter than ``PIXEL_STEP_TOL``, within
+    ``PIXEL_MAX_ITERATIONS`` steps; points whose stencil leaves the map
+    freeze where they were and report failure.
     """
     x = np.asarray(starts, dtype=np.float64).copy()
     n = x.shape[0]
     height, width = feat_tgt.shape[:2]
     alive = stencil_valid(x, width, height)
     settled = np.zeros(n, dtype=bool)
-    for _ in range(max_iterations):
+    for _ in range(PIXEL_MAX_ITERATIONS):
         work = alive & ~settled
         if not np.any(work):
             break
@@ -270,18 +258,19 @@ def _pose_cost(target, pixels, f_ref, inv_depths, pose, intr, config: AlignmentC
     )
 
 
-def _linearize(at: PoseCost, intr, recombined: bool = False) -> GaussNewtonSystem:
-    """Accumulates the 6x6 pose system over the valid points of ``at``.
+def _linearize(at: PoseCost, intr, recombined: bool = False) -> PoseCost:
+    """Sets ``at.h`` and ``at.b`` to the 6x6 pose system over its valid points.
 
     Direct route: J_i = J'_i @ dp'/dxi stacked as an (N*D, 6) matrix, then
     one GEMM H = J^T W J and one product b = -J^T W r, with each point's
     weight repeated over its D channels. Recombined route
     (``recombined=True``): build each 2x2 per-pixel system first and map it
     through dp'/dxi with einsum; algebraically identical, and the reference
-    the direct route is tested against.
+    the direct route is tested against. Returns ``at``.
     """
     if not np.isfinite(at.cost):
-        return GaussNewtonSystem(np.zeros((6, 6)), np.zeros(6), at)
+        at.h, at.b = np.zeros((6, 6)), np.zeros(6)
+        return at
     jac_map, r, weights = at.jac_map, at.r, at.weights
     jac_pose = projection_jacobian(at.p_cam, intr)
     if recombined:
@@ -294,7 +283,8 @@ def _linearize(at: PoseCost, intr, recombined: bool = False) -> GaussNewtonSyste
         weighted = jac * np.repeat(weights, r.shape[1])[:, None]
         h = weighted.T @ jac
         b = -(weighted.T @ r.ravel())
-    return GaussNewtonSystem(0.5 * (h + h.T), b, at)
+    at.h, at.b = 0.5 * (h + h.T), b
+    return at
 
 
 def build_pose_system(
@@ -306,14 +296,14 @@ def build_pose_system(
     intr,
     config: AlignmentConfig,
     recombined: bool = False,
-) -> GaussNewtonSystem:
-    """6x6 pose normal equations at the given pose (reference sampled here)."""
+) -> PoseCost:
+    """The cost record at the given pose with its 6x6 normal equations (reference sampled here)."""
     f_ref = interp(feat_ref, pixels)
     at = _pose_cost(_target_map(feat_tgt), pixels, f_ref, inv_depths, pose, intr, config)
     return _linearize(at, intr, recombined)
 
 
-def _damped_step(system: GaussNewtonSystem, lam: float):
+def _damped_step(system: PoseCost, lam: float):
     h = system.h + lam * np.diag(np.diag(system.h)) + lam * 1e-12 * np.eye(6)
     try:
         return np.linalg.solve(h, system.b)
@@ -342,7 +332,7 @@ def align_pose(
     pose = init_pose
     total_iterations = 0
     converged = False
-    current: Optional[GaussNewtonSystem] = None
+    current: Optional[PoseCost] = None
     for level in config.levels:
         scale = 1.0 / (2.0**level)
         level_pixels = pixels * scale
@@ -374,11 +364,11 @@ def align_pose(
                 # Compare weighted residuals over the points valid at BOTH
                 # poses so composition changes of the valid set cannot mask
                 # a genuine improvement (or fake one).
-                common = current.at.valid & candidate.valid
+                common = current.valid & candidate.valid
                 if (
                     np.isfinite(candidate.cost)
                     and common.sum() >= config.min_valid_points
-                    and candidate.point_cost[common].mean() < current.at.point_cost[common].mean()
+                    and candidate.point_cost[common].mean() < current.point_cost[common].mean()
                 ):
                     pose = candidate_pose
                     current = _linearize(candidate, intr)
@@ -391,7 +381,7 @@ def align_pose(
                 break
     if current is None:
         return TrackResult(init_pose, False, total_iterations, np.inf, 0.0)
-    inlier_fraction = current.at.inlier_count / max(1, pixels.shape[0])
+    inlier_fraction = current.inlier_count / max(1, pixels.shape[0])
     return TrackResult(
         pose=pose,
         converged=converged,

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..errors import ChecksumFault, DataFault, FormatVersionFault, TruncatedFileFault
+from ..errors import DataFault
 from ..geometry import CameraIntrinsics, SE3Pose
 from ..losses import CorrespondenceBatch
 from .scene import Frame, RelocCandidate, SyntheticScene
@@ -46,16 +46,16 @@ def write_pgm(path, image: np.ndarray) -> bytes:
 def read_pgm(path) -> np.ndarray:
     blob = Path(path).read_bytes()
     if not blob.startswith(b"P5"):
-        raise FormatVersionFault(f"{path}: not a binary PGM file")
+        raise DataFault(f"{path}: not a binary PGM file")
     parts = blob.split(b"\n", 3)
     if len(parts) < 4:
-        raise TruncatedFileFault(f"{path}: incomplete PGM header")
+        raise DataFault(f"{path}: incomplete PGM header")
     width, height = (int(v) for v in parts[1].split())
     if parts[2] != b"255":
-        raise FormatVersionFault(f"{path}: unsupported PGM maxval")
+        raise DataFault(f"{path}: unsupported PGM maxval")
     payload = parts[3]
     if len(payload) < width * height:
-        raise TruncatedFileFault(f"{path}: PGM payload too short")
+        raise DataFault(f"{path}: PGM payload too short")
     img = np.frombuffer(payload[: width * height], dtype=np.uint8).reshape(height, width)
     return img.astype(np.float64) / 255.0
 
@@ -70,11 +70,11 @@ def write_depth(path, depth: np.ndarray) -> bytes:
 def read_depth(path) -> np.ndarray:
     blob = Path(path).read_bytes()
     if len(blob) < 8:
-        raise TruncatedFileFault(f"{path}: missing depth header")
+        raise DataFault(f"{path}: missing depth header")
     width, height = struct.unpack("<II", blob[:8])
     expected = 8 + 8 * width * height
     if len(blob) < expected:
-        raise TruncatedFileFault(f"{path}: depth payload ends {expected - len(blob)} bytes early")
+        raise DataFault(f"{path}: depth payload ends {expected - len(blob)} bytes early")
     return np.frombuffer(blob[8:expected], dtype="<f8").reshape(height, width).copy()
 
 
@@ -125,10 +125,8 @@ def _pose_from_list(values) -> SE3Pose:
 
 @dataclass
 class DatasetSplit:
-    """A fully loaded split: frames by id, candidates, matches, metadata."""
+    """A fully loaded split: intrinsics, frames by id, candidates, matches."""
 
-    root: Path
-    manifest: dict
     intrinsics: CameraIntrinsics
     frames: dict
     candidates: list
@@ -207,7 +205,7 @@ def read_split(directory) -> DatasetSplit:
         raise DataFault(f"{manifest_path}: manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != MANIFEST_VERSION:
-        raise FormatVersionFault(f"{manifest_path}: format version {version} unsupported")
+        raise DataFault(f"{manifest_path}: format version {version} unsupported")
     try:
         return _split_from_manifest(root, manifest)
     except KeyError as exc:
@@ -231,9 +229,9 @@ def _split_from_manifest(root: Path, manifest: dict) -> DatasetSplit:
         image_blob = image_path.read_bytes()
         depth_blob = depth_path.read_bytes()
         if zlib.crc32(image_blob) != record["crc32_image"]:
-            raise ChecksumFault(f"{image_path}: checksum mismatch")
+            raise DataFault(f"{image_path}: checksum mismatch")
         if zlib.crc32(depth_blob) != record["crc32_depth"]:
-            raise ChecksumFault(f"{depth_path}: checksum mismatch")
+            raise DataFault(f"{depth_path}: checksum mismatch")
         image = read_pgm(image_path)
         depth = read_depth(depth_path)
         for path, array in ((image_path, image), (depth_path, depth)):
@@ -264,10 +262,18 @@ def _split_from_manifest(root: Path, manifest: dict) -> DatasetSplit:
         if not corr_path.exists():
             raise DataFault(f"{corr_path}: listed correspondence file missing")
         correspondences = read_correspondences(corr_path)
+        limit = [intrinsics.width - 1, intrinsics.height - 1]
+        for b in correspondences:
+            coords = np.concatenate([b.pos_a, b.pos_b, b.neg_a, b.neg_b])
+            if not np.all(np.isfinite(coords) & (coords >= 0) & (coords <= limit)):
+                raise DataFault(
+                    f"{corr_path}: correspondences ({b.frame_a}, {b.frame_b}) hold a non-finite "
+                    f"coordinate or one outside the {intrinsics.width}x{intrinsics.height} frames"
+                )
     references = [(f"candidate {i}", c.candidate_frame, c.reference_frame) for i, c in enumerate(candidates)]
     references += [(f"correspondences ({b.frame_a}, {b.frame_b})", b.frame_a, b.frame_b) for b in correspondences]
     for owner, *frame_ids in references:
         for frame_id in frame_ids:
             if frame_id not in frames:
                 raise DataFault(f"{root}: {owner} names frame {frame_id!r}, which the split does not hold")
-    return DatasetSplit(root, manifest, intrinsics, frames, candidates, correspondences)
+    return DatasetSplit(intrinsics, frames, candidates, correspondences)

@@ -22,13 +22,17 @@ import numpy as np
 from ..alignment import interp
 from ..errors import DataFault
 from ..geometry import CameraIntrinsics, SE3Pose, project_points, se3_exp
-from ..losses import CorrespondenceBatch, sample_negatives
+from ..losses import CorrespondenceBatch
 
 _RAY_ITERATIONS = 36
 
 # Coordinate margin (px) for exported level-0 correspondences: bilinear
 # sampling, the derivative stencil, and the training jitter must all fit.
 CORRESPONDENCE_MARGIN = 6.0
+
+# A non-match lies farther than this (px) from the true match, so
+# near-misses are not punished.
+NEGATIVE_MIN_DIST = 8.0
 
 
 # splitmix64-style mixing constants for the lattice hash.
@@ -185,9 +189,6 @@ class SceneConfig:
         if self.candidate_condition < 0 or self.candidate_condition > len(self.conditions):
             raise ValueError("candidate_condition indexes the condition list (0 = canonical)")
 
-    def intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics(self.fx, self.fy, self.cx, self.cy, self.width, self.height)
-
 
 @dataclass
 class Frame:
@@ -219,7 +220,8 @@ class SyntheticScene:
 
     @property
     def intrinsics(self) -> CameraIntrinsics:
-        return self.config.intrinsics()
+        cfg = self.config
+        return CameraIntrinsics(cfg.fx, cfg.fy, cfg.cx, cfg.cy, cfg.width, cfg.height)
 
     def surface_height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         cfg = self.config
@@ -436,11 +438,29 @@ def make_correspondences(
         reps = int(np.ceil(n_neg / n_pos))
         neg_a = np.tile(pos_a, (reps, 1))[:n_neg]
         anchors = np.tile(pos_b, (reps, 1))[:n_neg]
-        neg_b = sample_negatives(rng, anchors, width, height, margin=m)
+        neg_b = sample_negatives(rng, anchors, width, height)
     else:
         neg_a = np.empty((0, 2))
         neg_b = np.empty((0, 2))
     return CorrespondenceBatch(pos_a, pos_b, neg_a, neg_b, frame_a, frame_b)
+
+
+def sample_negatives(rng, pos_b: np.ndarray, width: int, height: int):
+    """Draws one non-match location in image b per positive.
+
+    Uniform over the image inset by ``CORRESPONDENCE_MARGIN``, rejecting
+    points within ``NEGATIVE_MIN_DIST`` px of the true match.
+    """
+    m = CORRESPONDENCE_MARGIN
+    n = pos_b.shape[0]
+    out = np.empty((n, 2))
+    for i in range(n):
+        while True:
+            cand = np.array([rng.uniform(m, width - 1 - m), rng.uniform(m, height - 1 - m)])
+            if np.linalg.norm(cand - pos_b[i]) > NEGATIVE_MIN_DIST:
+                out[i] = cand
+                break
+    return out
 
 
 def default_train_conditions() -> tuple:

@@ -1,24 +1,12 @@
 """Fault taxonomy shared across the package.
 
 The CLI maps these onto exit codes: usage errors exit 1, DataFault exits 2,
-NumericalFault exits 3.
+NumericalFault exits 3; one type per code.
 """
 
 
 class DataFault(Exception):
-    """A dataset or file on disk is missing, malformed, or inconsistent."""
-
-
-class FormatVersionFault(DataFault):
-    """A serialized artifact has the wrong magic or format version."""
-
-
-class TruncatedFileFault(DataFault):
-    """A serialized artifact ends before its declared payload."""
-
-
-class ChecksumFault(DataFault):
-    """A serialized artifact's payload does not match its recorded checksum."""
+    """A dataset or file on disk is missing, malformed, truncated, or inconsistent."""
 
 
 class NumericalFault(Exception):

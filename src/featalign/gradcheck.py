@@ -101,6 +101,7 @@ def _primitive_blocks(rng):
 
 
 def _loss_block(seed: int):
+    """The network-plus-losses block: total loss over every parameter array."""
     cfg_net = NetworkConfig(input_channels=1, descriptor_dim=2, pyramid_levels=2, base_width=3, seed=seed)
     weights = build_network(cfg_net)
     rng = np.random.default_rng(seed + 1)
@@ -116,32 +117,22 @@ def _loss_block(seed: int):
     neg = np.stack([rng.uniform(3, 12, 4), rng.uniform(3, 12, 4)], axis=1)
     batch = CorrespondenceBatch(pts, pts + rng.uniform(-1, 1, pts.shape), pts, neg)
     loss_cfg = LossConfig(gn_weight=0.5, vicinity_radius=2.0, epsilon=1e-3)
+    names = list(weights.params)
 
-    def value():
-        pa = forward_pyramid(weights.params, img_a, cfg_net)
-        pb = forward_pyramid(weights.params, img_b, cfg_net)
-        loss, _ = total_loss(pa, pb, batch, loss_cfg, np.random.default_rng(99))
-        return float(loss.data)
+    def loss(*params):
+        named = dict(zip(names, params))
+        pa = forward_pyramid(named, img_a, cfg_net)
+        pb = forward_pyramid(named, img_b, cfg_net)
+        return total_loss(pa, pb, batch, loss_cfg, np.random.default_rng(99))[0]
 
-    tape = T.Tape()
-    taped = {name: tape.leaf(arr) for name, arr in weights.params.items()}
-    pa = forward_pyramid(taped, img_a, cfg_net)
-    pb = forward_pyramid(taped, img_b, cfg_net)
-    loss, _ = total_loss(pa, pb, batch, loss_cfg, np.random.default_rng(99))
-    tape.backward(loss)
-    worst = 0.0
-    for name, arr in weights.params.items():
-        worst = max(worst, _relative_error(tape.grad(taped[name]), _numeric_gradient(value, arr)))
-    return worst
+    return "network+losses", loss, [weights.params[n] for n in names]
 
 
 def run_gradcheck(seed: int = 0) -> list:
     """All blocks; a broken backward rule turns its block red."""
     rng = np.random.default_rng(seed)
     reports = []
-    for name, builder, arrays in _primitive_blocks(rng):
+    for name, builder, arrays in _primitive_blocks(rng) + [_loss_block(seed)]:
         err = _check_block(builder, arrays, rng)
         reports.append(BlockReport(name, err, err < TOLERANCE))
-    err = _loss_block(seed)
-    reports.append(BlockReport("network+losses", err, err < TOLERANCE))
     return reports

@@ -26,10 +26,6 @@ from .errors import NumericalFault
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# A non-match lies farther than this (px) from the true match, so
-# near-misses are not punished.
-NEGATIVE_MIN_DIST = 8.0
-
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -89,28 +85,6 @@ class CorrespondenceBatch:
             self.frame_a,
             self.frame_b,
         )
-
-
-def sample_negatives(rng, pos_b: np.ndarray, width: int, height: int, margin: float = 2.0):
-    """Draws one non-match location in image b per positive.
-
-    Uniform over the valid interior, rejecting points within
-    ``NEGATIVE_MIN_DIST`` px of the true match.
-    """
-    n = pos_b.shape[0]
-    out = np.empty((n, 2))
-    for i in range(n):
-        while True:
-            cand = np.array(
-                [
-                    rng.uniform(margin, width - 1 - margin),
-                    rng.uniform(margin, height - 1 - margin),
-                ]
-            )
-            if np.linalg.norm(cand - pos_b[i]) > NEGATIVE_MIN_DIST:
-                out[i] = cand
-                break
-    return out
 
 
 def contrastive_loss(feat_a, feat_b, batch: CorrespondenceBatch, margin: float) -> T.Tensor:

@@ -182,7 +182,8 @@ def load_network(path) -> NetworkWeights:
     """Reads a ``save_network`` file.
 
     A file whose config/* entries or parameter shapes do not describe a
-    valid network of its declared architecture raises DataFault.
+    valid network of its declared architecture, or whose parameters are not
+    all finite, raises DataFault.
     """
     raw = load_weights(path)
     try:
@@ -195,4 +196,6 @@ def load_network(path) -> NetworkWeights:
     for name, shape in expected.items():
         if name not in raw or raw[name].shape != shape:
             raise DataFault(f"{path}: weights file does not match declared architecture at {name}")
+        if not np.all(np.isfinite(raw[name])):
+            raise DataFault(f"{path}: parameter {name} holds non-finite values")
     return NetworkWeights(config, {name: raw[name] for name in expected})

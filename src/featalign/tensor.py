@@ -262,17 +262,13 @@ def matmul(x, y) -> Tensor:
     xd, yd = x.data, y.data
     if xd.ndim < 2 or yd.ndim < 2:
         raise ValueError("matmul expects at least 2-D operands")
-    if xd.ndim != yd.ndim and yd.ndim != 2:
+    if xd.ndim != yd.ndim:
         raise ValueError(f"matmul: rank mismatch {xd.shape} vs {yd.shape}")
     if xd.shape[-1] != yd.shape[-2]:
         raise ValueError(f"matmul: inner dims differ {xd.shape} vs {yd.shape}")
 
     def backward(g):
-        gx = g @ np.swapaxes(yd, -1, -2)
-        gy = np.swapaxes(xd, -1, -2) @ g
-        if yd.ndim == 2 and xd.ndim > 2:
-            gy = gy.reshape(-1, *gy.shape[-2:]).sum(axis=0)
-        return [gx, gy]
+        return [g @ np.swapaxes(yd, -1, -2), np.swapaxes(xd, -1, -2) @ g]
 
     return _make(xd @ yd, [x, y], backward)
 

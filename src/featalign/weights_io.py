@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import FormatVersionFault, TruncatedFileFault
+from .errors import DataFault
 
 MAGIC = b"GNNW"
 FORMAT_VERSION = 1
@@ -46,7 +46,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.off + n > len(self.blob):
-            raise TruncatedFileFault(f"{self.path}: file ends {self.off + n - len(self.blob)} bytes early")
+            raise DataFault(f"{self.path}: file ends {self.off + n - len(self.blob)} bytes early")
         out = self.blob[self.off : self.off + n]
         self.off += n
         return out
@@ -60,10 +60,10 @@ def load_weights(path) -> dict[str, np.ndarray]:
     reader = _Reader(path.read_bytes(), path)
     magic = reader.take(4)
     if magic != MAGIC:
-        raise FormatVersionFault(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        raise DataFault(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     version = reader.u32()
     if version != FORMAT_VERSION:
-        raise FormatVersionFault(f"{path}: unsupported format version {version}")
+        raise DataFault(f"{path}: unsupported format version {version}")
     count = reader.u32()
     params: dict[str, np.ndarray] = {}
     for _ in range(count):

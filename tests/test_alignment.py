@@ -128,8 +128,8 @@ class TestPixelGN:
         fmap = linear_field(16, 16, a, x_star)
         grad = map_gradient(fmap).data
         start = np.array([[7.0, 6.0]])
-        final, _ = track_pixels(fmap, grad, start, np.zeros((1, 3)), eps=1e-12, max_iterations=1)
-        np.testing.assert_allclose(final[0], x_star, atol=1e-6)
+        mu, _ = pixel_gauss_newton(fmap, grad, start, np.zeros((1, 3)), eps=1e-12)
+        np.testing.assert_allclose(mu.data[0], x_star, atol=1e-6)
         # The stencil derivative of a linear field is A, so H = A^T A + eps I.
         _, hess = pixel_gauss_newton(fmap, grad, start, np.zeros((1, 3)), eps=1e-3)
         np.testing.assert_allclose(hess.data[0], a.T @ a + 1e-3 * np.eye(2), atol=1e-12)
@@ -143,7 +143,7 @@ class TestPixelGN:
         mu, hess = pixel_gauss_newton(fmap, grad, x_s, f_t, eps=1e-3)
         np.testing.assert_allclose(mu.data, x_s, atol=1e-12)
         np.testing.assert_array_equal(hess.data[0], hess.data[0].T)
-        final, settled = track_pixels(fmap, grad, x_s, f_t, eps=1e-3, max_iterations=1)
+        final, settled = track_pixels(fmap, grad, x_s, f_t, eps=1e-3)
         np.testing.assert_allclose(final, x_s, atol=1e-12)
         assert settled.all()
 
@@ -151,23 +151,20 @@ class TestPixelGN:
         # Single-direction gradient: the step has no perpendicular part.
         ys, xs = np.meshgrid(np.arange(16.0), np.arange(16.0), indexing="ij")
         fmap = (0.8 * xs)[:, :, None]
-        final, _ = track_pixels(
-            fmap,
-            map_gradient(fmap).data,
-            np.array([[8.0, 8.0]]),
-            np.array([[0.8 * 5.0]]),
-            eps=1e-9,
-            max_iterations=1,
-        )
-        assert abs(final[0, 1] - 8.0) < 1e-9
-        assert final[0, 0] < 8.0
+        grad = map_gradient(fmap).data
+        start = np.array([[8.0, 8.0]])
+        f_t = np.array([[0.8 * 5.0]])
+        mu, _ = pixel_gauss_newton(fmap, grad, start, f_t, eps=1e-9)
+        assert abs(mu.data[0, 1] - 8.0) < 1e-9
+        assert mu.data[0, 0] < 8.0
+        final, settled = track_pixels(fmap, grad, start, f_t, eps=1e-9)
+        assert settled[0] and abs(final[0, 1] - 8.0) < 1e-9
+        np.testing.assert_allclose(final[0, 0], 5.0, atol=1e-6)
 
     def test_stencil_out_of_bounds_is_failure(self):
         fmap = np.zeros((8, 8, 1))
         start = np.array([[0.5, 4.0]])
-        final, settled = track_pixels(
-            fmap, map_gradient(fmap).data, start, np.zeros((1, 1)), eps=1e-3, max_iterations=1
-        )
+        final, settled = track_pixels(fmap, map_gradient(fmap).data, start, np.zeros((1, 1)), eps=1e-3)
         assert not settled[0]
         np.testing.assert_array_equal(final, start)
 
@@ -720,7 +717,7 @@ def relocalize(img_ref, depth_ref, img_tgt, intrinsics, k):
         0: Frame(0, img_ref, depth_ref, SE3Pose.identity(), 0, 0, 0),
         1: Frame(1, img_tgt, depth_ref, SE3Pose.identity(), 0, 0, 1),
     }
-    split = DatasetSplit(None, {}, intrinsics, frames, [RelocCandidate(1, 0, SE3Pose.identity())], [])
+    split = DatasetSplit(intrinsics, frames, [RelocCandidate(1, 0, SE3Pose.identity())], [])
     [(_, result)] = run_relocalization(
         split, intensity_extractor(3), method_config("intensity"), point_count=k
     )

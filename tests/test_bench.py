@@ -15,6 +15,7 @@ from featalign.bench.scene import (
     SceneConfig,
     generate_scene,
     make_correspondences,
+    sample_negatives,
     value_noise,
 )
 from featalign.errors import DataFault
@@ -320,6 +321,16 @@ def track_with_translation(t, converged=True):
 
 def candidate_with_translation(t):
     return RelocCandidate(0, 0, SE3Pose(np.eye(3), np.asarray(t, dtype=float)))
+
+
+class TestSampleNegatives:
+    def test_distance_and_bounds(self):
+        rng = np.random.default_rng(18)
+        pos_b = rng.uniform(10, 50, (40, 2))
+        neg = sample_negatives(rng, pos_b, width=64, height=64)
+        assert np.all(neg[:, 0] >= 6.0) and np.all(neg[:, 0] <= 57.0)
+        assert np.all(neg[:, 1] >= 6.0) and np.all(neg[:, 1] <= 57.0)
+        assert np.all(np.linalg.norm(neg - pos_b, axis=1) > 8.0)
 
 
 class TestEvalCurve:

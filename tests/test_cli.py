@@ -8,10 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import featalign.tensor as tensor_mod
-from featalign.bench.dataset_io import read_split
 from featalign.cli import main as cli_main
 from featalign.gradcheck import run_gradcheck
 from featalign.network import NetworkConfig, build_network, save_network
@@ -63,9 +63,9 @@ class TestGenerate:
     def test_three_splits_with_disjoint_seeds(self, dataset):
         seeds = set()
         for name in ("train", "val", "test"):
-            split = read_split(dataset / name)
-            seeds.add(split.manifest["seed"])
-            assert split.manifest["config_echo"]["frames"] == 4
+            manifest = json.loads((dataset / name / "manifest.json").read_text())
+            seeds.add(manifest["seed"])
+            assert manifest["config_echo"]["frames"] == 4
         assert len(seeds) == 3
 
     def test_zero_frames_is_usage_error(self, tmp_path):
@@ -338,6 +338,74 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err.startswith("usage error:")
         assert not out.parent.exists()
+
+
+def edit_first_match(value):
+    """Case: sets u_b of the first training match to ``value``; ``train`` reads it."""
+
+    def edit(dataset, weights, tmp_path):
+        path = dataset / "train" / "correspondences.txt"
+        lines = path.read_text().splitlines()
+        parts = lines[0].split()
+        parts[4] = value
+        lines[0] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["train", "--out", str(tmp_path / "w.gnnw"), "--epochs", "1", "--levels", "2",
+                "--base-width", "4", "--descriptor-dim", "4", "--val-candidates", "0"]
+        return path, f"correspondences ({parts[0]}, {parts[1]}) hold a non-finite coordinate", argv
+
+    return edit
+
+
+def edit_weight_to_nan(command):
+    """Case: one network parameter set to NaN; ``evaluate`` or ``align`` loads it."""
+
+    def edit(dataset, weights, tmp_path):
+        raw = load_weights(weights)
+        raw["head0/w"].flat[0] = np.nan
+        path = tmp_path / "nan.gnnw"
+        save_weights(path, raw)
+        argv = {
+            "evaluate": ["evaluate", "--out", str(tmp_path / "ev"), "--methods", "features"],
+            "align": ["align", "--method", "features"],
+        }[command]
+        return path, "parameter head0/w holds non-finite values", argv + ["--weights", str(path)]
+
+    return edit
+
+
+def edit_focal_to_nan(dataset, weights, tmp_path):
+    """Case: a NaN focal length in the test manifest; ``evaluate`` reads it."""
+    path = dataset / "test" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["intrinsics"]["fx"] = float("nan")
+    path.write_text(json.dumps(manifest))
+    return path, "focal lengths must be finite and positive", ["evaluate", "--out", str(tmp_path / "ev"),
+                                                               "--methods", "intensity"]
+
+
+class TestInputFaults:
+    """A bad value in a file a command reads is a data fault naming the file."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            edit_first_match("nan"),
+            edit_first_match("40.0"),
+            edit_weight_to_nan("evaluate"),
+            edit_weight_to_nan("align"),
+            edit_focal_to_nan,
+        ],
+        ids=["match_nan", "match_outside_frame", "weight_nan-evaluate", "weight_nan-align", "focal_nan"],
+    )
+    def test_bad_value_is_data_fault(self, dataset, weights, tmp_path, capsys, edit):
+        corrupt = tmp_path / "ds"
+        shutil.copytree(dataset, corrupt)
+        path, detail, argv = edit(corrupt, weights, tmp_path)
+        rc = cli_main(argv[:1] + ["--dataset", str(corrupt)] + argv[1:])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data fault: {path}:") and detail in err
 
 
 def run_with_blas_threads(threads: str, argv: list) -> None:

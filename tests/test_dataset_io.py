@@ -16,7 +16,7 @@ from featalign.bench.dataset_io import (
     write_split,
 )
 from featalign.bench.scene import ConditionTransform, SceneConfig, generate_scene, make_correspondences
-from featalign.errors import ChecksumFault, DataFault, FormatVersionFault, TruncatedFileFault
+from featalign.errors import DataFault
 
 from helpers import corrupt_depth, rewrite_first_frame
 
@@ -61,13 +61,13 @@ class TestPrimitivesIO:
         path = tmp_path / "d.depth"
         write_depth(path, np.ones((4, 4)))
         path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(TruncatedFileFault):
+        with pytest.raises(DataFault, match="depth payload ends 3 bytes early"):
             read_depth(path)
 
     def test_pgm_bad_magic(self, tmp_path):
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
-        with pytest.raises(FormatVersionFault):
+        with pytest.raises(DataFault, match="not a binary PGM file"):
             read_pgm(path)
 
     def test_correspondence_roundtrip(self, tmp_path, correspondences):
@@ -140,7 +140,7 @@ class TestSplitIO:
         manifest = d / "manifest.json"
         text = manifest.read_text().replace('"format_version": 1', '"format_version": 9')
         manifest.write_text(text)
-        with pytest.raises(FormatVersionFault):
+        with pytest.raises(DataFault, match="format version 9 unsupported"):
             read_split(d)
 
     def test_checksum_fault(self, tmp_path, scene):
@@ -150,7 +150,7 @@ class TestSplitIO:
         blob = bytearray(victim.read_bytes())
         blob[-1] ^= 0xFF
         victim.write_bytes(bytes(blob))
-        with pytest.raises(ChecksumFault):
+        with pytest.raises(DataFault, match=r"frame_00000\.depth: checksum mismatch"):
             read_split(d)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -195,9 +195,10 @@ class TestSplitIO:
         [
             lambda manifest: manifest.update(frames=3),
             lambda manifest: manifest["intrinsics"].update(fx=-1.0),
+            lambda manifest: manifest["intrinsics"].update(fy=float("nan")),
             lambda manifest: manifest.update(candidates=[1]),
         ],
-        ids=["frames_int", "negative_fx", "candidate_int"],
+        ids=["frames_int", "negative_fx", "nan_fy", "candidate_int"],
     )
     def test_malformed_manifest_value_is_data_fault(self, tmp_path, scene, edit):
         d = tmp_path / "split"

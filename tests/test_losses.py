@@ -13,7 +13,6 @@ from featalign.losses import (
     contrastive_loss,
     gauss_newton_loss,
     gaussian_nll_terms,
-    sample_negatives,
     total_loss,
 )
 from featalign.network import NetworkConfig, build_network, forward_pyramid
@@ -323,12 +322,3 @@ class TestGaussianBelief:
         covariance = T.inv2x2(hess).data[0]
         np.testing.assert_allclose(covariance @ hess.data[0], np.eye(2), atol=1e-9)
 
-
-class TestSampleNegatives:
-    def test_distance_and_bounds(self):
-        rng = np.random.default_rng(18)
-        pos_b = rng.uniform(10, 50, (40, 2))
-        neg = sample_negatives(rng, pos_b, width=64, height=64, margin=2.0)
-        assert np.all(neg[:, 0] >= 2.0) and np.all(neg[:, 0] <= 61.0)
-        assert np.all(neg[:, 1] >= 2.0) and np.all(neg[:, 1] <= 61.0)
-        assert np.all(np.linalg.norm(neg - pos_b, axis=1) > 8.0)
