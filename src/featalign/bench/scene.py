@@ -63,29 +63,45 @@ def _fade(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
 
 
+def _corner_table(x_lo, y_lo, x_hi, y_hi, seed: int, n_points: int):
+    """``_hash01`` at the corners of the integer cells (x_lo..x_hi, y_lo..y_hi).
+
+    Returns the corners as one flat row-major table and its row length, or
+    None when the box holds more corners than four per point (points
+    scattered far apart) or is not finite. ``_hash01`` is elementwise, so a
+    table entry is the value a hash of that one corner gives.
+    """
+    nx = x_hi - x_lo + 2.0
+    ny = y_hi - y_lo + 2.0
+    if not nx * ny <= 4.0 * n_points:
+        return None
+    nx = int(nx)
+    table = _hash01(x_lo + np.arange(nx)[None, :], y_lo + np.arange(int(ny))[:, None], seed)
+    return table.ravel(), nx
+
+
+def _table_corners(table: np.ndarray, cell: np.ndarray, nx):
+    """The four corners (x0 | x0+1, y0 | y0+1) of the cells at flat ``cell``."""
+    return table[cell], table[cell + 1], table[cell + nx], table[cell + nx + 1]
+
+
 def _lattice_corners(x0: np.ndarray, y0: np.ndarray, seed: int):
     """``_hash01`` at the corners (x0 | x0+1, y0 | y0+1) of integer cells.
 
     The corners are hashed once, as one table over the bounding box of the
-    cells, and each cell gathers its four from that table. ``_hash01`` is
-    elementwise, so the values are the ones a hash per point and corner
-    gives. The points of one render or ray march span one camera footprint,
-    about a dozen cells a side: on the acceptance fixture's ``featalign
-    generate`` the largest table is 12x13 corners. A box holding more
-    corners than four per point (points scattered far apart, or
-    non-finite) and an empty input are hashed per point instead.
+    cells, and each cell gathers its four from that table. The points of
+    one render span one camera footprint, about a dozen cells a side: on
+    the acceptance fixture's ``featalign generate`` the largest table is
+    12x13 corners. A box the table does not take (see ``_corner_table``)
+    and an empty input are hashed per point instead.
     """
     if x0.size:
         x_lo, y_lo = x0.min(), y0.min()
-        nx = x0.max() - x_lo + 2.0
-        ny = y0.max() - y_lo + 2.0
-        if nx * ny <= 4.0 * x0.size:
-            nx = int(nx)
-            table = _hash01(
-                x_lo + np.arange(nx)[None, :], y_lo + np.arange(int(ny))[:, None], seed
-            ).ravel()
+        built = _corner_table(x_lo, y_lo, x0.max(), y0.max(), seed, x0.size)
+        if built is not None:
+            table, nx = built
             cell = (y0 - y_lo).astype(np.int64) * nx + (x0 - x_lo).astype(np.int64)
-            return table[cell], table[cell + 1], table[cell + nx], table[cell + nx + 1]
+            return _table_corners(table, cell, nx)
     return (
         _hash01(x0, y0, seed),
         _hash01(x0 + 1, y0, seed),
@@ -94,16 +110,34 @@ def _lattice_corners(x0: np.ndarray, y0: np.ndarray, seed: int):
     )
 
 
+def _bilerp(v00, v01, v10, v11, tx, ty):
+    top = v00 + tx * (v01 - v00)
+    bot = v10 + tx * (v11 - v10)
+    return top + ty * (bot - top)
+
+
 def value_noise(x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
     """C2-smooth value noise in [0, 1) over the whole plane."""
     x0 = np.floor(x)
     y0 = np.floor(y)
-    tx = _fade(x - x0)
-    ty = _fade(y - y0)
-    v00, v01, v10, v11 = _lattice_corners(x0, y0, seed)
-    top = v00 + tx * (v01 - v00)
-    bot = v10 + tx * (v11 - v10)
-    return top + ty * (bot - top)
+    return _bilerp(*_lattice_corners(x0, y0, seed), _fade(x - x0), _fade(y - y0))
+
+
+def _octaves(seed: int, octaves: int, base_freq: float) -> list:
+    """(frequency, lattice seed) of each octave of ``octave_noise``."""
+    return [(base_freq * 2.0**o, seed * 1031 + o) for o in range(octaves)]
+
+
+def _octave_sum(layers, persistence: float):
+    """Octave layers weighted 1, p, p^2, ..., summed in order and normalized."""
+    total = 0.0
+    amp = 1.0
+    norm = 0.0
+    for layer in layers:
+        total = total + amp * layer
+        norm += amp
+        amp *= persistence
+    return total / norm
 
 
 def octave_noise(
@@ -115,16 +149,9 @@ def octave_noise(
     persistence: float,
 ) -> np.ndarray:
     """Multi-octave value noise, normalized to [0, 1)."""
-    total = np.zeros_like(np.asarray(x, dtype=np.float64))
-    amp = 1.0
-    freq = base_freq
-    norm = 0.0
-    for o in range(octaves):
-        total = total + amp * value_noise(x * freq, y * freq, seed * 1031 + o)
-        norm += amp
-        amp *= persistence
-        freq *= 2.0
-    return total / norm
+    return _octave_sum(
+        (value_noise(x * f, y * f, s) for f, s in _octaves(seed, octaves, base_freq)), persistence
+    )
 
 
 @dataclass(frozen=True)
@@ -155,6 +182,7 @@ class SceneConfig:
     depth_base: ClassVar[float] = 4.0
     height_octaves: ClassVar[int] = 2
     height_base_freq: ClassVar[float] = 0.25
+    height_persistence: ClassVar[float] = 0.5
     texture_octaves: ClassVar[int] = 3
     texture_persistence: ClassVar[float] = 0.55
     baseline_min: ClassVar[float] = 0.08
@@ -223,10 +251,14 @@ class SyntheticScene:
         cfg = self.config
         return CameraIntrinsics(cfg.fx, cfg.fy, cfg.cx, cfg.cy, cfg.width, cfg.height)
 
+    @property
+    def _height_seed(self) -> int:
+        return self.seed * 7 + 1
+
     def surface_height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         cfg = self.config
         noise = octave_noise(
-            x, y, self.seed * 7 + 1, cfg.height_octaves, cfg.height_base_freq, 0.5
+            x, y, self._height_seed, cfg.height_octaves, cfg.height_base_freq, cfg.height_persistence
         )
         return cfg.depth_base + cfg.height_amplitude * (2.0 * noise - 1.0)
 
@@ -236,6 +268,55 @@ class SyntheticScene:
             x, y, self.seed * 13 + 2, cfg.texture_octaves, cfg.texture_base_freq,
             cfg.texture_persistence,
         )
+
+    def _height_field(self, x_lo, x_hi, y_lo, y_hi, n_points: int):
+        """``surface_height`` for many calls that query the box [x_lo, x_hi] x [y_lo, y_hi].
+
+        Each height octave's lattice is hashed once, over the box widened by
+        one cell of the finest octave, and a call evaluates all octaves in
+        one pass over (octaves, n) arrays. A call with a point outside the
+        widened box, and every call when a table would be too large for
+        ``n_points`` (see ``_corner_table``), goes to ``surface_height``;
+        the values never depend on the box.
+        """
+        cfg = self.config
+        octaves = _octaves(self._height_seed, cfg.height_octaves, cfg.height_base_freq)
+        margin = 1.0 / octaves[-1][0]
+        x_lo, x_hi, y_lo, y_hi = x_lo - margin, x_hi + margin, y_lo - margin, y_hi + margin
+        tables, rows = [], []
+        for f, seed in octaves:
+            lattice_x, lattice_y = np.floor(x_lo * f), np.floor(y_lo * f)
+            built = _corner_table(
+                lattice_x, lattice_y, np.floor(x_hi * f), np.floor(y_hi * f), seed, n_points
+            )
+            if built is None:
+                return self.surface_height
+            # Per octave: frequency, lattice origin, row length, table offset.
+            rows.append((f, lattice_x, lattice_y, built[1], sum(t.size for t in tables)))
+            tables.append(built[0])
+        table = np.concatenate(tables)
+        freqs, lattice_x, lattice_y, nx, start = (np.array(c)[:, None] for c in zip(*rows))
+
+        def height(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            if not (x_lo <= x.min() and x.max() <= x_hi and y_lo <= y.min() and y.max() <= y_hi):
+                return self.surface_height(x, y)
+            # Lattice coordinates, then, reusing the names to free them, fade weights.
+            tx = freqs * x
+            ty = freqs * y
+            x0 = np.floor(tx)
+            y0 = np.floor(ty)
+            tx = _fade(tx - x0)
+            ty = _fade(ty - y0)
+            cell = (
+                start
+                + (y0 - lattice_y).astype(np.int64) * nx
+                + (x0 - lattice_x).astype(np.int64)
+            )
+            layers = _bilerp(*_table_corners(table, cell, nx), tx, ty)
+            noise = _octave_sum(layers, cfg.height_persistence)
+            return cfg.depth_base + cfg.height_amplitude * (2.0 * noise - 1.0)
+
+        return height
 
     def ray_depth(self, pose: SE3Pose, pixels: np.ndarray) -> np.ndarray:
         """Exact camera z-depth along the rays of (possibly subpixel) pixels.
@@ -248,33 +329,55 @@ class SyntheticScene:
         ``t``, so each iteration updates only the rays still moving: a ray
         stops at a fixed point, or once it is back at its value of two
         iterations ago, taking the value of the pair that the parity of the
-        iterations left selects. The march stops when no ray moves or after
-        ``_RAY_ITERATIONS``; every ray ends where the full fixed-count
-        iteration would leave it.
+        iterations left selects. Rays in a longer last-bit cycle (period 3
+        or 6) run all ``_RAY_ITERATIONS`` steps. The march stops when no ray
+        moves or after ``_RAY_ITERATIONS``; every ray ends where the full
+        fixed-count iteration would leave it.
+
+        Every point of a march lies between the ray's start and the two
+        ``t`` where it meets the lowest and highest surface, so the height
+        lattice is hashed once per march (``_height_field``). The moving
+        rays are kept in compacted arrays that shrink when rays retire.
         """
+        cfg = self.config
         pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
         d_world = self.intrinsics.rays(pixels) @ pose.rotation.T
-        origin = pose.translation
-        t = np.full(pixels.shape[0], self.config.depth_base - origin[2])
-        t_prev = np.full(pixels.shape[0], np.nan)
-        active = np.arange(pixels.shape[0])
+        d_x, d_y, d_z = (np.ascontiguousarray(c) for c in d_world.T)
+        o_x, o_y, o_z = pose.translation
+        depth = np.full(pixels.shape[0], cfg.depth_base - o_z)
+        if not depth.size:
+            return depth
+        lowest = cfg.depth_base - cfg.height_amplitude
+        highest = cfg.depth_base + cfg.height_amplitude
+        reach = np.stack([depth, (lowest - o_z) / d_z, (highest - o_z) / d_z])
+        x_reach = o_x + reach * d_x
+        y_reach = o_y + reach * d_y
+        height = self._height_field(
+            x_reach.min(), x_reach.max(), y_reach.min(), y_reach.max(), depth.size
+        )
+        del d_world, reach, x_reach, y_reach  # the march needs only the box
+        ray = np.arange(depth.size)
+        t = depth.copy()
+        t_prev = np.full(depth.size, np.nan)
         for i in range(_RAY_ITERATIONS):
-            t_active = t[active]
-            d_active = d_world[active]
-            x = origin[0] + t_active * d_active[:, 0]
-            y = origin[1] + t_active * d_active[:, 1]
-            t_next = (self.surface_height(x, y) - origin[2]) / d_active[:, 2]
-            # A ray back at its value of two iterations ago alternates
-            # between t_active and t_next; an odd number of iterations left
-            # would end it on t_active.
-            cycled = t_next == t_prev[active]
-            odd_left = (_RAY_ITERATIONS - 1 - i) % 2 == 1
-            t[active] = np.where(cycled & odd_left, t_active, t_next)
-            t_prev[active] = t_active
-            active = active[(t_next != t_active) & ~cycled]
-            if not active.size:
-                break
-        return t
+            t_next = (height(o_x + t * d_x, o_y + t * d_y) - o_z) / d_z
+            cycled = t_next == t_prev
+            moving = (t_next != t) & ~cycled
+            if not moving.all():
+                # A ray back at its value of two iterations ago alternates
+                # between t and t_next; an odd number of iterations left
+                # would end it on t.
+                done = ~moving
+                odd_left = (_RAY_ITERATIONS - 1 - i) % 2 == 1
+                depth[ray[done]] = np.where(cycled[done] & odd_left, t[done], t_next[done])
+                ray, t, t_next, d_x, d_y, d_z = (
+                    a[moving] for a in (ray, t, t_next, d_x, d_y, d_z)
+                )
+                if not ray.size:
+                    return depth
+            t_prev, t = t, t_next
+        depth[ray] = t
+        return depth
 
     def render(self, pose: SE3Pose):
         """Renders (clean image in [0, 1], z-depth map) at a pose."""
@@ -304,20 +407,24 @@ def _random_walk(rng, config: SceneConfig):
     return poses
 
 
-def _overlap_fraction(scene: SyntheticScene, ref_pose: SE3Pose, rel: SE3Pose) -> float:
-    """Fraction of a coarse reference grid that stays in view under rel."""
+def _overlap_fraction(scene: SyntheticScene, ref_depth: np.ndarray, rel: SE3Pose) -> float:
+    """Fraction of a coarse grid of the reference render that stays in view under rel.
+
+    The grid's depths are read from the render: a ray's depth does not depend
+    on the other rays of its march.
+    """
     cfg = scene.config
     us = np.arange(4, cfg.width - 4, 4, dtype=np.float64)
     vs = np.arange(4, cfg.height - 4, 4, dtype=np.float64)
     uu, vv = np.meshgrid(us, vs)
     pixels = np.stack([uu.ravel(), vv.ravel()], axis=1)
-    depth = scene.ray_depth(ref_pose, pixels)
+    depth = ref_depth[4 : cfg.height - 4 : 4, 4 : cfg.width - 4 : 4].ravel()
     intr = scene.intrinsics
     _, _, valid = project_points(pixels, 1.0 / depth, rel, intr, intr, border=2.0)
     return float(valid.mean())
 
 
-def _sample_candidate_offset(rng, scene: SyntheticScene, ref_pose: SE3Pose) -> SE3Pose:
+def _sample_candidate_offset(rng, scene: SyntheticScene, ref_depth: np.ndarray) -> SE3Pose:
     """Relative pose (candidate <- reference) with enforced image overlap."""
     cfg = scene.config
     rot = math.radians(cfg.candidate_rotation_deg)
@@ -331,7 +438,7 @@ def _sample_candidate_offset(rng, scene: SyntheticScene, ref_pose: SE3Pose) -> S
             axis /= np.linalg.norm(axis)
             twist = np.concatenate([direction * magnitude, axis * rng.uniform(0.0, rot)])
             rel = se3_exp(twist)
-            if _overlap_fraction(scene, ref_pose, rel) >= cfg.overlap_threshold:
+            if _overlap_fraction(scene, ref_depth, rel) >= cfg.overlap_threshold:
                 return rel
     raise DataFault("could not sample an overlapping relocalization candidate")
 
@@ -364,7 +471,7 @@ def generate_scene(seed: int, config: SceneConfig) -> SyntheticScene:
     for k in range(config.n_candidates):
         ref_index = k % config.n_frames
         ref_pose = scene.trajectory[ref_index]
-        rel = _sample_candidate_offset(rng, scene, ref_pose)
+        rel = _sample_candidate_offset(rng, scene, renders[ref_index][1])
         # rel maps reference-camera coords to candidate-camera coords.
         cand_pose = ref_pose.compose(rel.inverse())
         clean, depth = scene.render(cand_pose)

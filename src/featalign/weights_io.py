@@ -7,7 +7,9 @@ Layout, all little-endian:
     name length (u32) | name bytes (utf-8) | rank (u32) | extents (u32 each)
     | payload (float64, C order)
 
-Round-trips are bit-exact; dict insertion order is preserved.
+Round-trips are bit-exact; dict insertion order is preserved. A name that
+is not UTF-8, a repeated name and bytes after the last parameter are data
+faults.
 """
 
 from __future__ import annotations
@@ -67,11 +69,18 @@ def load_weights(path) -> dict[str, np.ndarray]:
     count = reader.u32()
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name_len = reader.u32()
-        name = reader.take(name_len).decode("utf-8")
+        raw_name = reader.take(reader.u32())
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFault(f"{path}: parameter name {raw_name!r} is not valid UTF-8") from None
+        if name in params:
+            raise DataFault(f"{path}: parameter {name} appears twice")
         rank = reader.u32()
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank)) if rank else ()
         size = int(np.prod(shape)) if rank else 1
         payload = reader.take(8 * size)
         params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    if reader.off != len(reader.blob):
+        raise DataFault(f"{path}: {len(reader.blob) - reader.off} bytes after the last parameter")
     return params

@@ -194,6 +194,47 @@ class TestRayDepth:
                 assert np.array_equal(scene.ray_depth(pose, pixels), expected)
 
 
+class TestRenderIdentities:
+    """The identities the renderer's shortcuts rest on."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 19, 33])
+    def test_overlap_grid_read_from_render_equals_grid_march(self, seed):
+        # generate_scene reads the candidate-overlap grid's depth from the
+        # reference render instead of marching the grid's rays again.
+        cfg = SceneConfig(n_frames=12)
+        scene = generate_scene(seed, cfg)
+        uu, vv = np.meshgrid(np.arange(4, cfg.width - 4, 4.0), np.arange(4, cfg.height - 4, 4.0))
+        grid = np.stack([uu.ravel(), vv.ravel()], axis=1)
+        for frame in scene.frames:
+            read = frame.depth[4 : cfg.height - 4 : 4, 4 : cfg.width - 4 : 4].ravel()
+            assert read.tobytes() == scene.ray_depth(frame.pose, grid).tobytes()
+
+    def test_height_outside_footprint_falls_back_to_surface_height(self, monkeypatch):
+        scene = generate_scene(5, SceneConfig(n_frames=1))
+        height = scene._height_field(-1.0, 2.0, 0.5, 3.0, 1000)
+        rng = np.random.default_rng(2)
+        inside = rng.uniform(-1.0, 2.0, (2, 500)) + np.array([[0.0], [1.5]])
+        outside = inside.copy()
+        outside[0, 17] = 40.0
+        expected = [scene.surface_height(*points) for points in (inside, outside)]
+        calls = []
+        surface_height = scene.surface_height
+        monkeypatch.setattr(
+            scene, "surface_height", lambda x, y: calls.append(x.size) or surface_height(x, y)
+        )
+        assert np.array_equal(height(*inside), expected[0])
+        assert calls == []
+        assert np.array_equal(height(*outside), expected[1])
+        assert calls == [500]
+
+    @pytest.mark.parametrize(
+        "box", [(-1e6, 1e6, 0.0, 1.0), (np.nan, 1.0, 0.0, 1.0)], ids=["too_large", "non_finite"]
+    )
+    def test_box_without_table_is_surface_height(self, box):
+        scene = generate_scene(5, SceneConfig(n_frames=1))
+        assert scene._height_field(*box, 1000) == scene.surface_height
+
+
 class TestValueNoise:
     @pytest.mark.parametrize(
         "low, high",

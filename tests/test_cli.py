@@ -90,6 +90,23 @@ class TestGenerate:
         assert cli_main(args) == 0
         assert tree_digest(out) == first
 
+    def test_small_run_matches_golden_digests(self, tmp_path, monkeypatch):
+        """The sha256 of every file a small ``generate`` writes.
+
+        The digests were recorded with the renderer that hashed the height
+        lattice at every march step and marched the overlap grid at every
+        candidate attempt, under numpy 2.4.6 and OpenBLAS 0.3.31
+        (scipy-openblas64) on x86-64 with Python 3.11. The renderer's
+        shortcuts must keep every byte; another numpy or BLAS build may
+        round the render's ray rotation differently and change them.
+        """
+        monkeypatch.setenv("FEATALIGN_OUTPUT_ROOT", str(tmp_path))
+        assert cli_main(["generate", "--out", "golden", "--frames", "3", "--candidates", "4",
+                         "--val-candidates", "2", "--pairs", "2"]) == 0
+        recorded = Path(__file__).with_name("golden_generate.sha256").read_text().splitlines()
+        expected = {name: digest for digest, name in (line.split() for line in recorded)}
+        assert tree_digest(tmp_path / "golden") == expected
+
     def test_config_echoed_everywhere(self, dataset):
         echo = json.loads((dataset / "run_config.json").read_text())
         assert echo["command"] == "generate"
@@ -374,6 +391,32 @@ def edit_weight_to_nan(command):
     return edit
 
 
+def edit_weights_bytes(change):
+    """Case: the weights file's bytes edited by ``change``; ``align`` loads it."""
+
+    def edit(dataset, weights, tmp_path):
+        path = tmp_path / "edited.gnnw"
+        blob, detail = change(weights.read_bytes())
+        path.write_bytes(blob)
+        return path, detail, ["align", "--method", "features", "--weights", str(path)]
+
+    return edit
+
+
+def name_not_utf8(blob):
+    # Byte 16 is the first byte of the first parameter's name.
+    return blob[:16] + b"\xff" + blob[17:], "is not valid UTF-8"
+
+
+def trailing_bytes(blob):
+    return blob + bytes(8), "8 bytes after the last parameter"
+
+
+def repeated_name(blob):
+    # enc0/b, the parameter after enc0/w, takes its name.
+    return blob.replace(b"enc0/b", b"enc0/w", 1), "parameter enc0/w appears twice"
+
+
 def edit_focal_to_nan(dataset, weights, tmp_path):
     """Case: a NaN focal length in the test manifest; ``evaluate`` reads it."""
     path = dataset / "test" / "manifest.json"
@@ -395,8 +438,12 @@ class TestInputFaults:
             edit_weight_to_nan("evaluate"),
             edit_weight_to_nan("align"),
             edit_focal_to_nan,
+            edit_weights_bytes(name_not_utf8),
+            edit_weights_bytes(trailing_bytes),
+            edit_weights_bytes(repeated_name),
         ],
-        ids=["match_nan", "match_outside_frame", "weight_nan-evaluate", "weight_nan-align", "focal_nan"],
+        ids=["match_nan", "match_outside_frame", "weight_nan-evaluate", "weight_nan-align", "focal_nan",
+             "weights_name_not_utf8", "weights_trailing_bytes", "weights_repeated_name"],
     )
     def test_bad_value_is_data_fault(self, dataset, weights, tmp_path, capsys, edit):
         corrupt = tmp_path / "ds"

@@ -480,3 +480,26 @@ class TestWeightsIO:
         path.write_bytes(blob[:-5])
         with pytest.raises(DataFault, match="file ends 5 bytes early"):
             load_weights(path)
+
+    def test_name_not_utf8_is_data_fault(self, tmp_path):
+        path = tmp_path / "name.gnnw"
+        save_weights(path, {"a": np.zeros(2)})
+        blob = bytearray(path.read_bytes())
+        blob[16] = 0xFF  # the first name byte, after magic, version, count and name length
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFault, match=r"name\.gnnw: parameter name b'\\xff' is not valid UTF-8"):
+            load_weights(path)
+
+    def test_bytes_after_last_parameter_are_data_fault(self, tmp_path):
+        path = tmp_path / "tail.gnnw"
+        save_weights(path, {"a": np.arange(3.0), "b": np.ones(2)})
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(DataFault, match=r"tail\.gnnw: 8 bytes after the last parameter"):
+            load_weights(path)
+
+    def test_repeated_name_is_data_fault(self, tmp_path):
+        path = tmp_path / "twice.gnnw"
+        save_weights(path, {"w1": np.arange(3.0), "w2": np.ones(2)})
+        path.write_bytes(path.read_bytes().replace(b"w2", b"w1"))
+        with pytest.raises(DataFault, match=r"twice\.gnnw: parameter w1 appears twice"):
+            load_weights(path)
