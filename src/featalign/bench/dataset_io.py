@@ -222,6 +222,8 @@ def _split_from_manifest(root: Path, manifest: dict) -> DatasetSplit:
     )
     frames = {}
     for record in manifest["frames"]:
+        if record["id"] in frames:
+            raise DataFault(f"{root}: frame {record['id']} appears twice in the manifest")
         image_path = root / record["image"]
         depth_path = root / record["depth"]
         if not image_path.exists() or not depth_path.exists():

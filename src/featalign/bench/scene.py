@@ -63,81 +63,74 @@ def _fade(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
 
 
-def _corner_table(x_lo, y_lo, x_hi, y_hi, seed: int, n_points: int):
-    """``_hash01`` at the corners of the integer cells (x_lo..x_hi, y_lo..y_hi).
+def _noise_field(seed: int, octaves: int, base_freq: float, persistence: float, box, n_points: int):
+    """Octave value noise in [0, 1), for calls that mostly query ``box``.
 
-    Returns the corners as one flat row-major table and its row length, or
-    None when the box holds more corners than four per point (points
-    scattered far apart) or is not finite. ``_hash01`` is elementwise, so a
-    table entry is the value a hash of that one corner gives.
+    Octave o bilinearly interpolates, with ``_fade`` weights, the lattice
+    values ``_hash01(., ., seed * 1031 + o)`` at frequency
+    ``base_freq * 2**o``; the octaves are weighted 1, p, p^2, ...
+    (p = ``persistence``), summed in order and normalized.
+
+    Each octave's lattice corners over ``box`` = (x_lo, x_hi, y_lo, y_hi) are
+    hashed once, as one table, and a call evaluates every octave in one pass
+    over (octaves, n) arrays. A call with a point outside the box, and every
+    call when the box is not finite or an octave's table would hold more
+    than four corners per point of ``n_points``, hashes each point's four
+    corners instead. ``_hash01`` is elementwise, so the values never depend
+    on the box. Returns the function of (x, y), each an (n,) array.
     """
-    nx = x_hi - x_lo + 2.0
-    ny = y_hi - y_lo + 2.0
-    if not nx * ny <= 4.0 * n_points:
-        return None
-    nx = int(nx)
-    table = _hash01(x_lo + np.arange(nx)[None, :], y_lo + np.arange(int(ny))[:, None], seed)
-    return table.ravel(), nx
+    freqs = base_freq * 2.0 ** np.arange(octaves)[:, None]
+    seeds = [seed * 1031 + o for o in range(octaves)]
+    x_lo, x_hi, y_lo, y_hi = box
+    table = None
+    if np.isfinite(box).all():
+        lattice_x, lattice_y = np.floor(freqs * x_lo), np.floor(freqs * y_lo)
+        nx = np.floor(freqs * x_hi) - lattice_x + 2.0
+        ny = np.floor(freqs * y_hi) - lattice_y + 2.0
+        if np.all(nx * ny <= 4.0 * n_points):
+            nx, ny = nx.astype(np.int64), ny.astype(np.int64)
+            tables = [
+                _hash01(lx + np.arange(w), ly + np.arange(h)[:, None], s).ravel()
+                for lx, ly, w, h, s in zip(lattice_x[:, 0], lattice_y[:, 0], nx[:, 0], ny[:, 0], seeds)
+            ]
+            # Where each octave's row-major table starts in the one flat table.
+            start = np.cumsum([0] + [t.size for t in tables[:-1]])[:, None]
+            table = np.concatenate(tables)
 
+    def noise(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # Lattice coordinates, then, in place, the offsets in the cell, then
+        # the fade weights. Each (octaves, n) array is freed once it has been
+        # read: heap that ``generate`` leaves behind stays resident.
+        tx = freqs * x
+        ty = freqs * y
+        x0 = np.floor(tx)
+        y0 = np.floor(ty)
+        if table is not None and x_lo <= x.min() and x.max() <= x_hi and y_lo <= y.min() and y.max() <= y_hi:
+            cell = start + (y0 - lattice_y).astype(np.int64) * nx + (x0 - lattice_x).astype(np.int64)
+            v00, v01, v10, v11 = table[cell], table[cell + 1], table[cell + nx], table[cell + nx + 1]
+            del cell
+        else:
+            v00, v01, v10, v11 = (
+                np.array([_hash01(x0[o] + dx, y0[o] + dy, s) for o, s in enumerate(seeds)])
+                for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1))
+            )
+        tx -= x0
+        ty -= y0
+        del x0, y0
+        tx = _fade(tx)
+        ty = _fade(ty)
+        top = v00 + tx * (v01 - v00)
+        bot = v10 + tx * (v11 - v10)
+        total = 0.0
+        amp = 1.0
+        norm = 0.0
+        for layer in top + ty * (bot - top):
+            total = total + amp * layer
+            norm += amp
+            amp *= persistence
+        return total / norm
 
-def _table_corners(table: np.ndarray, cell: np.ndarray, nx):
-    """The four corners (x0 | x0+1, y0 | y0+1) of the cells at flat ``cell``."""
-    return table[cell], table[cell + 1], table[cell + nx], table[cell + nx + 1]
-
-
-def _lattice_corners(x0: np.ndarray, y0: np.ndarray, seed: int):
-    """``_hash01`` at the corners (x0 | x0+1, y0 | y0+1) of integer cells.
-
-    The corners are hashed once, as one table over the bounding box of the
-    cells, and each cell gathers its four from that table. The points of
-    one render span one camera footprint, about a dozen cells a side: on
-    the acceptance fixture's ``featalign generate`` the largest table is
-    12x13 corners. A box the table does not take (see ``_corner_table``)
-    and an empty input are hashed per point instead.
-    """
-    if x0.size:
-        x_lo, y_lo = x0.min(), y0.min()
-        built = _corner_table(x_lo, y_lo, x0.max(), y0.max(), seed, x0.size)
-        if built is not None:
-            table, nx = built
-            cell = (y0 - y_lo).astype(np.int64) * nx + (x0 - x_lo).astype(np.int64)
-            return _table_corners(table, cell, nx)
-    return (
-        _hash01(x0, y0, seed),
-        _hash01(x0 + 1, y0, seed),
-        _hash01(x0, y0 + 1, seed),
-        _hash01(x0 + 1, y0 + 1, seed),
-    )
-
-
-def _bilerp(v00, v01, v10, v11, tx, ty):
-    top = v00 + tx * (v01 - v00)
-    bot = v10 + tx * (v11 - v10)
-    return top + ty * (bot - top)
-
-
-def value_noise(x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
-    """C2-smooth value noise in [0, 1) over the whole plane."""
-    x0 = np.floor(x)
-    y0 = np.floor(y)
-    return _bilerp(*_lattice_corners(x0, y0, seed), _fade(x - x0), _fade(y - y0))
-
-
-def _octaves(seed: int, octaves: int, base_freq: float) -> list:
-    """(frequency, lattice seed) of each octave of ``octave_noise``."""
-    return [(base_freq * 2.0**o, seed * 1031 + o) for o in range(octaves)]
-
-
-def _octave_sum(layers, persistence: float):
-    """Octave layers weighted 1, p, p^2, ..., summed in order and normalized."""
-    total = 0.0
-    amp = 1.0
-    norm = 0.0
-    for layer in layers:
-        total = total + amp * layer
-        norm += amp
-        amp *= persistence
-    return total / norm
+    return noise
 
 
 def octave_noise(
@@ -148,10 +141,12 @@ def octave_noise(
     base_freq: float,
     persistence: float,
 ) -> np.ndarray:
-    """Multi-octave value noise, normalized to [0, 1)."""
-    return _octave_sum(
-        (value_noise(x * f, y * f, s) for f, s in _octaves(seed, octaves, base_freq)), persistence
-    )
+    """Multi-octave value noise in [0, 1) (see ``_noise_field``), shaped like ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    box = (x.min(), x.max(), y.min(), y.max()) if x.size else (np.nan,) * 4
+    noise = _noise_field(seed, octaves, base_freq, persistence, box, x.size)
+    return noise(x.ravel(), y.ravel()).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -252,15 +247,18 @@ class SyntheticScene:
         return CameraIntrinsics(cfg.fx, cfg.fy, cfg.cx, cfg.cy, cfg.width, cfg.height)
 
     @property
-    def _height_seed(self) -> int:
-        return self.seed * 7 + 1
+    def _height_noise(self) -> tuple:
+        """(seed, octaves, base frequency, persistence) of the height noise."""
+        cfg = self.config
+        return self.seed * 7 + 1, cfg.height_octaves, cfg.height_base_freq, cfg.height_persistence
+
+    def _height(self, noise: np.ndarray) -> np.ndarray:
+        """Surface height at height noise ``noise``."""
+        cfg = self.config
+        return cfg.depth_base + cfg.height_amplitude * (2.0 * noise - 1.0)
 
     def surface_height(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        noise = octave_noise(
-            x, y, self._height_seed, cfg.height_octaves, cfg.height_base_freq, cfg.height_persistence
-        )
-        return cfg.depth_base + cfg.height_amplitude * (2.0 * noise - 1.0)
+        return self._height(octave_noise(x, y, *self._height_noise))
 
     def texture(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         cfg = self.config
@@ -268,55 +266,6 @@ class SyntheticScene:
             x, y, self.seed * 13 + 2, cfg.texture_octaves, cfg.texture_base_freq,
             cfg.texture_persistence,
         )
-
-    def _height_field(self, x_lo, x_hi, y_lo, y_hi, n_points: int):
-        """``surface_height`` for many calls that query the box [x_lo, x_hi] x [y_lo, y_hi].
-
-        Each height octave's lattice is hashed once, over the box widened by
-        one cell of the finest octave, and a call evaluates all octaves in
-        one pass over (octaves, n) arrays. A call with a point outside the
-        widened box, and every call when a table would be too large for
-        ``n_points`` (see ``_corner_table``), goes to ``surface_height``;
-        the values never depend on the box.
-        """
-        cfg = self.config
-        octaves = _octaves(self._height_seed, cfg.height_octaves, cfg.height_base_freq)
-        margin = 1.0 / octaves[-1][0]
-        x_lo, x_hi, y_lo, y_hi = x_lo - margin, x_hi + margin, y_lo - margin, y_hi + margin
-        tables, rows = [], []
-        for f, seed in octaves:
-            lattice_x, lattice_y = np.floor(x_lo * f), np.floor(y_lo * f)
-            built = _corner_table(
-                lattice_x, lattice_y, np.floor(x_hi * f), np.floor(y_hi * f), seed, n_points
-            )
-            if built is None:
-                return self.surface_height
-            # Per octave: frequency, lattice origin, row length, table offset.
-            rows.append((f, lattice_x, lattice_y, built[1], sum(t.size for t in tables)))
-            tables.append(built[0])
-        table = np.concatenate(tables)
-        freqs, lattice_x, lattice_y, nx, start = (np.array(c)[:, None] for c in zip(*rows))
-
-        def height(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            if not (x_lo <= x.min() and x.max() <= x_hi and y_lo <= y.min() and y.max() <= y_hi):
-                return self.surface_height(x, y)
-            # Lattice coordinates, then, reusing the names to free them, fade weights.
-            tx = freqs * x
-            ty = freqs * y
-            x0 = np.floor(tx)
-            y0 = np.floor(ty)
-            tx = _fade(tx - x0)
-            ty = _fade(ty - y0)
-            cell = (
-                start
-                + (y0 - lattice_y).astype(np.int64) * nx
-                + (x0 - lattice_x).astype(np.int64)
-            )
-            layers = _bilerp(*_table_corners(table, cell, nx), tx, ty)
-            noise = _octave_sum(layers, cfg.height_persistence)
-            return cfg.depth_base + cfg.height_amplitude * (2.0 * noise - 1.0)
-
-        return height
 
     def ray_depth(self, pose: SE3Pose, pixels: np.ndarray) -> np.ndarray:
         """Exact camera z-depth along the rays of (possibly subpixel) pixels.
@@ -336,8 +285,10 @@ class SyntheticScene:
 
         Every point of a march lies between the ray's start and the two
         ``t`` where it meets the lowest and highest surface, so the height
-        lattice is hashed once per march (``_height_field``). The moving
-        rays are kept in compacted arrays that shrink when rays retire.
+        noise is evaluated over that box, widened by one cell of the finest
+        octave, and its lattice is hashed once per march (``_noise_field``).
+        The moving rays are kept in compacted arrays that shrink when rays
+        retire.
         """
         cfg = self.config
         pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
@@ -352,15 +303,15 @@ class SyntheticScene:
         reach = np.stack([depth, (lowest - o_z) / d_z, (highest - o_z) / d_z])
         x_reach = o_x + reach * d_x
         y_reach = o_y + reach * d_y
-        height = self._height_field(
-            x_reach.min(), x_reach.max(), y_reach.min(), y_reach.max(), depth.size
-        )
+        margin = 1.0 / (cfg.height_base_freq * 2.0 ** (cfg.height_octaves - 1))
+        box = (x_reach.min() - margin, x_reach.max() + margin, y_reach.min() - margin, y_reach.max() + margin)
+        noise = _noise_field(*self._height_noise, box, depth.size)
         del d_world, reach, x_reach, y_reach  # the march needs only the box
         ray = np.arange(depth.size)
         t = depth.copy()
         t_prev = np.full(depth.size, np.nan)
         for i in range(_RAY_ITERATIONS):
-            t_next = (height(o_x + t * d_x, o_y + t * d_y) - o_z) / d_z
+            t_next = (self._height(noise(o_x + t * d_x, o_y + t * d_y)) - o_z) / d_z
             cycled = t_next == t_prev
             moving = (t_next != t) & ~cycled
             if not moving.all():

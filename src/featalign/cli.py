@@ -135,7 +135,7 @@ def cmd_generate(args) -> int:
         raise UsageError("--size must be >= 16 and divisible by 4")
     if args.pairs < 1 or args.n_pos < 1:
         raise UsageError("--pairs and --n-pos must be >= 1")
-    for flag in ("candidates", "val_candidates", "n_neg", "max_frame_gap"):
+    for flag in ("seed", "candidates", "val_candidates", "n_neg", "max_frame_gap"):
         if getattr(args, flag) < 0:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
     root = _resolve_out(args.out)
@@ -345,6 +345,8 @@ def cmd_align(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     reports = run_gradcheck(args.seed)
     width = max(len(r.name) for r in reports)
     failed = False

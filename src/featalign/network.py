@@ -43,6 +43,8 @@ class NetworkConfig:
             raise ValueError("pyramid_levels must be >= 2")
         if self.input_channels < 1 or self.base_width < 1:
             raise ValueError("input_channels and base_width must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def width(self, level: int) -> int:
         return self.base_width * (2**level)
@@ -181,16 +183,24 @@ def save_network(path, weights: NetworkWeights) -> None:
 def load_network(path) -> NetworkWeights:
     """Reads a ``save_network`` file.
 
-    A file whose config/* entries or parameter shapes do not describe a
-    valid network of its declared architecture, or whose parameters are not
-    all finite, raises DataFault.
+    A file whose config/* entries are not finite integer scalars, whose
+    config or parameter shapes do not describe a valid network of its
+    declared architecture, or whose parameters are not all finite, raises
+    DataFault.
     """
     raw = load_weights(path)
+    values = {}
+    for key in CONFIG_KEYS:
+        name = CONFIG_PREFIX + key
+        if name not in raw:
+            raise DataFault(f"{path}: weights file lacks {name}")
+        value = raw.pop(name)
+        if value.shape != () or not np.isfinite(value) or value != np.trunc(value):
+            raise DataFault(f"{path}: {name} holds {value}, not a finite integer")
+        values[key] = int(value)
     try:
-        config = NetworkConfig(**{key: int(raw.pop(CONFIG_PREFIX + key)) for key in CONFIG_KEYS})
-    except KeyError as exc:
-        raise DataFault(f"{path}: weights file lacks {exc.args[0]}") from exc
-    except (TypeError, ValueError) as exc:
+        config = NetworkConfig(**values)
+    except ValueError as exc:
         raise DataFault(f"{path}: invalid network config ({exc})") from exc
     expected = layer_shapes(config)
     for name, shape in expected.items():

@@ -16,7 +16,7 @@ from featalign.bench.scene import (
     generate_scene,
     make_correspondences,
     sample_negatives,
-    value_noise,
+    octave_noise,
 )
 from featalign.errors import DataFault
 from featalign.geometry import project_points
@@ -156,7 +156,29 @@ def reference_value_noise(x, y, seed):
     return top + ty * (bot - top)
 
 
-def reference_ray_depth(scene, pose, pixels, monkeypatch):
+def reference_octave_noise(x, y, seed, octaves, base_freq, persistence):
+    """Octave value noise, one octave at a time, each point hashing its own corners."""
+    total, amp, norm = 0.0, 1.0, 0.0
+    for o in range(octaves):
+        f = base_freq * 2.0**o
+        total = total + amp * reference_value_noise(x * f, y * f, seed * 1031 + o)
+        norm += amp
+        amp *= persistence
+    return total / norm
+
+
+# (octaves, base frequency, persistence) of a default scene's height and texture noise.
+HEIGHT_NOISE = (SceneConfig.height_octaves, SceneConfig.height_base_freq, SceneConfig.height_persistence)
+TEXTURE_NOISE = (SceneConfig.texture_octaves, SceneConfig().texture_base_freq, SceneConfig.texture_persistence)
+
+
+def reference_surface_height(scene, x, y):
+    cfg = scene.config
+    noise = reference_octave_noise(x, y, scene.seed * 7 + 1, *HEIGHT_NOISE)
+    return cfg.depth_base + cfg.height_amplitude * (2.0 * noise - 1.0)
+
+
+def reference_ray_depth(scene, pose, pixels):
     """The fixed-count march: every ray runs all _RAY_ITERATIONS steps."""
     intr = scene.intrinsics
     d_cam = np.stack(
@@ -167,18 +189,16 @@ def reference_ray_depth(scene, pose, pixels, monkeypatch):
     d_world = d_cam @ pose.rotation.T
     origin = pose.translation
     t = np.full(pixels.shape[0], scene.config.depth_base - origin[2])
-    with monkeypatch.context() as patch:
-        patch.setattr(scene_mod, "value_noise", reference_value_noise)
-        for _ in range(scene_mod._RAY_ITERATIONS):
-            x = origin[0] + t * d_world[:, 0]
-            y = origin[1] + t * d_world[:, 1]
-            t = (scene.surface_height(x, y) - origin[2]) / d_world[:, 2]
+    for _ in range(scene_mod._RAY_ITERATIONS):
+        x = origin[0] + t * d_world[:, 0]
+        y = origin[1] + t * d_world[:, 1]
+        t = (reference_surface_height(scene, x, y) - origin[2]) / d_world[:, 2]
     return t
 
 
 class TestRayDepth:
     @pytest.mark.parametrize("seed", [0, 7, 12])
-    def test_matches_fixed_count_march(self, seed, monkeypatch):
+    def test_matches_fixed_count_march(self, seed):
         cfg = SceneConfig(n_frames=3, n_candidates=2)
         scene = generate_scene(seed, cfg)
         us, vs = np.meshgrid(np.arange(cfg.width), np.arange(cfg.height))
@@ -190,7 +210,7 @@ class TestRayDepth:
         poses = scene.trajectory + [f.pose for f in scene.frames if f.sequence == -1]
         for pose in poses:
             for pixels in (full_grid, overlap_grid, subpixel):
-                expected = reference_ray_depth(scene, pose, pixels, monkeypatch)
+                expected = reference_ray_depth(scene, pose, pixels)
                 assert np.array_equal(scene.ray_depth(pose, pixels), expected)
 
 
@@ -209,33 +229,46 @@ class TestRenderIdentities:
             read = frame.depth[4 : cfg.height - 4 : 4, 4 : cfg.width - 4 : 4].ravel()
             assert read.tobytes() == scene.ray_depth(frame.pose, grid).tobytes()
 
-    def test_height_outside_footprint_falls_back_to_surface_height(self, monkeypatch):
-        scene = generate_scene(5, SceneConfig(n_frames=1))
-        height = scene._height_field(-1.0, 2.0, 0.5, 3.0, 1000)
+    def test_noise_field_point_outside_box_matches_reference(self, monkeypatch):
+        # A call inside the box reads the table; one point outside hashes the whole batch.
         rng = np.random.default_rng(2)
         inside = rng.uniform(-1.0, 2.0, (2, 500)) + np.array([[0.0], [1.5]])
         outside = inside.copy()
         outside[0, 17] = 40.0
-        expected = [scene.surface_height(*points) for points in (inside, outside)]
-        calls = []
-        surface_height = scene.surface_height
-        monkeypatch.setattr(
-            scene, "surface_height", lambda x, y: calls.append(x.size) or surface_height(x, y)
-        )
-        assert np.array_equal(height(*inside), expected[0])
-        assert calls == []
-        assert np.array_equal(height(*outside), expected[1])
-        assert calls == [500]
+        expected = [reference_octave_noise(*points, 36, *HEIGHT_NOISE) for points in (inside, outside)]
+        noise = scene_mod._noise_field(36, *HEIGHT_NOISE, (-1.0, 2.0, 0.5, 3.5), 1000)
+        hashed = count_hashes(monkeypatch)
+        assert np.array_equal(noise(*inside), expected[0])
+        assert hashed == []
+        assert np.array_equal(noise(*outside), expected[1])
+        assert hashed == [500] * 4 * HEIGHT_NOISE[0]
 
     @pytest.mark.parametrize(
         "box", [(-1e6, 1e6, 0.0, 1.0), (np.nan, 1.0, 0.0, 1.0)], ids=["too_large", "non_finite"]
     )
-    def test_box_without_table_is_surface_height(self, box):
-        scene = generate_scene(5, SceneConfig(n_frames=1))
-        assert scene._height_field(*box, 1000) == scene.surface_height
+    def test_noise_field_without_table_matches_reference(self, box, monkeypatch):
+        points = np.random.default_rng(4).uniform(0.0, 1.0, (2, 500))
+        expected = reference_octave_noise(*points, 36, *HEIGHT_NOISE)
+        hashed = count_hashes(monkeypatch)
+        noise = scene_mod._noise_field(36, *HEIGHT_NOISE, box, 1000)
+        assert hashed == []
+        assert np.array_equal(noise(*points), expected)
+        assert hashed == [500] * 4 * HEIGHT_NOISE[0]
+
+
+def count_hashes(monkeypatch) -> list:
+    """Records the size of every later ``_hash01`` call in the scene module."""
+    hashed = []
+    hash01 = scene_mod._hash01
+    monkeypatch.setattr(
+        scene_mod, "_hash01", lambda ix, iy, seed: hashed.append(ix.size) or hash01(ix, iy, seed)
+    )
+    return hashed
 
 
 class TestValueNoise:
+    """``octave_noise`` at the height and texture noise parameters, against the per-point reference."""
+
     @pytest.mark.parametrize(
         "low, high",
         [(-3.0, 9.0), (1e3, 1.02e3), (-1e6, 1e6)],
@@ -245,17 +278,22 @@ class TestValueNoise:
         rng = np.random.default_rng(3)
         x = rng.uniform(low, high, (40, 50))
         y = rng.uniform(low, high, (40, 50))
-        for seed in (0, 5, 1031 * 7 + 2):
-            assert np.array_equal(value_noise(x, y, seed), reference_value_noise(x, y, seed))
+        for params in (HEIGHT_NOISE, TEXTURE_NOISE):
+            for seed in (0, 5, 7 * 7 + 1):
+                out = octave_noise(x, y, seed, *params)
+                assert out.shape == x.shape
+                assert np.array_equal(out, reference_octave_noise(x, y, seed, *params))
 
     def test_far_apart_pair(self):
         x = np.array([-5e8, 5e8])
         y = np.array([3.25, -7e8])
-        assert np.array_equal(value_noise(x, y, 1), reference_value_noise(x, y, 1))
+        for params in (HEIGHT_NOISE, TEXTURE_NOISE):
+            assert np.array_equal(octave_noise(x, y, 1, *params), reference_octave_noise(x, y, 1, *params))
 
     def test_empty_input(self):
-        out = value_noise(np.empty(0), np.empty(0), 3)
-        assert out.shape == (0,) and out.dtype == np.float64
+        for shape in ((0,), (0, 3)):
+            out = octave_noise(np.empty(shape), np.empty(shape), 3, *TEXTURE_NOISE)
+            assert out.shape == shape and out.dtype == np.float64
 
 
 class TestConditions:

@@ -93,12 +93,15 @@ class TestGenerate:
     def test_small_run_matches_golden_digests(self, tmp_path, monkeypatch):
         """The sha256 of every file a small ``generate`` writes.
 
-        The digests were recorded with the renderer that hashed the height
-        lattice at every march step and marched the overlap grid at every
-        candidate attempt, under numpy 2.4.6 and OpenBLAS 0.3.31
-        (scipy-openblas64) on x86-64 with Python 3.11. The renderer's
-        shortcuts must keep every byte; another numpy or BLAS build may
-        round the render's ray rotation differently and change them.
+        The digests were recorded with a renderer that hashed the height
+        lattice at every march step, evaluated the noise one octave at a
+        time and marched the overlap grid at every candidate attempt, under
+        numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas64) on x86-64 with
+        Python 3.11. The renderer's shortcuts (one noise evaluator that
+        hashes each octave's lattice once per box and sums every octave in
+        one pass, and the overlap grid read from the render) must keep every
+        byte; another numpy or BLAS build may round the render's ray
+        rotation differently and change them.
         """
         monkeypatch.setenv("FEATALIGN_OUTPUT_ROOT", str(tmp_path))
         assert cli_main(["generate", "--out", "golden", "--frames", "3", "--candidates", "4",
@@ -417,6 +420,21 @@ def repeated_name(blob):
     return blob.replace(b"enc0/b", b"enc0/w", 1), "parameter enc0/w appears twice"
 
 
+def edit_config_scalar(key, value):
+    """Case: the weights file's ``config/<key>`` scalar set to ``value``; ``align`` loads it."""
+
+    def edit(dataset, weights, tmp_path):
+        raw = load_weights(weights)
+        raw["config/" + key] = np.asarray(value)
+        path = tmp_path / "config.gnnw"
+        save_weights(path, raw)
+        return path, f"config/{key} holds {value}, not a finite integer", [
+            "align", "--method", "features", "--weights", str(path)
+        ]
+
+    return edit
+
+
 def edit_focal_to_nan(dataset, weights, tmp_path):
     """Case: a NaN focal length in the test manifest; ``evaluate`` reads it."""
     path = dataset / "test" / "manifest.json"
@@ -441,9 +459,12 @@ class TestInputFaults:
             edit_weights_bytes(name_not_utf8),
             edit_weights_bytes(trailing_bytes),
             edit_weights_bytes(repeated_name),
+            edit_config_scalar("seed", np.inf),
+            edit_config_scalar("descriptor_dim", 4.5),
         ],
         ids=["match_nan", "match_outside_frame", "weight_nan-evaluate", "weight_nan-align", "focal_nan",
-             "weights_name_not_utf8", "weights_trailing_bytes", "weights_repeated_name"],
+             "weights_name_not_utf8", "weights_trailing_bytes", "weights_repeated_name",
+             "weights_config_inf", "weights_config_fraction"],
     )
     def test_bad_value_is_data_fault(self, dataset, weights, tmp_path, capsys, edit):
         corrupt = tmp_path / "ds"
@@ -566,6 +587,18 @@ class TestUsage:
         rc = cli_main([command, "--dataset", str(dataset), "--points", points] + extra)
         assert rc == 1
         assert "--points must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train", "gradcheck"])
+    def test_negative_seed_is_usage_error(self, dataset, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "generate": ["generate", "--out", str(out)],
+            "train": ["train", "--dataset", str(dataset), "--out", str(out / "w.gnnw"), "--epochs", "1"],
+            "gradcheck": ["gradcheck"],
+        }[command]
+        assert cli_main(argv + ["--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_command_is_usage_error(self):

@@ -209,6 +209,15 @@ class TestSplitIO:
         with pytest.raises(DataFault, match="malformed value"):
             read_split(d)
 
+    def test_repeated_frame_id_is_data_fault(self, tmp_path, scene):
+        d = tmp_path / "split"
+        write_split(d, scene, None)
+        manifest = json.loads((d / "manifest.json").read_text())
+        manifest["frames"][1]["id"] = manifest["frames"][0]["id"]
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataFault, match="frame 0 appears twice"):
+            read_split(d)
+
     def test_manifest_not_an_object_is_data_fault(self, tmp_path, scene):
         d = tmp_path / "split"
         write_split(d, scene, None)
