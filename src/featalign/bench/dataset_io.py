@@ -50,7 +50,10 @@ def read_pgm(path) -> np.ndarray:
     parts = blob.split(b"\n", 3)
     if len(parts) < 4:
         raise DataFault(f"{path}: incomplete PGM header")
-    width, height = (int(v) for v in parts[1].split())
+    size = parts[1].split()
+    if len(size) != 2 or not all(v.isdigit() for v in size):
+        raise DataFault(f"{path}: malformed PGM header")
+    width, height = int(size[0]), int(size[1])
     if parts[2] != b"255":
         raise DataFault(f"{path}: unsupported PGM maxval")
     payload = parts[3]
@@ -93,20 +96,25 @@ def write_correspondences(path, batches) -> None:
 def read_correspondences(path) -> list:
     """Groups lines back into per-(frame_a, frame_b) batches, input order."""
     grouped: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
+    # Parsed as bytes, so a byte that is not UTF-8 fails on its own line.
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         parts = line.split()
-        if len(parts) != 7 or parts[6] not in ("pos", "neg"):
+        if not parts:
+            continue
+        if len(parts) != 7 or parts[6] not in (b"pos", b"neg"):
             raise DataFault(f"{path}:{lineno}: malformed correspondence line")
-        key = (int(parts[0]), int(parts[1]))
+        try:
+            key = (int(parts[0]), int(parts[1]))
+            coords = [float(v) for v in parts[2:6]]
+        except ValueError:
+            raise DataFault(f"{path}:{lineno}: frame id or coordinate is not a number") from None
         if key not in grouped:
-            grouped[key] = {"pos": [], "neg": []}
-        grouped[key][parts[6]].append([float(v) for v in parts[2:6]])
+            grouped[key] = {b"pos": [], b"neg": []}
+        grouped[key][parts[6]].append(coords)
     batches = []
     for key, lines in grouped.items():
-        pos = np.asarray(lines["pos"], dtype=np.float64).reshape(-1, 4)
-        neg = np.asarray(lines["neg"], dtype=np.float64).reshape(-1, 4)
+        pos = np.asarray(lines[b"pos"], dtype=np.float64).reshape(-1, 4)
+        neg = np.asarray(lines[b"neg"], dtype=np.float64).reshape(-1, 4)
         batches.append(
             CorrespondenceBatch(
                 pos[:, 0:2], pos[:, 2:4], neg[:, 0:2], neg[:, 2:4], key[0], key[1]

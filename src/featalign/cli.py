@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--vicinity", type=float, default=LossConfig.vicinity_radius)
     tr.add_argument("--epsilon", type=float, default=LossConfig.epsilon)
     tr.add_argument("--val-candidates", type=int, default=TrainConfig.val_candidates,
-                    help="validation relocalizations per epoch (0 disables)")
+                    help="validation relocalizations per epoch, logged only; 0 disables")
 
     ev = sub.add_parser("evaluate", help="relocalization curves per method")
     ev.add_argument("--dataset", required=True)

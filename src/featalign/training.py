@@ -2,8 +2,8 @@
 
 Each step runs the Siamese forward pass (one set of weights, two images) on
 a stored correspondence batch, backpropagates the combined loss, and
-applies ADAM. Per-epoch validation tracks relocalization quality and the
-best epoch is checkpointed, mirroring how the benchmark selects models.
+applies ADAM. Per-epoch validation logs relocalization quality; it never
+picks the weights, which are the parameters after the final epoch.
 Everything is deterministic from the network config's seed.
 """
 
@@ -54,9 +54,9 @@ class EpochStats:
 def train_network(train_split, val_split, config: TrainConfig):
     """Trains on a loaded split's correspondence batches.
 
-    Returns (best NetworkWeights, list of EpochStats). The best epoch is
-    the one with the highest validation relocalization AUC (falling back to
-    the lowest training loss when validation is disabled).
+    Returns (the final epoch's NetworkWeights, list of EpochStats). Each
+    row's ``val_auc`` is that epoch's validation relocalization AUC (NaN when
+    validation is off); it is a log value only.
     """
     if not train_split.correspondences:
         raise NumericalFault("training split carries no correspondences")
@@ -68,7 +68,6 @@ def train_network(train_split, val_split, config: TrainConfig):
     if val_split is not None:
         val_split = replace(val_split, candidates=val_split.candidates[: config.val_candidates])
     history: list[EpochStats] = []
-    best_params, best_score = None, -np.inf
     for epoch in range(config.epochs):
         order = np.random.default_rng([config.network.seed, 17, epoch]).permutation(len(batches))
         sums = {"total": 0.0, "contrastive": 0.0, "gauss_newton": 0.0}
@@ -93,18 +92,14 @@ def train_network(train_split, val_split, config: TrainConfig):
             sums["contrastive"] += parts["contrastive"]
             sums["gauss_newton"] += parts["gauss_newton"]
         n = max(1, len(batches))
-        epoch_weights = NetworkWeights(config.network, {m: p for m, p in zip(names, params)})
         val_auc = float("nan")
         if val_split is not None and val_split.candidates:
-            val_auc = _validation_auc(val_split, epoch_weights)
+            val_auc = _validation_auc(val_split, weights)
         history.append(
             EpochStats(epoch, sums["total"] / n, sums["contrastive"] / n,
                        sums["gauss_newton"] / n, val_auc)
         )
-        score = val_auc if np.isfinite(val_auc) else -sums["total"] / n
-        if score > best_score:
-            best_params, best_score = {m: p.copy() for m, p in zip(names, params)}, score
-    return NetworkWeights(config.network, best_params), history
+    return weights, history
 
 
 def _validation_auc(val_split, weights: NetworkWeights) -> float:

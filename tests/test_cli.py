@@ -377,6 +377,17 @@ def edit_first_match(value):
     return edit
 
 
+def edit_match_frame_id_not_int(dataset, weights, tmp_path):
+    """Case: the first training match's frame id set to ``x1``; ``train`` reads it."""
+    path = dataset / "train" / "correspondences.txt"
+    lines = path.read_text().splitlines()
+    lines[0] = "x1 " + lines[0].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["train", "--out", str(tmp_path / "w.gnnw"), "--epochs", "1", "--levels", "2",
+            "--base-width", "4", "--descriptor-dim", "4", "--val-candidates", "0"]
+    return path, f"{path}:1: frame id or coordinate is not a number", argv
+
+
 def edit_weight_to_nan(command):
     """Case: one network parameter set to NaN; ``evaluate`` or ``align`` loads it."""
 
@@ -453,6 +464,7 @@ class TestInputFaults:
         [
             edit_first_match("nan"),
             edit_first_match("40.0"),
+            edit_match_frame_id_not_int,
             edit_weight_to_nan("evaluate"),
             edit_weight_to_nan("align"),
             edit_focal_to_nan,
@@ -462,8 +474,8 @@ class TestInputFaults:
             edit_config_scalar("seed", np.inf),
             edit_config_scalar("descriptor_dim", 4.5),
         ],
-        ids=["match_nan", "match_outside_frame", "weight_nan-evaluate", "weight_nan-align", "focal_nan",
-             "weights_name_not_utf8", "weights_trailing_bytes", "weights_repeated_name",
+        ids=["match_nan", "match_outside_frame", "match_frame_id_not_int", "weight_nan-evaluate",
+             "weight_nan-align", "focal_nan", "weights_name_not_utf8", "weights_trailing_bytes", "weights_repeated_name",
              "weights_config_inf", "weights_config_fraction"],
     )
     def test_bad_value_is_data_fault(self, dataset, weights, tmp_path, capsys, edit):

@@ -70,6 +70,13 @@ class TestPrimitivesIO:
         with pytest.raises(DataFault, match="not a binary PGM file"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("size", [b"2 x", b"2", b"-2 -2"], ids=["not_int", "one_value", "negative"])
+    def test_pgm_bad_size_header(self, tmp_path, size):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(12))
+        with pytest.raises(DataFault, match="malformed PGM header"):
+            read_pgm(path)
+
     def test_correspondence_roundtrip(self, tmp_path, correspondences):
         p1 = tmp_path / "c1.txt"
         p2 = tmp_path / "c2.txt"
@@ -81,6 +88,14 @@ class TestPrimitivesIO:
         path = tmp_path / "bad.txt"
         path.write_text("0 1 2.0 3.0 4.0\n")
         with pytest.raises(DataFault):
+            read_correspondences(path)
+
+    @pytest.mark.parametrize("line", [b"0 1 2.0 x3 4.0 5.0 pos", b"0 1 2.0 3.\xff 4.0 5.0 neg"],
+                             ids=["coordinate_not_float", "not_utf8"])
+    def test_correspondence_not_a_number(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1 2.0 3.0 4.0 5.0 pos\n" + line + b"\n")
+        with pytest.raises(DataFault, match=r"bad\.txt:2: frame id or coordinate is not a number"):
             read_correspondences(path)
 
 

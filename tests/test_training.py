@@ -42,6 +42,17 @@ def small_config(**kw):
     return TrainConfig(**base)
 
 
+def assert_same_weights(a, b):
+    assert list(a.params) == list(b.params)
+    for name in a.params:
+        assert a.params[name].tobytes() == b.params[name].tobytes(), name
+
+
+def loss_columns(history):
+    """The log CSV without its last column, ``val_auc``."""
+    return [line.rsplit(",", 1)[0] for line in history_csv(history).splitlines()]
+
+
 class TestTrainNetwork:
     def test_two_epochs_produce_finite_history(self, tiny_dataset):
         split = read_split(tiny_dataset / "train")
@@ -57,16 +68,30 @@ class TestTrainNetwork:
         split = read_split(tiny_dataset / "train")
         w1, h1 = train_network(split, None, small_config())
         w2, h2 = train_network(split, None, small_config())
-        for name in w1.params:
-            assert w1.params[name].tobytes() == w2.params[name].tobytes()
+        assert_same_weights(w1, w2)
         assert history_csv(h1) == history_csv(h2)
 
-    def test_validation_selects_best_epoch(self, tiny_dataset):
+    def test_validation_only_logs(self, tiny_dataset):
         train_split = read_split(tiny_dataset / "train")
         val_split = read_split(tiny_dataset / "val")
         cfg = small_config(val_candidates=2, epochs=2)
-        _, history = train_network(train_split, val_split, cfg)
+        weights, history = train_network(train_split, val_split, cfg)
         assert all(np.isfinite(r.val_auc) for r in history)
+        plain, plain_history = train_network(train_split, None, cfg)
+        assert_same_weights(weights, plain)
+        assert loss_columns(history) == loss_columns(plain_history)
+
+    def test_returns_last_epoch_whatever_validation_reports(self, tiny_dataset, monkeypatch):
+        # A falling validation AUC must not keep the earlier epoch.
+        train_split = read_split(tiny_dataset / "train")
+        val_split = read_split(tiny_dataset / "val")
+        cfg = small_config(val_candidates=2, epochs=2)
+        reported = iter([1.0, 0.0])
+        monkeypatch.setattr(training_mod, "_validation_auc", lambda split, weights: next(reported))
+        weights, history = train_network(train_split, val_split, cfg)
+        assert [r.val_auc for r in history] == [1.0, 0.0]
+        plain, _ = train_network(train_split, None, cfg)
+        assert_same_weights(weights, plain)
 
     def test_nan_loss_aborts_with_diagnostics(self, tiny_dataset, monkeypatch):
         split = read_split(tiny_dataset / "train")
