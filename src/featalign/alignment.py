@@ -66,26 +66,31 @@ class PoseCost:
 
     ``valid`` and ``point_cost`` hold, per input point, whether it projected
     inside the map and its weighted robust cost (0 where invalid); the
-    solver's accept test compares them over the points valid at two poses.
-    Over the valid points it keeps the camera-frame points ``p_cam``, the
-    residuals ``r``, the IRLS ``weights`` and the map derivative
-    ``jac_map``, so the system is built without projecting or sampling
-    again. Those are None when too few points are valid (``cost`` is then
-    inf). ``_linearize`` sets the normal equations H delta = b (``h``,
-    ``b``); a trial pose's record leaves them None.
+    solver's accept test compares them over the points valid at two poses
+    and reads nothing else of a trial pose. The arrays the evaluation made
+    on the way stay referenced, so ``_linearize`` builds the system without
+    projecting or sampling again: every point's camera-frame position
+    ``p_cam`` and, over the valid points, the stacked ``[F | dF]``
+    ``samples``, the residuals ``r``, their ``norms`` and the gradient
+    weights ``grad_w``. They are None when too few points are valid
+    (``cost`` is then inf). ``_linearize`` sets the inlier count and the
+    normal equations H delta = b (``h``, ``b``, and ``h_diag`` =
+    diag(diag(H)), which the damping reads).
     """
 
     n_valid: int
     cost: float
-    inlier_count: int
     valid: np.ndarray
     point_cost: np.ndarray
     p_cam: Optional[np.ndarray] = None
+    samples: Optional[np.ndarray] = None
     r: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
-    jac_map: Optional[np.ndarray] = None
+    norms: Optional[np.ndarray] = None
+    grad_w: Optional[np.ndarray] = None
+    inlier_count: int = 0
     h: Optional[np.ndarray] = None
     b: Optional[np.ndarray] = None
+    h_diag: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -154,8 +159,15 @@ def stencil_valid(coords: np.ndarray, width: int, height: int) -> np.ndarray:
 
 
 def _check_stencil(coords: np.ndarray, map_shape) -> None:
+    """Raises unless every coord passes ``stencil_valid``; tested on the extremes, NaN failing."""
     height, width = map_shape[:2]
-    if not np.all(stencil_valid(coords, width, height)):
+    xs, ys = coords[:, 0], coords[:, 1]
+    if len(coords) and not (
+        xs.min() >= STENCIL_MARGIN
+        and xs.max() <= width - 1 - STENCIL_MARGIN
+        and ys.min() >= STENCIL_MARGIN
+        and ys.max() <= height - 1 - STENCIL_MARGIN
+    ):
         raise ValueError("stencil outside the map")
 
 
@@ -218,61 +230,74 @@ def _target_map(feat_tgt: np.ndarray) -> np.ndarray:
     return np.concatenate([feat_tgt, map_gradient(feat_tgt).data], axis=2)
 
 
-def _pose_cost(target, pixels, f_ref, inv_depths, pose, intr, config: AlignmentConfig) -> PoseCost:
+def _jac_map(samples: np.ndarray, dim: int) -> np.ndarray:
+    """The map derivative (N, D, 2) from stacked ``[F | dF]`` samples.
+
+    Contiguous, as ``gradient_at`` returns it, so the einsum and matmul
+    reading it run the same kernels and give the same bits.
+    """
+    return np.ascontiguousarray(samples[:, dim:]).reshape(samples.shape[0], dim, 2)
+
+
+def _pose_cost(target, points, f_ref, pose, intr, config: AlignmentConfig) -> PoseCost:
     """The weighted robust cost at ``pose``: one projection, one gather.
 
-    ``target`` comes from ``_target_map`` and ``f_ref`` holds the reference
-    descriptors at ``pixels``.
+    ``target`` comes from ``_target_map``, ``points`` are the keyframe
+    points back-projected in the keyframe camera and ``f_ref`` holds their
+    reference descriptors.
     """
     n_points, dim = f_ref.shape
     projected, p_cam, valid = project_points(
-        pixels, inv_depths, pose, intr, intr, border=max(config.border_margin, STENCIL_MARGIN)
+        points, pose, intr, border=max(config.border_margin, STENCIL_MARGIN)
     )
     point_cost = np.zeros(n_points)
-    if valid.sum() < config.min_valid_points:
-        return PoseCost(int(valid.sum()), np.inf, 0, valid, point_cost)
+    n_valid = int(np.count_nonzero(valid))
+    if n_valid < config.min_valid_points:
+        return PoseCost(n_valid, np.inf, valid, point_cost)
     idx = np.nonzero(valid)[0]
     coords = projected[idx]
     _check_stencil(coords, target.shape)
     samples = interp(target, coords)
     r = samples[:, :dim] - f_ref[idx]
-    # Contiguous, as gradient_at returns it, so the einsum and matmul
-    # reading it run the same kernels and give the same bits.
-    jac_map = np.ascontiguousarray(samples[:, dim:]).reshape(len(idx), dim, 2)
     if config.use_gradient_weight:
-        grad_w = gradient_weight(jac_map, config.gradient_weight_const)
+        grad_w = gradient_weight(_jac_map(samples, dim), config.gradient_weight_const)
     else:
-        grad_w = np.ones(len(idx))
+        grad_w = np.ones(n_valid)
     norms = np.linalg.norm(r, axis=1)
-    point_cost[idx] = grad_w * huber_cost(norms, config.huber_delta)
+    costs = grad_w * huber_cost(norms, config.huber_delta)
+    point_cost[idx] = costs
     return PoseCost(
-        n_valid=int(len(idx)),
-        cost=float(np.mean(point_cost[idx])),
-        inlier_count=int(np.sum(norms <= config.huber_delta)),
+        n_valid=n_valid,
+        cost=float(costs.sum() / n_valid),
         valid=valid,
         point_cost=point_cost,
-        p_cam=p_cam[idx],
+        p_cam=p_cam,
+        samples=samples,
         r=r,
-        weights=huber_weight(norms, config.huber_delta) * grad_w,
-        jac_map=jac_map,
+        norms=norms,
+        grad_w=grad_w,
     )
 
 
-def _linearize(at: PoseCost, intr, recombined: bool = False) -> PoseCost:
+def _linearize(at: PoseCost, intr, config: AlignmentConfig, recombined: bool = False) -> PoseCost:
     """Sets ``at.h`` and ``at.b`` to the 6x6 pose system over its valid points.
 
-    Direct route: J_i = J'_i @ dp'/dxi stacked as an (N*D, 6) matrix, then
-    one GEMM H = J^T W J and one product b = -J^T W r, with each point's
-    weight repeated over its D channels. Recombined route
-    (``recombined=True``): build each 2x2 per-pixel system first and map it
-    through dp'/dxi with einsum; algebraically identical, and the reference
-    the direct route is tested against. Returns ``at``.
+    Forms what only a linearization reads: the IRLS weights, the valid
+    points' ``p_cam`` and the map derivative. Direct route: J_i = J'_i @
+    dp'/dxi stacked as an (N*D, 6) matrix, then one GEMM H = J^T W J and
+    one product b = -J^T W r, with each point's weight repeated over its D
+    channels. Recombined route (``recombined=True``): build each 2x2
+    per-pixel system first and map it through dp'/dxi with einsum;
+    algebraically identical, and the reference the direct route is tested
+    against. Returns ``at``.
     """
     if not np.isfinite(at.cost):
-        at.h, at.b = np.zeros((6, 6)), np.zeros(6)
+        at.h, at.b, at.h_diag = np.zeros((6, 6)), np.zeros(6), np.zeros((6, 6))
         return at
-    jac_map, r, weights = at.jac_map, at.r, at.weights
-    jac_pose = projection_jacobian(at.p_cam, intr)
+    r = at.r
+    jac_map = _jac_map(at.samples, r.shape[1])
+    weights = huber_weight(at.norms, config.huber_delta) * at.grad_w
+    jac_pose = projection_jacobian(at.p_cam[at.valid], intr)
     if recombined:
         h_pix = np.einsum("ndi,ndj->nij", jac_map, jac_map)
         b_pix = np.einsum("ndi,nd->ni", jac_map, r)
@@ -283,7 +308,9 @@ def _linearize(at: PoseCost, intr, recombined: bool = False) -> PoseCost:
         weighted = jac * np.repeat(weights, r.shape[1])[:, None]
         h = weighted.T @ jac
         b = -(weighted.T @ r.ravel())
+    at.inlier_count = int(np.sum(at.norms <= config.huber_delta))
     at.h, at.b = 0.5 * (h + h.T), b
+    at.h_diag = np.diag(np.diag(at.h))
     return at
 
 
@@ -299,12 +326,16 @@ def build_pose_system(
 ) -> PoseCost:
     """The cost record at the given pose with its 6x6 normal equations (reference sampled here)."""
     f_ref = interp(feat_ref, pixels)
-    at = _pose_cost(_target_map(feat_tgt), pixels, f_ref, inv_depths, pose, intr, config)
-    return _linearize(at, intr, recombined)
+    points = intr.back_project(pixels, inv_depths)
+    at = _pose_cost(_target_map(feat_tgt), points, f_ref, pose, intr, config)
+    return _linearize(at, intr, config, recombined)
+
+
+_EYE6 = np.eye(6)
 
 
 def _damped_step(system: PoseCost, lam: float):
-    h = system.h + lam * np.diag(np.diag(system.h)) + lam * 1e-12 * np.eye(6)
+    h = system.h + lam * system.h_diag + lam * 1e-12 * _EYE6
     try:
         return np.linalg.solve(h, system.b)
     except np.linalg.LinAlgError:
@@ -326,21 +357,29 @@ def align_pose(
     exp(delta) @ pose, accept only if the weighted residual decreases
     (halving damping), otherwise raise damping tenfold. A trial pose only
     evaluates the cost; the system is linearized at the level start and at
-    each accepted pose, from that pose's cost evaluation. Level solutions
-    seed the next finer level.
+    each accepted pose, from that pose's cost evaluation. The keyframe
+    points are back-projected and their reference descriptors sampled once
+    per level. Level solutions seed the next finer level.
     """
     pose = init_pose
     total_iterations = 0
     converged = False
     current: Optional[PoseCost] = None
+
+    def probe_step(system: PoseCost):
+        """The baseline-damped step of ``system`` and whether it is small enough to stop."""
+        step = _damped_step(system, config.eps_pose)
+        return step, step is not None and np.linalg.norm(step) < config.step_norm_tol
+
     for level in config.levels:
         scale = 1.0 / (2.0**level)
         level_pixels = pixels * scale
         intr = intrinsics.scaled(level)
         f_ref = interp(pyr_ref[level], level_pixels)
+        points = intr.back_project(level_pixels, inv_depths)
         target = _target_map(pyr_tgt[level])
         damping = config.eps_pose
-        at = _pose_cost(target, level_pixels, f_ref, inv_depths, pose, intr, config)
+        at = _pose_cost(target, points, f_ref, pose, intr, config)
         converged = False
         if not np.isfinite(at.cost):
             continue
@@ -348,31 +387,32 @@ def align_pose(
         # ``current``; escalated damping only shapes the trust step (a
         # heavily damped step is small by construction and must not fake
         # convergence).
-        current = _linearize(at, intr)
-        probe = _damped_step(current, config.eps_pose)
+        current = _linearize(at, intr, config)
+        probe, probe_small = probe_step(current)
         for _ in range(config.max_iterations):
             total_iterations += 1
-            if probe is not None and np.linalg.norm(probe) < config.step_norm_tol:
+            if probe_small:
                 converged = True
                 break
             delta = probe if damping == config.eps_pose else _damped_step(current, damping)
             if delta is not None:
                 candidate_pose = se3_exp(delta).compose(pose)
-                candidate = _pose_cost(
-                    target, level_pixels, f_ref, inv_depths, candidate_pose, intr, config
-                )
+                candidate = _pose_cost(target, points, f_ref, candidate_pose, intr, config)
                 # Compare weighted residuals over the points valid at BOTH
                 # poses so composition changes of the valid set cannot mask
                 # a genuine improvement (or fake one).
+                # (Means written as sum / count, the bits np.mean gives.)
                 common = current.valid & candidate.valid
+                n_common = np.count_nonzero(common)
                 if (
                     np.isfinite(candidate.cost)
-                    and common.sum() >= config.min_valid_points
-                    and candidate.point_cost[common].mean() < current.point_cost[common].mean()
+                    and n_common >= config.min_valid_points
+                    and candidate.point_cost[common].sum() / n_common
+                    < current.point_cost[common].sum() / n_common
                 ):
                     pose = candidate_pose
-                    current = _linearize(candidate, intr)
-                    probe = _damped_step(current, config.eps_pose)
+                    current = _linearize(candidate, intr, config)
+                    probe, probe_small = probe_step(current)
                     damping = max(damping * 0.5, config.eps_pose)
                     continue
             # A cost increase and a singular solve are both rejected steps.

@@ -371,7 +371,7 @@ def _overlap_fraction(scene: SyntheticScene, ref_depth: np.ndarray, rel: SE3Pose
     pixels = np.stack([uu.ravel(), vv.ravel()], axis=1)
     depth = ref_depth[4 : cfg.height - 4 : 4, 4 : cfg.width - 4 : 4].ravel()
     intr = scene.intrinsics
-    _, _, valid = project_points(pixels, 1.0 / depth, rel, intr, intr, border=2.0)
+    _, _, valid = project_points(intr.back_project(pixels, 1.0 / depth), rel, intr, border=2.0)
     return float(valid.mean())
 
 
@@ -477,7 +477,7 @@ def make_correspondences(
         ).astype(np.float64)
         depth_a = fa.depth[ua[:, 1].astype(int), ua[:, 0].astype(int)]
         projected, p_cam, valid = project_points(
-            ua, 1.0 / depth_a, rel, intrinsics, intrinsics, border=m
+            intrinsics.back_project(ua, 1.0 / depth_a), rel, intrinsics, border=m
         )
         if valid.any():
             ub = projected[valid]

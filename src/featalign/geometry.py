@@ -22,11 +22,12 @@ SMALL_ANGLE = 1e-8
 
 
 def _skew(w: np.ndarray) -> np.ndarray:
+    x, y, z = w.tolist()
     return np.array(
         [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
+            [0.0, -z, y],
+            [z, 0.0, -x],
+            [-y, x, 0.0],
         ]
     )
 
@@ -111,16 +112,9 @@ class CameraIntrinsics:
             axis=1,
         )
 
-
-def so3_exp(w: np.ndarray) -> np.ndarray:
-    """Rodrigues formula with a series branch near zero."""
-    theta = float(np.linalg.norm(w))
-    wx = _skew(w)
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + wx + 0.5 * (wx @ wx)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * wx + b * (wx @ wx)
+    def back_project(self, pixels: np.ndarray, inverse_depths: np.ndarray) -> np.ndarray:
+        """Camera-frame points (N, 3) of pixels (N, 2) at inverse depths (N,)."""
+        return self.rays(pixels) * (1.0 / inverse_depths)[:, None]
 
 
 def so3_log(rotation: np.ndarray) -> np.ndarray:
@@ -149,16 +143,6 @@ def so3_log(rotation: np.ndarray) -> np.ndarray:
     return theta / (2.0 * np.sin(theta)) * off
 
 
-def _so3_left_jacobian(w: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(w))
-    wx = _skew(w)
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + 0.5 * wx + (wx @ wx) / 6.0
-    a = (1.0 - np.cos(theta)) / theta**2
-    b = (theta - np.sin(theta)) / theta**3
-    return np.eye(3) + a * wx + b * (wx @ wx)
-
-
 def _so3_left_jacobian_inv(w: np.ndarray) -> np.ndarray:
     theta = float(np.linalg.norm(w))
     wx = _skew(w)
@@ -178,9 +162,21 @@ def se3_exp(twist: np.ndarray) -> SE3Pose:
     if not np.all(np.isfinite(twist)):
         raise ValueError("twist must be finite")
     v, w = twist[:3], twist[3:]
-    rotation = so3_exp(w)
-    translation = _so3_left_jacobian(w) @ v
-    return SE3Pose(rotation, translation)
+    # Rodrigues for the rotation and the SO(3) left Jacobian for the
+    # translation share theta, [w]x and [w]x^2; both take a series branch
+    # near zero.
+    theta = float(np.linalg.norm(w))
+    wx = _skew(w)
+    wx2 = wx @ wx
+    if theta < SMALL_ANGLE:
+        rotation = np.eye(3) + wx + 0.5 * wx2
+        left_jacobian = np.eye(3) + 0.5 * wx + wx2 / 6.0
+    else:
+        sin, cos = np.sin(theta), np.cos(theta)
+        b = (1.0 - cos) / theta**2
+        rotation = np.eye(3) + sin / theta * wx + b * wx2
+        left_jacobian = np.eye(3) + b * wx + (theta - sin) / theta**3 * wx2
+    return SE3Pose(rotation, left_jacobian @ v)
 
 
 def se3_log(pose: SE3Pose) -> np.ndarray:
@@ -191,31 +187,31 @@ def se3_log(pose: SE3Pose) -> np.ndarray:
 
 
 def project_points(
-    pixels: np.ndarray,
-    inverse_depths: np.ndarray,
+    points: np.ndarray,
     pose: SE3Pose,
-    intr_src: CameraIntrinsics,
-    intr_dst: CameraIntrinsics,
+    intr: CameraIntrinsics,
     border: float = 2.0,
 ):
-    """Projects N source pixels with inverse depths into the destination frame.
+    """Projects N source camera-frame points (N, 3) into the camera ``intr``.
 
-    Returns (projected (N,2), camera-frame points (N,3), valid mask (N,)).
-    A point is invalid when it lands at non-positive depth or outside the
-    image minus ``border`` pixels; its entries are left in place but must
-    not be used.
+    Source points come from :meth:`CameraIntrinsics.back_project` of the
+    source camera, which may differ from ``intr``. Returns (projected
+    (N,2), destination camera-frame points (N,3), valid mask (N,)). A point
+    is invalid when it lands at non-positive depth or outside the image
+    minus ``border`` pixels; its entries are left in place but must not be
+    used.
     """
-    p_cam = pose.apply(intr_src.rays(pixels) * (1.0 / inverse_depths)[:, None])
+    p_cam = pose.apply(points)
     z = p_cam[:, 2]
     safe_z = np.where(z > 0, z, 1.0)
-    u = intr_dst.fx * p_cam[:, 0] / safe_z + intr_dst.cx
-    v = intr_dst.fy * p_cam[:, 1] / safe_z + intr_dst.cy
+    u = intr.fx * p_cam[:, 0] / safe_z + intr.cx
+    v = intr.fy * p_cam[:, 1] / safe_z + intr.cy
     valid = (
         (z > 0)
         & (u >= border)
-        & (u <= intr_dst.width - 1 - border)
+        & (u <= intr.width - 1 - border)
         & (v >= border)
-        & (v <= intr_dst.height - 1 - border)
+        & (v <= intr.height - 1 - border)
     )
     return np.stack([u, v], axis=1), p_cam, valid
 

@@ -518,18 +518,20 @@ def bilinear_sample(feature_map, coords) -> Tensor:
     ty = ys - y0
     # Corners in the order (y0, x0), (y0, x0+1), (y0+1, x0), (y0+1, x0+1),
     # gathered by one take on the (H*W, C) view.
-    flat = y0 * w + x0
-    corners_idx = np.concatenate([flat, flat + 1, flat + w, flat + w + 1])
+    corners_idx = ((y0 * w + x0) + np.array([0, 1, w, w + 1])[:, None]).ravel()
     corners = m.reshape(h * w, c).take(corners_idx, axis=0).reshape(4, n, c)
+    sx, sy = 1 - tx, 1 - ty
     weights = np.empty((4, n, 1))
-    weights[0, :, 0] = (1 - tx) * (1 - ty)
-    weights[1, :, 0] = tx * (1 - ty)
-    weights[2, :, 0] = (1 - tx) * ty
+    weights[0, :, 0] = sx * sy
+    weights[1, :, 0] = tx * sy
+    weights[2, :, 0] = sx * ty
     weights[3, :, 0] = tx * ty
-    # Four-corner weighted form, summed in corner order: exact at integer
-    # coordinates.
-    out = (weights * corners).sum(axis=0)
     need_dcoords = coords.tape is not None
+    # Four-corner weighted form, summed over the corner axis, which numpy
+    # adds in corner order: exact at integer coordinates. The products
+    # overwrite the gathered corners unless the coordinate gradient reads
+    # them.
+    out = np.multiply(weights, corners, out=None if need_dcoords else corners).sum(axis=0)
 
     def backward(g):
         # One bincount on (corner * C + channel) adds in index order, as

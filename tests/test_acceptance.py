@@ -419,8 +419,8 @@ class TestCriterion7InvariantSuites:
             rel = fb.pose.inverse().compose(fa.pose)
             tb = scene.ray_depth(fb.pose, batch.pos_b)
             back, _, valid = project_points(
-                batch.pos_b, 1.0 / tb, rel.inverse(), scene.intrinsics, scene.intrinsics,
-                border=-1e9,
+                scene.intrinsics.back_project(batch.pos_b, 1.0 / tb), rel.inverse(),
+                scene.intrinsics, border=-1e9,
             )
             assert valid.all()
             worst = max(worst, float(np.linalg.norm(back - batch.pos_a, axis=1).max()))

@@ -100,7 +100,7 @@ class TestResidual:
         while checked < 50:
             pixel = rng.uniform(8, 55, (1, 2))
             inv_depth = rng.uniform(0.2, 0.5, 1)
-            projected, _, valid = project_points(pixel, inv_depth, pose, INTR, INTR)
+            projected, _, valid = project_points(INTR.back_project(pixel, inv_depth), pose, INTR)
             system = build_pose_system(fref, ftgt, pixel, inv_depth, pose, INTR, self.cfg)
             assert system.n_valid == int(valid[0])
             if not valid[0]:
@@ -489,7 +489,8 @@ class TestAlignPose:
 def loop_pose_system(feat_tgt, grad_tgt, pixels, f_ref, inv_depths, pose, intr, config):
     """A full pose system at one pose: (H, b, valid, point costs, cost, inliers)."""
     projected, p_cam, valid = project_points(
-        pixels, inv_depths, pose, intr, intr, border=max(config.border_margin, STENCIL_MARGIN)
+        intr.back_project(pixels, inv_depths), pose, intr,
+        border=max(config.border_margin, STENCIL_MARGIN),
     )
     point_cost = np.zeros(pixels.shape[0])
     if valid.sum() < config.min_valid_points:
@@ -701,7 +702,8 @@ class TestCostOnlyTrials:
         # Projection keeps valid points inside the stencil margin; the cost
         # evaluation still checks before it reads the stacked derivative.
         pyr_ref, pyr_tgt, pixels, inv_depths, init, intr = rendered_problem(12)
-        projected, p_cam, valid = project_points(pixels, inv_depths, init, intr, intr, border=2.0)
+        points = intr.back_project(pixels, inv_depths)
+        projected, p_cam, valid = project_points(points, init, intr, border=2.0)
         projected[0] = [0.5, 10.0]
         valid[0] = True
         monkeypatch.setattr(alignment, "project_points", lambda *a, **kw: (projected, p_cam, valid))

@@ -32,7 +32,7 @@ def forward_backward_error(scene, frame_a, frame_b, pos_a, pos_b):
     rel = fb.pose.inverse().compose(fa.pose)
     tb = scene.ray_depth(fb.pose, pos_b)
     back, _, valid = project_points(
-        pos_b, 1.0 / tb, rel.inverse(), scene.intrinsics, scene.intrinsics, border=-1e9
+        scene.intrinsics.back_project(pos_b, 1.0 / tb), rel.inverse(), scene.intrinsics, border=-1e9
     )
     assert valid.all()
     return np.linalg.norm(back - pos_a, axis=1)
@@ -69,7 +69,7 @@ class TestGenerateScene:
         depth_a = scene.ray_depth(fa.pose, pix)
         rel = fb.pose.inverse().compose(fa.pose)
         proj, _, valid = project_points(
-            pix, 1.0 / depth_a, rel, scene.intrinsics, scene.intrinsics, border=2.0
+            scene.intrinsics.back_project(pix, 1.0 / depth_a), rel, scene.intrinsics, border=2.0
         )
         assert valid.sum() > 100
         err = forward_backward_error(scene, fa.frame_id, fb.frame_id, pix[valid], proj[valid])

@@ -534,6 +534,60 @@ class TestThreadCountDeterminism:
         assert outputs[0] == outputs[1]
 
 
+# The variables ``python -m featalign`` pins. Running its ``main`` here would
+# set them for every later subprocess of the test run.
+THREAD_VARIABLES = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+)
+
+
+def entry_point_environment(**preset) -> dict:
+    """The thread variables after ``featalign --version`` in a fresh interpreter.
+
+    Starts with none of them set, then ``preset``. Also reports whether
+    importing the entry point loaded numpy, which must wait for the pins.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(preset)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import json, os, sys\n"
+        "import featalign.__main__ as entry_point\n"
+        "numpy_on_import = 'numpy' in sys.modules\n"
+        "sys.argv = ['featalign', '--version']\n"
+        "try:\n"
+        "    entry_point.main()\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"names = {THREAD_VARIABLES}\n"
+        "print(json.dumps(dict(numpy=numpy_on_import, **{k: os.environ.get(k) for k in names})))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestThreadPins:
+    def test_entry_point_pins_one_thread_before_numpy(self):
+        got = entry_point_environment()
+        assert got.pop("numpy") is False
+        assert got == {name: "1" for name in THREAD_VARIABLES}
+
+    def test_entry_point_keeps_a_set_count(self):
+        got = entry_point_environment(OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="2")
+        assert got["OPENBLAS_NUM_THREADS"] == "3" and got["OMP_NUM_THREADS"] == "2"
+        assert got["MKL_NUM_THREADS"] == "1"
+
+    def test_console_script_runs_the_entry_point(self):
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"featalign": "featalign.__main__:main"}
+
+
 class TestAlign:
     def test_prints_result_json(self, dataset, capsys):
         rc = cli_main(["align", "--dataset", str(dataset), "--candidate", "0",

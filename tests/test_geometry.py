@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from featalign.geometry import (
+    SMALL_ANGLE,
     CameraIntrinsics,
     SE3Pose,
     project_points,
@@ -56,19 +57,59 @@ def random_pose(rng, angle_scale=0.5, trans_scale=0.5):
 INTR = CameraIntrinsics(fx=60.0, fy=55.0, cx=31.5, cy=31.5, width=64, height=64)
 
 
+def two_camera_projection(pixels, inverse_depths, pose, intr_src, intr_dst, border):
+    """Pixels with inverse depths in ``intr_src`` projected into ``intr_dst`` in one pass.
+
+    The formula ``back_project`` plus ``project_points`` must reproduce bit
+    for bit: (projected, destination camera-frame points, valid).
+    """
+    p_cam = pose.apply(intr_src.rays(pixels) * (1.0 / inverse_depths)[:, None])
+    z = p_cam[:, 2]
+    safe_z = np.where(z > 0, z, 1.0)
+    u = intr_dst.fx * p_cam[:, 0] / safe_z + intr_dst.cx
+    v = intr_dst.fy * p_cam[:, 1] / safe_z + intr_dst.cy
+    valid = (
+        (z > 0)
+        & (u >= border)
+        & (u <= intr_dst.width - 1 - border)
+        & (v >= border)
+        & (v <= intr_dst.height - 1 - border)
+    )
+    return np.stack([u, v], axis=1), p_cam, valid
+
+
+def rodrigues_exp(twist):
+    """exp of ``[v, w]`` with rotation and SO(3) left Jacobian built separately.
+
+    Both have a series branch below ``SMALL_ANGLE``; ``se3_exp`` shares
+    their terms and must give the same bits.
+    """
+    v, w = twist[:3], twist[3:]
+    theta = float(np.linalg.norm(w))
+    wx = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    if theta < SMALL_ANGLE:
+        rotation = np.eye(3) + wx + 0.5 * (wx @ wx)
+        left = np.eye(3) + 0.5 * wx + (wx @ wx) / 6.0
+    else:
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / theta**2
+        rotation = np.eye(3) + a * wx + b * (wx @ wx)
+        c = (theta - np.sin(theta)) / theta**3
+        left = np.eye(3) + b * wx + c * (wx @ wx)
+    return rotation, left @ v
+
+
 def project_one(pixel, inv_depth, pose, intr_dst=INTR, border=2.0):
     """One-row :func:`project_points` from INTR: the pixel, or None when invalid."""
-    projected, _, valid = project_points(
-        np.array([pixel], dtype=float), np.array([inv_depth]), pose, INTR, intr_dst, border
-    )
+    points = INTR.back_project(np.array([pixel], dtype=float), np.array([inv_depth]))
+    projected, _, valid = project_points(points, pose, intr_dst, border)
     return projected[0] if valid[0] else None
 
 
 def jacobian_one(pixel, inv_depth, pose, intr_dst=INTR):
     """2x6 projection Jacobian of one pixel from INTR, and its camera-frame point."""
-    _, p_cam, _ = project_points(
-        np.array([pixel], dtype=float), np.array([inv_depth]), pose, INTR, intr_dst
-    )
+    points = INTR.back_project(np.array([pixel], dtype=float), np.array([inv_depth]))
+    _, p_cam, _ = project_points(points, pose, intr_dst)
     return projection_jacobian(p_cam, intr_dst)[0], p_cam[0]
 
 
@@ -197,6 +238,47 @@ class TestProject:
                 continue
             np.testing.assert_allclose(stepped, direct, atol=1e-9)
             done += 1
+
+
+class TestSharedTermOracles:
+    """Back-projection once and the shared exp-map terms keep every bit."""
+
+    @pytest.mark.parametrize("border", [2.0, -1e9])
+    def test_back_project_then_project_matches_two_camera_formula(self, border):
+        rng = np.random.default_rng(51)
+        intr_dst = CameraIntrinsics(52.0, 49.0, 30.0, 33.0, 48, 40)
+        pixels = rng.uniform(0, 63, (400, 2))
+        inverse_depths = rng.uniform(0.1, 2.0, 400)
+        points = INTR.back_project(pixels, inverse_depths)
+        assert np.array_equal(points, INTR.rays(pixels) * (1.0 / inverse_depths)[:, None])
+        behind = 0
+        for _ in range(20):
+            pose = random_pose(rng, angle_scale=0.4, trans_scale=1.5)
+            got = project_points(points, pose, intr_dst, border)
+            want = two_camera_projection(pixels, inverse_depths, pose, INTR, intr_dst, border)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            behind += int(np.sum(want[1][:, 2] <= 0))
+        assert behind > 0, "no point landed behind the camera"
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-10, 3e-9, 1e-3, 0.4, 2.5])
+    def test_se3_exp_matches_separate_rotation_and_left_jacobian(self, angle):
+        rng = np.random.default_rng(52)
+        for trial in range(50):
+            axis = rng.standard_normal(3)
+            v = rng.uniform(-1, 1, 3)
+            if trial % 2:
+                # With w_k = 0 and v = e_j, translation entry i (i, j, k
+                # distinct) is the [w]x^2 term alone, so its last bits show
+                # below SMALL_ANGLE too.
+                k = trial % 3
+                axis[k] = 0.0
+                v = np.eye(3)[(k + 1) % 3]
+            twist = np.concatenate([v, angle * axis / np.linalg.norm(axis)])
+            rotation, translation = rodrigues_exp(twist)
+            pose = se3_exp(twist)
+            assert pose.rotation.tobytes() == rotation.tobytes()
+            assert pose.translation.tobytes() == translation.tobytes()
 
 
 class TestPoseJacobian:

@@ -16,12 +16,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# ``featalign.__main__`` runs the command line when imported; it is an entry
-# point, not a library module.
 MODULES = ["featalign"] + sorted(
-    info.name
-    for info in pkgutil.walk_packages([str(SRC / "featalign")], "featalign.")
-    if info.name != "featalign.__main__"
+    info.name for info in pkgutil.walk_packages([str(SRC / "featalign")], "featalign.")
 )
 # Every source file by module name, the entry point included.
 SOURCES = {

@@ -153,6 +153,19 @@ class TestPrimitiveGradients:
         check_grads(T.central_difference, [self.rand(*shape)])
 
 
+def corner_product_sum(fmap, coords):
+    """Bilinear samples as a (4, N, C) weighted-corner product summed over the corner axis."""
+    h, w, c = fmap.shape
+    xs, ys = coords[:, 0], coords[:, 1]
+    x0 = np.minimum(xs.astype(np.int64), w - 2)
+    y0 = np.minimum(ys.astype(np.int64), h - 2)
+    tx, ty = xs - x0, ys - y0
+    flat = y0 * w + x0
+    corners = fmap.reshape(h * w, c)[np.concatenate([flat, flat + 1, flat + w, flat + w + 1])]
+    weights = np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])[:, :, None]
+    return (weights * corners.reshape(4, -1, c)).sum(axis=0)
+
+
 class TestBilinearSampler:
     """The one-gather sampler against the four-gather fancy-index form."""
 
@@ -179,6 +192,35 @@ class TestBilinearSampler:
         assert np.array_equal(out.data, want_out)
         assert np.array_equal(tape.grad(m), want_dmap)
         assert np.array_equal(tape.grad(c), want_dcoords)
+
+    @pytest.mark.parametrize("channels", [1, 3, 24])
+    @pytest.mark.parametrize("taped_coords", [False, True])
+    def test_forward_matches_corner_product_sum(self, channels, taped_coords):
+        # The forward adds the weighted corners in place; the (4, N, C)
+        # product summed over its corner axis must give the same bits, and
+        # the gradients must not see the products.
+        rng = np.random.default_rng(13)
+        height, width = 7, 10
+        fmap = rng.standard_normal((height, width, channels))
+        n = 200
+        coords = np.concatenate(
+            [
+                np.stack([rng.uniform(0, width - 1, n), rng.uniform(0, height - 1, n)], axis=1),
+                np.stack([rng.integers(0, width, 20), rng.integers(0, height, 20)], axis=1),
+                np.array([[width - 1, 2.5], [3.75, height - 1], [width - 1, height - 1]]),
+            ]
+        ).astype(float)
+        g = rng.standard_normal((len(coords), channels))
+        _, want_dmap, want_dcoords = fancy_index_bilinear(fmap, coords, g)
+        tape = T.Tape()
+        m = tape.leaf(fmap)
+        c = tape.leaf(coords) if taped_coords else T.Tensor(coords)
+        out = T.bilinear_sample(m, c)
+        tape.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+        assert np.array_equal(out.data, corner_product_sum(fmap, coords))
+        assert np.array_equal(tape.grad(m), want_dmap)
+        if taped_coords:
+            assert np.array_equal(tape.grad(c), want_dcoords)
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_shared_corners_accumulate_in_index_order(self, channels):
