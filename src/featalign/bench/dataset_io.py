@@ -127,8 +127,11 @@ def _pose_to_list(pose: SE3Pose) -> list:
     return [float(v) for v in pose.matrix().reshape(-1)]
 
 
-def _pose_from_list(values) -> SE3Pose:
-    return SE3Pose.from_matrix(np.asarray(values, dtype=np.float64).reshape(4, 4))
+def _pose_from_list(values, owner: str) -> SE3Pose:
+    try:
+        return SE3Pose.from_matrix(np.asarray(values, dtype=np.float64).reshape(4, 4))
+    except ValueError as exc:
+        raise ValueError(f"{owner}: {exc}") from None
 
 
 @dataclass
@@ -257,14 +260,17 @@ def _split_from_manifest(root: Path, manifest: dict) -> DatasetSplit:
             frame_id=record["id"],
             image=image,
             depth=depth,
-            pose=_pose_from_list(record["pose"]),
+            pose=_pose_from_list(record["pose"], f"frame {record['id']} pose"),
             condition_id=record["condition_id"],
             sequence=record["sequence"],
             index=record["index"],
         )
     candidates = [
-        RelocCandidate(c["candidate_frame"], c["reference_frame"], _pose_from_list(c["relative_pose"]))
-        for c in manifest["candidates"]
+        RelocCandidate(
+            c["candidate_frame"], c["reference_frame"],
+            _pose_from_list(c["relative_pose"], f"candidate {i} relative_pose"),
+        )
+        for i, c in enumerate(manifest["candidates"])
     ]
     correspondences = []
     if manifest.get("correspondence_file"):

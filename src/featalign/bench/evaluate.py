@@ -9,6 +9,7 @@ robustness and accuracy share one curve.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -182,10 +183,12 @@ def run_relocalization(
     """Tracks every candidate of a split against its reference keyframe.
 
     Feature pyramids and keyframe point selections are computed once per
-    unique frame; tracking always starts from identity.
+    unique frame; a pyramid is dropped after the last candidate that reads
+    it. Tracking always starts from identity.
     """
     pyramids: dict = {}
     points: dict = {}
+    readers = Counter(f for c in split.candidates for f in (c.reference_frame, c.candidate_frame))
 
     def pyramid_of(frame_id):
         if frame_id not in pyramids:
@@ -211,6 +214,10 @@ def run_relocalization(
             config,
         )
         results.append((candidate, track))
+        for frame_id in (candidate.reference_frame, candidate.candidate_frame):
+            readers[frame_id] -= 1
+            if not readers[frame_id]:
+                del pyramids[frame_id]
     return results
 
 

@@ -19,6 +19,8 @@ import numpy as np
 
 # Rotation angles below this norm take the series branch of exp/log.
 SMALL_ANGLE = 1e-8
+# A pose matrix's rotation is rigid when RᵀR and det R match I and 1 this closely.
+RIGID_TOLERANCE = 1e-9
 
 
 def _skew(w: np.ndarray) -> np.ndarray:
@@ -66,10 +68,19 @@ class SE3Pose:
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "SE3Pose":
+        """The pose of a finite rigid 4x4 matrix; anything else raises ``ValueError``."""
         m = np.asarray(m, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected 4x4 pose matrix, got {m.shape}")
-        return SE3Pose(m[:3, :3].copy(), m[:3, 3].copy())
+        if not np.all(np.isfinite(m)):
+            raise ValueError("pose matrix holds a non-finite entry")
+        if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
+            raise ValueError("pose matrix's last row is not [0, 0, 0, 1]")
+        rotation = m[:3, :3]
+        orthonormal = np.abs(rotation.T @ rotation - np.eye(3)).max() <= RIGID_TOLERANCE
+        if not (orthonormal and abs(np.linalg.det(rotation) - 1.0) <= RIGID_TOLERANCE):
+            raise ValueError("pose rotation is not orthonormal with det +1")
+        return SE3Pose(rotation.copy(), m[:3, 3].copy())
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,12 @@ class Tape:
     ``backward`` runs once per tape. It drops each node's backward closure
     as soon as that node has run, and the rest when it returns, so the
     activations the closures hold are freed during the pass; a second
-    ``backward`` raises ``ValueError``. The closures hold arrays, counts and
-    flags, never a ``Tensor``: a tensor references its tape, so a captured
-    one would make every graph a reference cycle that outlives its step.
+    ``backward`` raises ``ValueError``. It also drops each inner node's
+    gradient once that node has passed it to its inputs, so after the pass
+    the tape keeps leaf gradients only, and ``grad`` of an inner node
+    raises. The closures hold arrays, counts and flags, never a ``Tensor``:
+    a tensor references its tape, so a captured one would make every graph
+    a reference cycle that outlives its step.
     """
 
     def __init__(self):
@@ -97,6 +100,7 @@ class Tape:
             if g is None or fn is None:
                 continue
             contributions = fn(g)
+            grads[node] = g = None
             for input_node, contrib in zip(self._inputs[node], contributions):
                 if input_node is None or contrib is None:
                     continue
@@ -106,11 +110,13 @@ class Tape:
                     grads[input_node] = grads[input_node] + contrib
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient of the backward() loss w.r.t. ``t`` (zeros if unused)."""
+        """Gradient of the backward() loss w.r.t. leaf ``t`` (zeros if unused)."""
         if self._grads is None:
             raise ValueError("backward() has not been run on this tape")
         if t.tape is not self or t.node is None:
             raise ValueError("tensor is not recorded on this tape")
+        if self._inputs[t.node]:
+            raise ValueError("backward() keeps leaf gradients only; this tensor is an inner node")
         g = self._grads[t.node]
         if g is None:
             return np.zeros(self._shapes[t.node])

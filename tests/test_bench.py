@@ -1,12 +1,18 @@
 """Benchmark tests: scene generation, correspondences, evaluation curves."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+import featalign.bench.evaluate as evaluate_mod
+from featalign.alignment import align_pose, intensity_pyramid, method_config
+from featalign.bench.dataset_io import read_split
 from featalign.bench.evaluate import (
     EvalCurve,
     curve_from_errors,
     evaluate_relocalization,
+    run_relocalization,
     threshold_grid,
 )
 import featalign.bench.scene as scene_mod
@@ -18,6 +24,7 @@ from featalign.bench.scene import (
     sample_negatives,
     octave_noise,
 )
+from featalign.cli import main as cli_main
 from featalign.errors import DataFault
 from featalign.geometry import project_points
 from featalign.alignment import TrackResult
@@ -472,3 +479,41 @@ class TestEvalCurve:
         bad = np.linspace(1, 0, grid.size)
         with pytest.raises(ValueError):
             EvalCurve(grid, bad)
+
+
+class TestRunRelocalization:
+    def test_pyramid_dropped_after_its_last_candidate(self, tmp_path, monkeypatch):
+        # 4 frames and 8 candidates: each reference frame is read by two
+        # candidates, each candidate frame by one.
+        assert cli_main(["generate", "--out", str(tmp_path), "--seed", "4", "--frames", "4",
+                         "--candidates", "8", "--val-candidates", "0", "--pairs", "1",
+                         "--n-pos", "8", "--n-neg", "8"]) == 0
+        split = read_split(tmp_path / "test")
+        frame_of_image = {id(frame.image): frame_id for frame_id, frame in split.frames.items()}
+        level0 = {}
+
+        def extractor(image):
+            pyramid = intensity_pyramid(image, 3)
+            level0[frame_of_image[id(image)]] = weakref.ref(pyramid[0])
+            return pyramid
+
+        last_reader = {}
+        for index, candidate in enumerate(split.candidates):
+            last_reader[candidate.reference_frame] = index
+            last_reader[candidate.candidate_frame] = index
+        calls = []
+        checked = set()
+
+        def observed_align_pose(*args, **kwargs):
+            index = len(calls)
+            for frame_id, ref in level0.items():
+                if last_reader[frame_id] < index:
+                    assert ref() is None, f"frame {frame_id} outlived its last candidate"
+                    checked.add(frame_id)
+            calls.append(index)
+            return align_pose(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate_mod, "align_pose", observed_align_pose)
+        results = run_relocalization(split, extractor, method_config("intensity", 3), point_count=64)
+        assert len(results) == len(calls) == 8
+        assert len(checked) >= 8

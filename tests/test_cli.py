@@ -456,6 +456,46 @@ def edit_focal_to_nan(dataset, weights, tmp_path):
                                                                "--methods", "intensity"]
 
 
+def edit_test_pose(owner, change, detail):
+    """Case: a test-manifest pose (``"candidate"``: candidate 0's ``relative_pose``,
+    ``"frame"``: the first frame's ``pose``) edited by ``change``; ``evaluate`` reads it."""
+
+    def edit(dataset, weights, tmp_path):
+        path = dataset / "test" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if owner == "candidate":
+            record, key, name = manifest["candidates"][0], "relative_pose", "candidate 0 relative_pose"
+        else:
+            record, key = manifest["frames"][0], "pose"
+            name = f"frame {record['id']} pose"
+        change(record[key])
+        path.write_text(json.dumps(manifest))
+        return path, f"{name}: {detail}", ["evaluate", "--out", str(tmp_path / "ev"), "--methods", "intensity",
+                                           "--candidates", "2"]
+
+    return edit
+
+
+def set_entry(index, value):
+    def change(pose):
+        pose[index] = value
+
+    return change
+
+
+def scale_entry(index, factor):
+    def change(pose):
+        pose[index] *= factor
+
+    return change
+
+
+def reflect_first_axis(pose):
+    # Negating the rotation's first column keeps it orthonormal but makes det -1.
+    for index in (0, 4, 8):
+        pose[index] = -pose[index]
+
+
 class TestInputFaults:
     """A bad value in a file a command reads is a data fault naming the file."""
 
@@ -473,10 +513,18 @@ class TestInputFaults:
             edit_weights_bytes(repeated_name),
             edit_config_scalar("seed", np.inf),
             edit_config_scalar("descriptor_dim", 4.5),
+            edit_test_pose("candidate", set_entry(3, float("nan")), "pose matrix holds a non-finite entry"),
+            edit_test_pose("frame", set_entry(7, float("inf")), "pose matrix holds a non-finite entry"),
+            edit_test_pose("frame", set_entry(15, 2.0), "pose matrix's last row is not [0, 0, 0, 1]"),
+            edit_test_pose("candidate", set_entry(12, 0.5), "pose matrix's last row is not [0, 0, 0, 1]"),
+            edit_test_pose("candidate", scale_entry(0, 1.001), "pose rotation is not orthonormal with det +1"),
+            edit_test_pose("frame", reflect_first_axis, "pose rotation is not orthonormal with det +1"),
         ],
         ids=["match_nan", "match_outside_frame", "match_frame_id_not_int", "weight_nan-evaluate",
              "weight_nan-align", "focal_nan", "weights_name_not_utf8", "weights_trailing_bytes", "weights_repeated_name",
-             "weights_config_inf", "weights_config_fraction"],
+             "weights_config_inf", "weights_config_fraction", "candidate_pose_nan", "frame_pose_inf",
+             "frame_pose_last_row", "candidate_pose_last_row", "candidate_pose_not_orthonormal",
+             "frame_pose_reflection"],
     )
     def test_bad_value_is_data_fault(self, dataset, weights, tmp_path, capsys, edit):
         corrupt = tmp_path / "ds"

@@ -1,5 +1,7 @@
 """Gradient checks for every autodiff primitive, plus ADAM and weights I/O."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -413,6 +415,34 @@ class TestBackward:
         y = tape.leaf(np.ones(2))
         tape.backward(T.reduce_sum(x))
         np.testing.assert_array_equal(tape.grad(y), np.zeros(2))
+
+    def test_grad_of_inner_node_raises(self):
+        tape = T.Tape()
+        x = tape.leaf(np.arange(3.0))
+        y = T.mul(x, 2.0)
+        tape.backward(T.reduce_sum(T.mul(y, y)))
+        with pytest.raises(ValueError, match="leaf gradients only"):
+            tape.grad(y)
+        np.testing.assert_array_equal(tape.grad(x), [0.0, 8.0, 16.0])
+
+    def test_inner_gradient_freed_once_backpropagated(self):
+        # y's gradient is the fresh array z's backward allocates (mul by a
+        # constant); once y has passed it on, nothing may keep it.
+        tape = T.Tape()
+        x = tape.leaf(np.ones(50))
+        y = T.mul(x, 2.0)
+        loss = T.reduce_sum(T.mul(y, 3.0))
+        received = []
+        backward_of_y = tape._backwards[y.node]
+
+        def spy(g):
+            received.append(weakref.ref(g))
+            return backward_of_y(g)
+
+        tape._backwards[y.node] = spy
+        tape.backward(loss)
+        assert len(received) == 1 and received[0]() is None
+        np.testing.assert_array_equal(tape.grad(x), np.full(50, 6.0))
 
     def test_random_composed_graphs(self):
         # Shape-preserving random graphs up to depth 8, gradchecked.
