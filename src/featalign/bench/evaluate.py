@@ -235,11 +235,13 @@ def basin_trials(
     square offset of the given radius around the true location and report
     per-trial success: settled within ``BASIN_SUCCESS_PX`` of the truth.
     The rng seed fixes the offsets, so different feature extractors see
-    identical trials.
+    identical trials. A frame's maps are dropped after the last batch that
+    reads them.
     """
     rng = np.random.default_rng(seed)
     outcomes = []
     level0: dict = {}
+    readers = Counter(f for batch in batches for f in (batch.frame_a, batch.frame_b))
 
     def features_of(frame_id):
         """The frame's level-0 map and its derivative map."""
@@ -257,4 +259,8 @@ def basin_trials(
         final, converged = track_pixels(feat_b, grad_b, starts, f_t, eps)
         err = np.linalg.norm(final - batch.pos_b, axis=1)
         outcomes.append(converged & (err < BASIN_SUCCESS_PX))
+        for frame_id in (batch.frame_a, batch.frame_b):
+            readers[frame_id] -= 1
+            if not readers[frame_id]:
+                del level0[frame_id]
     return np.concatenate(outcomes) if outcomes else np.zeros(0, dtype=bool)

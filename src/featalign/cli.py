@@ -9,6 +9,7 @@ Relative output paths resolve against $FEATALIGN_OUTPUT_ROOT when set.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -369,7 +370,39 @@ _COMMANDS = {
 }
 
 
+# glibc's mallopt parameters (malloc.h) and the values ``main`` sets.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 1 << 30
+
+
+def keep_freed_heap() -> None:
+    """Keeps freed memory in the process instead of handing it back to the kernel.
+
+    Every candidate and training step frees its large temporaries (pyramid
+    levels, conv work matrices, tape activations) and allocates them again
+    at once; glibc would trim them off the heap top or unmap them, and the
+    next allocation would fault every page in again. Both thresholds are set
+    because setting either turns off glibc's dynamic ones: a trim threshold
+    alone would put every array above 128 KiB on a fresh mmap. The
+    ``MALLOC_*_`` environment variables are read only at process start, so
+    the command line sets the values itself; programs that import the
+    library keep their allocator. A C library without ``mallopt`` is left
+    as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no dlopen(NULL), or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

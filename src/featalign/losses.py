@@ -15,6 +15,7 @@ through the sampled features, the residual, and the numerical derivative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
 
@@ -37,6 +38,9 @@ class LossConfig:
     epsilon: float = 1e-3
 
     def __post_init__(self):
+        for name in ("gn_weight", "vicinity_radius", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.gn_weight < 0:
             raise ValueError("gn_weight must be >= 0")
         if self.epsilon <= 0:

@@ -9,6 +9,7 @@ Everything is deterministic from the network config's seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,8 +37,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError("lr must be positive and finite")
         if self.val_candidates < 0:
             raise ValueError("val_candidates must be >= 0")
 

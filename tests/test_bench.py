@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import featalign.bench.evaluate as evaluate_mod
-from featalign.alignment import align_pose, intensity_pyramid, method_config
+from featalign.alignment import align_pose, intensity_pyramid, map_gradient, method_config, track_pixels
 from featalign.bench.dataset_io import read_split
 from featalign.bench.evaluate import (
     EvalCurve,
+    basin_trials,
     curve_from_errors,
     evaluate_relocalization,
     run_relocalization,
@@ -517,3 +518,50 @@ class TestRunRelocalization:
         results = run_relocalization(split, extractor, method_config("intensity", 3), point_count=64)
         assert len(results) == len(calls) == 8
         assert len(checked) >= 8
+
+
+class TestBasinTrials:
+    def test_level0_maps_dropped_after_their_last_batch(self, tmp_path, monkeypatch):
+        assert cli_main(["generate", "--out", str(tmp_path), "--seed", "4", "--frames", "4",
+                         "--candidates", "0", "--val-candidates", "0", "--pairs", "8",
+                         "--n-pos", "8", "--n-neg", "8"]) == 0
+        split = read_split(tmp_path / "train")
+        batches = split.correspondences
+        frame_of_image = {id(frame.image): frame_id for frame_id, frame in split.frames.items()}
+        frame_of_map = {}
+        maps = {}
+
+        def extractor(image):
+            pyramid = intensity_pyramid(image, 3)
+            frame_id = frame_of_image[id(image)]
+            frame_of_map[id(pyramid[0])] = frame_id
+            maps[frame_id] = [weakref.ref(pyramid[0])]
+            return pyramid
+
+        def observed_map_gradient(feat):
+            derivative = map_gradient(feat)
+            maps[frame_of_map[id(feat)]].append(weakref.ref(derivative.data))
+            return derivative
+
+        last_reader = {}
+        for index, batch in enumerate(batches):
+            last_reader[batch.frame_a] = index
+            last_reader[batch.frame_b] = index
+        calls = []
+        checked = set()
+
+        def observed_track_pixels(*args, **kwargs):
+            index = len(calls)
+            for frame_id, refs in maps.items():
+                if last_reader[frame_id] < index:
+                    assert all(ref() is None for ref in refs), f"frame {frame_id} outlived its last batch"
+                    checked.add(frame_id)
+            calls.append(index)
+            return track_pixels(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate_mod, "map_gradient", observed_map_gradient)
+        monkeypatch.setattr(evaluate_mod, "track_pixels", observed_track_pixels)
+        outcomes = basin_trials(split, extractor, batches, radius=4.0, eps=1e-3, seed=909)
+        assert len(calls) == len(batches) == 8
+        assert outcomes.shape == (sum(len(batch.pos_a) for batch in batches),)
+        assert len(checked) >= 4
