@@ -1,11 +1,11 @@
 """``python -m featalign`` and the ``featalign`` console script.
 
-``main`` pins BLAS and OpenMP to one thread before numpy is imported: the
-solver's small GEMMs run slower with more, and training gains nothing
-reliable from them (on a 2-vCPU Xeon VM with OpenBLAS 0.3.31, a relocalization
-with 8-D features takes about 20 ms per candidate with one thread against
-21-26 ms with two, and a training step 44-49 ms against 37-58 ms). A count
-the caller set is kept.
+``main`` pins BLAS and OpenMP to one thread before numpy is imported: neither
+the solver's small GEMMs nor training gain anything reliable from more (on a
+2-vCPU Xeon VM with OpenBLAS 0.3.31, a relocalization with 8-D features takes
+21-33 ms per candidate with one thread against 22-40 ms with two, medians 28
+and 26 ms over 16 alternating runs each, and a training step 44-49 ms
+against 37-58 ms). A count the caller set is kept.
 """
 
 import os

@@ -13,6 +13,7 @@ deterministic for identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Sequence
 
@@ -70,9 +71,10 @@ class PoseCost:
     and reads nothing else of a trial pose. The arrays the evaluation made
     on the way stay referenced, so ``_linearize`` builds the system without
     projecting or sampling again: every point's camera-frame position
-    ``p_cam`` and, over the valid points, the stacked ``[F | dF]``
-    ``samples``, the residuals ``r``, their ``norms`` and the gradient
-    weights ``grad_w``. They are None when too few points are valid
+    ``p_cam``, the indices ``idx`` of the valid points and, over those, the
+    stacked ``[F | dF]`` ``samples``, the residuals ``r``, their ``norms``
+    and the gradient weights ``grad_w`` (None when the method does not
+    weight by gradient). They are None when too few points are valid
     (``cost`` is then inf). ``_linearize`` sets the inlier count and the
     normal equations H delta = b (``h``, ``b``, and ``h_diag`` =
     diag(diag(H)), which the damping reads).
@@ -83,6 +85,7 @@ class PoseCost:
     valid: np.ndarray
     point_cost: np.ndarray
     p_cam: Optional[np.ndarray] = None
+    idx: Optional[np.ndarray] = None
     samples: Optional[np.ndarray] = None
     r: Optional[np.ndarray] = None
     norms: Optional[np.ndarray] = None
@@ -251,20 +254,21 @@ def _pose_cost(target, points, f_ref, pose, intr, config: AlignmentConfig) -> Po
         points, pose, intr, border=max(config.border_margin, STENCIL_MARGIN)
     )
     point_cost = np.zeros(n_points)
-    n_valid = int(np.count_nonzero(valid))
+    idx = valid.nonzero()[0]
+    n_valid = len(idx)
     if n_valid < config.min_valid_points:
         return PoseCost(n_valid, np.inf, valid, point_cost)
-    idx = np.nonzero(valid)[0]
     coords = projected[idx]
     _check_stencil(coords, target.shape)
-    samples = interp(target, coords)
+    samples = T.bilinear_forward(target, coords)[0]
     r = samples[:, :dim] - f_ref[idx]
+    # The bits np.linalg.norm(r, axis=1) gives.
+    norms = np.sqrt(np.add.reduce(r * r, axis=1))
+    costs = huber_cost(norms, config.huber_delta)
+    grad_w = None
     if config.use_gradient_weight:
         grad_w = gradient_weight(_jac_map(samples, dim), config.gradient_weight_const)
-    else:
-        grad_w = np.ones(n_valid)
-    norms = np.linalg.norm(r, axis=1)
-    costs = grad_w * huber_cost(norms, config.huber_delta)
+        costs = grad_w * costs
     point_cost[idx] = costs
     return PoseCost(
         n_valid=n_valid,
@@ -272,6 +276,7 @@ def _pose_cost(target, points, f_ref, pose, intr, config: AlignmentConfig) -> Po
         valid=valid,
         point_cost=point_cost,
         p_cam=p_cam,
+        idx=idx,
         samples=samples,
         r=r,
         norms=norms,
@@ -285,30 +290,32 @@ def _linearize(at: PoseCost, intr, config: AlignmentConfig, recombined: bool = F
     Forms what only a linearization reads: the IRLS weights, the valid
     points' ``p_cam`` and the map derivative. Direct route: J_i = J'_i @
     dp'/dxi stacked as an (N*D, 6) matrix, then one GEMM H = J^T W J and
-    one product b = -J^T W r, with each point's weight repeated over its D
+    one product b = -J^T W r, with each point's weight broadcast over its D
     channels. Recombined route (``recombined=True``): build each 2x2
     per-pixel system first and map it through dp'/dxi with einsum;
     algebraically identical, and the reference the direct route is tested
     against. Returns ``at``.
     """
-    if not np.isfinite(at.cost):
+    if not math.isfinite(at.cost):
         at.h, at.b, at.h_diag = np.zeros((6, 6)), np.zeros(6), np.zeros((6, 6))
         return at
     r = at.r
     jac_map = _jac_map(at.samples, r.shape[1])
-    weights = huber_weight(at.norms, config.huber_delta) * at.grad_w
-    jac_pose = projection_jacobian(at.p_cam[at.valid], intr)
+    weights = huber_weight(at.norms, config.huber_delta)
+    if at.grad_w is not None:
+        weights = weights * at.grad_w
+    jac_pose = projection_jacobian(at.p_cam[at.idx], intr)
     if recombined:
         h_pix = np.einsum("ndi,ndj->nij", jac_map, jac_map)
         b_pix = np.einsum("ndi,nd->ni", jac_map, r)
         h = np.einsum("n,nki,nkl,nlj->ij", weights, jac_pose, h_pix, jac_pose)
         b = -np.einsum("n,nki,nk->i", weights, jac_pose, b_pix)
     else:
-        jac = (jac_map @ jac_pose).reshape(-1, 6)
-        weighted = jac * np.repeat(weights, r.shape[1])[:, None]
-        h = weighted.T @ jac
+        jac = jac_map @ jac_pose
+        weighted = (jac * weights[:, None, None]).reshape(-1, 6)
+        h = weighted.T @ jac.reshape(-1, 6)
         b = -(weighted.T @ r.ravel())
-    at.inlier_count = int(np.sum(at.norms <= config.huber_delta))
+    at.inlier_count = int(np.count_nonzero(at.norms <= config.huber_delta))
     at.h, at.b = 0.5 * (h + h.T), b
     at.h_diag = np.diag(np.diag(at.h))
     return at
@@ -369,7 +376,8 @@ def align_pose(
     def probe_step(system: PoseCost):
         """The baseline-damped step of ``system`` and whether it is small enough to stop."""
         step = _damped_step(system, config.eps_pose)
-        return step, step is not None and np.linalg.norm(step) < config.step_norm_tol
+        # The bits np.linalg.norm(step) gives.
+        return step, step is not None and math.sqrt(step.dot(step)) < config.step_norm_tol
 
     for level in config.levels:
         scale = 1.0 / (2.0**level)
@@ -381,7 +389,7 @@ def align_pose(
         damping = config.eps_pose
         at = _pose_cost(target, points, f_ref, pose, intr, config)
         converged = False
-        if not np.isfinite(at.cost):
+        if not math.isfinite(at.cost):
             continue
         # Convergence is judged on the baseline-damped ``probe`` step of
         # ``current``; escalated damping only shapes the trust step (a
@@ -402,10 +410,10 @@ def align_pose(
                 # poses so composition changes of the valid set cannot mask
                 # a genuine improvement (or fake one).
                 # (Means written as sum / count, the bits np.mean gives.)
-                common = current.valid & candidate.valid
-                n_common = np.count_nonzero(common)
+                common = (current.valid & candidate.valid).nonzero()[0]
+                n_common = len(common)
                 if (
-                    np.isfinite(candidate.cost)
+                    math.isfinite(candidate.cost)
                     and n_common >= config.min_valid_points
                     and candidate.point_cost[common].sum() / n_common
                     < current.point_cost[common].sum() / n_common

@@ -59,7 +59,9 @@ def read_pgm(path) -> np.ndarray:
     payload = parts[3]
     if len(payload) < width * height:
         raise DataFault(f"{path}: PGM payload too short")
-    img = np.frombuffer(payload[: width * height], dtype=np.uint8).reshape(height, width)
+    if len(payload) > width * height:
+        raise DataFault(f"{path}: {len(payload) - width * height} bytes after the PGM payload")
+    img = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return img.astype(np.float64) / 255.0
 
 
@@ -78,7 +80,9 @@ def read_depth(path) -> np.ndarray:
     expected = 8 + 8 * width * height
     if len(blob) < expected:
         raise DataFault(f"{path}: depth payload ends {expected - len(blob)} bytes early")
-    return np.frombuffer(blob[8:expected], dtype="<f8").reshape(height, width).copy()
+    if len(blob) > expected:
+        raise DataFault(f"{path}: {len(blob) - expected} bytes after the depth payload")
+    return np.frombuffer(blob[8:], dtype="<f8").reshape(height, width).copy()
 
 
 def write_correspondences(path, batches) -> None:

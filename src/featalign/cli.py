@@ -53,8 +53,22 @@ def _resolve_out(path: str) -> Path:
     return p
 
 
+def _create_dir(directory: Path, flag: str) -> None:
+    """Creates an output directory and its parents; failing that is a usage error of ``flag``."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"{flag}: cannot create directory {directory} ({exc.strerror or exc})") from exc
+
+
+def _create_file_dir(path: Path, flag: str) -> None:
+    """Creates the directory of output file ``path``; a directory at ``path`` is a usage error."""
+    if path.is_dir():
+        raise UsageError(f"{flag}: {path} is a directory")
+    _create_dir(path.parent, flag)
+
+
 def _echo_config(directory: Path, args: argparse.Namespace) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": __version__,
         "command": args.command,
@@ -140,7 +154,7 @@ def cmd_generate(args) -> int:
         if getattr(args, flag) < 0:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
     root = _resolve_out(args.out)
-    root.mkdir(parents=True, exist_ok=True)
+    _create_dir(root, "--out")
     half = (args.size - 1) / 2.0
     base = dict(
         width=args.size, height=args.size, cx=half, cy=half,
@@ -246,15 +260,16 @@ def cmd_train(args) -> int:
     dataset = Path(args.dataset)
     train_split = read_split(dataset / "train")
     _check_levels(train_split, args.levels)
+    # Training takes minutes, so the outputs' place is made first.
+    out = _resolve_out(args.out)
+    log_path = _resolve_out(args.log) if args.log else out.with_suffix(".log.csv")
+    _create_file_dir(out, "--out")
+    _create_file_dir(log_path, "--log" if args.log else "--out")
     val_split = None
     if args.val_candidates > 0 and (dataset / "val" / "manifest.json").exists():
         val_split = read_split(dataset / "val")
     weights, history = train_network(train_split, val_split, config)
-    out = _resolve_out(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_network(out, weights)
-    log_path = _resolve_out(args.log) if args.log else out.with_suffix(".log.csv")
-    log_path.parent.mkdir(parents=True, exist_ok=True)
     log_path.write_text(history_csv(history))
     _echo_config(out.parent, args)
     return 0
@@ -299,7 +314,7 @@ def cmd_evaluate(args) -> int:
         raise DataFault(f"split '{args.split}' has no relocalization candidates")
     resolved = {method: _method(method, args, split) for method in methods}
     out = _resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _create_dir(out, "--out")
     curves = {}
     summaries = {}
     for method, (extractor, config) in resolved.items():

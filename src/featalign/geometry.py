@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ import numpy as np
 SMALL_ANGLE = 1e-8
 # A pose matrix's rotation is rigid when RᵀR and det R match I and 1 this closely.
 RIGID_TOLERANCE = 1e-9
+# Read-only identity for the exp map's sums, which make new arrays.
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 def _skew(w: np.ndarray) -> np.ndarray:
@@ -170,23 +174,24 @@ def se3_exp(twist: np.ndarray) -> SE3Pose:
     twist = np.asarray(twist, dtype=float)
     if twist.shape != (6,):
         raise ValueError(f"twist must be a 6-vector, got shape {twist.shape}")
-    if not np.all(np.isfinite(twist)):
+    if not all(map(math.isfinite, twist.tolist())):
         raise ValueError("twist must be finite")
     v, w = twist[:3], twist[3:]
     # Rodrigues for the rotation and the SO(3) left Jacobian for the
     # translation share theta, [w]x and [w]x^2; both take a series branch
     # near zero.
-    theta = float(np.linalg.norm(w))
+    # The bits np.linalg.norm(w) gives.
+    theta = math.sqrt(w.dot(w))
     wx = _skew(w)
     wx2 = wx @ wx
     if theta < SMALL_ANGLE:
-        rotation = np.eye(3) + wx + 0.5 * wx2
-        left_jacobian = np.eye(3) + 0.5 * wx + wx2 / 6.0
+        rotation = _EYE3 + wx + 0.5 * wx2
+        left_jacobian = _EYE3 + 0.5 * wx + wx2 / 6.0
     else:
         sin, cos = np.sin(theta), np.cos(theta)
         b = (1.0 - cos) / theta**2
-        rotation = np.eye(3) + sin / theta * wx + b * wx2
-        left_jacobian = np.eye(3) + b * wx + (theta - sin) / theta**3 * wx2
+        rotation = _EYE3 + sin / theta * wx + b * wx2
+        left_jacobian = _EYE3 + b * wx + (theta - sin) / theta**3 * wx2
     return SE3Pose(rotation, left_jacobian @ v)
 
 
@@ -214,17 +219,25 @@ def project_points(
     """
     p_cam = pose.apply(points)
     z = p_cam[:, 2]
-    safe_z = np.where(z > 0, z, 1.0)
-    u = intr.fx * p_cam[:, 0] / safe_z + intr.cx
-    v = intr.fy * p_cam[:, 1] / safe_z + intr.cy
+    in_front = z > 0
+    safe_z = np.where(in_front, z, 1.0)
+    # u = fx x / z + cx and v = fy y / z + cy, each computed in place in its
+    # column of the result: numpy runs (N, 2)-by-(2,) broadcasts row by row,
+    # which is slower than six 1-D operations.
+    projected = np.empty((len(z), 2))
+    u, v = projected[:, 0], projected[:, 1]
+    for col, f, c, xy in ((u, intr.fx, intr.cx, p_cam[:, 0]), (v, intr.fy, intr.cy, p_cam[:, 1])):
+        np.multiply(f, xy, out=col)
+        np.divide(col, safe_z, out=col)
+        np.add(col, c, out=col)
     valid = (
-        (z > 0)
+        in_front
         & (u >= border)
         & (u <= intr.width - 1 - border)
         & (v >= border)
         & (v <= intr.height - 1 - border)
     )
-    return np.stack([u, v], axis=1), p_cam, valid
+    return projected, p_cam, valid
 
 
 def projection_jacobian(p_cam: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
@@ -238,20 +251,21 @@ def projection_jacobian(p_cam: np.ndarray, intr: CameraIntrinsics) -> np.ndarray
     """
     x, y, z = p_cam[:, 0], p_cam[:, 1], p_cam[:, 2]
     inv_z = 1.0 / z
+    inv_z2 = inv_z**2
     n = p_cam.shape[0]
     jac = np.empty((n, 2, 6))
     fx, fy = intr.fx, intr.fy
     jac[:, 0, 0] = fx * inv_z
     jac[:, 0, 1] = 0.0
-    jac[:, 0, 2] = -fx * x * inv_z**2
+    jac[:, 0, 2] = -fx * x * inv_z2
     jac[:, 1, 0] = 0.0
     jac[:, 1, 1] = fy * inv_z
-    jac[:, 1, 2] = -fy * y * inv_z**2
+    jac[:, 1, 2] = -fy * y * inv_z2
     # Rotation columns: -d(pi)/dX @ skew(X), written out per entry.
-    jac[:, 0, 3] = -fx * x * y * inv_z**2
-    jac[:, 0, 4] = fx * (1.0 + x**2 * inv_z**2)
+    jac[:, 0, 3] = -fx * x * y * inv_z2
+    jac[:, 0, 4] = fx * (1.0 + x**2 * inv_z2)
     jac[:, 0, 5] = -fx * y * inv_z
-    jac[:, 1, 3] = -fy * (1.0 + y**2 * inv_z**2)
-    jac[:, 1, 4] = fy * x * y * inv_z**2
+    jac[:, 1, 3] = -fy * (1.0 + y**2 * inv_z2)
+    jac[:, 1, 4] = fy * x * y * inv_z2
     jac[:, 1, 5] = fy * x * inv_z
     return jac

@@ -498,6 +498,38 @@ def central_difference(x) -> Tensor:
 # sampling
 
 
+def bilinear_forward(m: np.ndarray, coords: np.ndarray, keep_corners: bool = False):
+    """Untaped bilinear samples (N, C) of an (H, W, C) map at (N, 2) coords.
+
+    The arithmetic of :func:`bilinear_sample`, which calls it, without its
+    checks: every coord must already lie in 0 <= x <= W-1, 0 <= y <= H-1.
+    Returns (samples, corner rows (4N,), corner weights (4, N, 1),
+    fractions (2, 2, N), gathered corners (4, N, C) or None), where
+    fractions[1] holds each point's offsets (tx, ty) from its top-left
+    corner and fractions[0] = 1 - fractions[1]. The weighted corners
+    overwrite the gathered ones unless ``keep_corners``.
+    """
+    h, w, c = m.shape
+    n = coords.shape[0]
+    xs, ys = coords[:, 0], coords[:, 1]
+    x0 = np.minimum(xs.astype(np.int64), w - 2)
+    y0 = np.minimum(ys.astype(np.int64), h - 2)
+    frac = np.empty((2, 2, n))
+    np.subtract(xs, x0, out=frac[1, 0])
+    np.subtract(ys, y0, out=frac[1, 1])
+    np.subtract(1, frac[1], out=frac[0])
+    # Corners in the order (y0, x0), (y0, x0+1), (y0+1, x0), (y0+1, x0+1),
+    # gathered by one take on the (H*W, C) view; corner 2j+i has weight
+    # frac[j, 1] * frac[i, 0].
+    corners_idx = ((y0 * w + x0) + np.array([0, 1, w, w + 1])[:, None]).ravel()
+    corners = m.reshape(h * w, c).take(corners_idx, axis=0).reshape(4, n, c)
+    weights = (frac[:, None, 1] * frac[None, :, 0]).reshape(4, n, 1)
+    # Four-corner weighted form, summed over the corner axis, which numpy
+    # adds in corner order: exact at integer coordinates.
+    out = np.multiply(weights, corners, out=None if keep_corners else corners).sum(axis=0)
+    return out, corners_idx, weights, frac, corners if keep_corners else None
+
+
 def bilinear_sample(feature_map, coords) -> Tensor:
     """Samples an (H, W, C) map at N continuous (x, y) pixel positions.
 
@@ -513,31 +545,13 @@ def bilinear_sample(feature_map, coords) -> Tensor:
     if cd.ndim != 2 or cd.shape[1] != 2:
         raise ValueError(f"bilinear_sample expects (N, 2) coords, got {cd.shape}")
     h, w, c = m.shape
-    n = cd.shape[0]
     xs, ys = cd[:, 0], cd[:, 1]
     # NaN fails every comparison, so the test is written to pass only in range.
-    if n and not (xs.min() >= 0 and xs.max() <= w - 1 and ys.min() >= 0 and ys.max() <= h - 1):
+    if len(cd) and not (xs.min() >= 0 and xs.max() <= w - 1 and ys.min() >= 0 and ys.max() <= h - 1):
         raise ValueError("bilinear_sample: coordinates outside the map")
-    x0 = np.minimum(xs.astype(np.int64), w - 2)
-    y0 = np.minimum(ys.astype(np.int64), h - 2)
-    tx = xs - x0
-    ty = ys - y0
-    # Corners in the order (y0, x0), (y0, x0+1), (y0+1, x0), (y0+1, x0+1),
-    # gathered by one take on the (H*W, C) view.
-    corners_idx = ((y0 * w + x0) + np.array([0, 1, w, w + 1])[:, None]).ravel()
-    corners = m.reshape(h * w, c).take(corners_idx, axis=0).reshape(4, n, c)
-    sx, sy = 1 - tx, 1 - ty
-    weights = np.empty((4, n, 1))
-    weights[0, :, 0] = sx * sy
-    weights[1, :, 0] = tx * sy
-    weights[2, :, 0] = sx * ty
-    weights[3, :, 0] = tx * ty
     need_dcoords = coords.tape is not None
-    # Four-corner weighted form, summed over the corner axis, which numpy
-    # adds in corner order: exact at integer coordinates. The products
-    # overwrite the gathered corners unless the coordinate gradient reads
-    # them.
-    out = np.multiply(weights, corners, out=None if need_dcoords else corners).sum(axis=0)
+    # The coordinate gradient reads the gathered corners.
+    out, corners_idx, weights, frac, corners = bilinear_forward(m, cd, keep_corners=need_dcoords)
 
     def backward(g):
         # One bincount on (corner * C + channel) adds in index order, as
@@ -546,9 +560,10 @@ def bilinear_sample(feature_map, coords) -> Tensor:
         dmap = np.bincount(flat_idx, weights=(weights * g).ravel(), minlength=h * w * c)
         if not need_dcoords:
             return [dmap.reshape(h, w, c), None]
+        (sx, sy), (tx, ty) = frac[:, :, :, None]
         m00, m01, m10, m11 = corners
-        ddx = (1 - ty)[:, None] * (m01 - m00) + ty[:, None] * (m11 - m10)
-        ddy = (1 - tx)[:, None] * (m10 - m00) + tx[:, None] * (m11 - m01)
+        ddx = sy * (m01 - m00) + ty * (m11 - m10)
+        ddy = sx * (m10 - m00) + tx * (m11 - m01)
         dcoords = np.stack([(g * ddx).sum(axis=1), (g * ddy).sum(axis=1)], axis=1)
         return [dmap.reshape(h, w, c), dcoords]
 

@@ -77,18 +77,31 @@ def fancy_index_bilinear(m, coords, g):
     return out, dmap, dcoords
 
 
-def rewrite_first_frame(split_dir, kind, edit):
-    """Replaces the first frame's ``kind`` file ("image" or "depth") with
-    ``edit`` of its array and re-records its crc32, so only a check on the
-    contents can catch it.
+def edit_first_frame_file(split_dir, kind, edit):
+    """Replaces the first frame's ``kind`` file ("image" or "depth") with the
+    bytes ``edit(path)`` returns and re-records its crc32, so only a check on
+    the contents can catch it. Returns the file's path.
     """
     manifest_path = Path(split_dir) / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     record = manifest["frames"][0]
     path = Path(split_dir) / record[kind]
-    read, write = (read_pgm, write_pgm) if kind == "image" else (read_depth, write_depth)
-    record[f"crc32_{kind}"] = zlib.crc32(write(path, edit(read(path))))
+    blob = edit(path)
+    path.write_bytes(blob)
+    record[f"crc32_{kind}"] = zlib.crc32(blob)
     manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    return path
+
+
+def rewrite_first_frame(split_dir, kind, edit):
+    """Replaces the first frame's ``kind`` file with ``edit`` of its array."""
+    read, write = (read_pgm, write_pgm) if kind == "image" else (read_depth, write_depth)
+    edit_first_frame_file(split_dir, kind, lambda path: write(path, edit(read(path))))
+
+
+def append_to_first_frame(split_dir, kind, extra):
+    """Appends the bytes ``extra`` to the first frame's ``kind`` file; returns its path."""
+    return edit_first_frame_file(split_dir, kind, lambda path: path.read_bytes() + extra)
 
 
 def corrupt_depth(split_dir, value):

@@ -623,10 +623,12 @@ class TestCostOnlyTrials:
         [
             (lambda: random_feature_problem(1), "features"),
             (lambda: random_feature_problem(2), "features"),
+            (lambda: random_feature_problem(3), "features"),
             (lambda: rendered_problem(12), "intensity"),
             (lambda: rendered_problem(13), "intensity"),
+            (lambda: rendered_problem(15), "intensity"),
         ],
-        ids=["features-1", "features-2", "intensity-12", "intensity-13"],
+        ids=["features-1", "features-2", "features-3", "intensity-12", "intensity-13", "intensity-15"],
     )
     def test_bit_identical_to_full_system_per_trial(self, problem, method):
         args = problem() + (method_config(method),)

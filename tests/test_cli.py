@@ -21,7 +21,7 @@ from featalign.gradcheck import run_gradcheck
 from featalign.network import NetworkConfig, build_network, save_network
 from featalign.weights_io import load_weights, save_weights
 
-from helpers import corrupt_depth, rewrite_first_frame
+from helpers import append_to_first_frame, corrupt_depth, rewrite_first_frame
 
 
 def tree_digest(root: Path) -> dict:
@@ -456,6 +456,18 @@ def edit_config_scalar(key, value):
     return edit
 
 
+def edit_frame_bytes_after_payload(kind, payload):
+    """Case: 8 bytes appended to the first test frame's ``kind`` file, its
+    checksum re-recorded; ``evaluate`` reads it."""
+
+    def edit(dataset, weights, tmp_path):
+        path = append_to_first_frame(dataset / "test", kind, bytes(8))
+        return path, f"8 bytes after the {payload} payload", ["evaluate", "--out", str(tmp_path / "ev"),
+                                                              "--methods", "intensity"]
+
+    return edit
+
+
 def edit_focal_to_nan(dataset, weights, tmp_path):
     """Case: a NaN focal length in the test manifest; ``evaluate`` reads it."""
     path = dataset / "test" / "manifest.json"
@@ -518,6 +530,8 @@ class TestInputFaults:
             edit_weight_to_nan("evaluate"),
             edit_weight_to_nan("align"),
             edit_focal_to_nan,
+            edit_frame_bytes_after_payload("image", "PGM"),
+            edit_frame_bytes_after_payload("depth", "depth"),
             edit_weights_bytes(name_not_utf8),
             edit_weights_bytes(trailing_bytes),
             edit_weights_bytes(repeated_name),
@@ -531,7 +545,8 @@ class TestInputFaults:
             edit_test_pose("frame", reflect_first_axis, "pose rotation is not orthonormal with det +1"),
         ],
         ids=["match_nan", "match_outside_frame", "match_frame_id_not_int", "weight_nan-evaluate",
-             "weight_nan-align", "focal_nan", "weights_name_not_utf8", "weights_trailing_bytes", "weights_repeated_name",
+             "weight_nan-align", "focal_nan", "image_bytes_after_payload", "depth_bytes_after_payload",
+             "weights_name_not_utf8", "weights_trailing_bytes", "weights_repeated_name",
              "weights_config_inf", "weights_config_fraction", "candidate_pose_nan", "frame_pose_inf",
              "frame_pose_last_row", "candidate_pose_last_row", "candidate_pose_not_orthonormal",
              "frame_pose_reflection"],
@@ -815,3 +830,55 @@ class TestUsage:
         rc = cli_main(["generate", "--out", "nested/ds"] + GEN_ARGS)
         assert rc == 0
         assert (tmp_path / "nested" / "ds" / "train" / "manifest.json").exists()
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("the command started its work before checking its output place")
+
+
+class TestOutputPlace:
+    """An output place that cannot be made is a usage error, found before any work."""
+
+    @pytest.mark.parametrize(
+        "out_under_file, log_under_file, detail",
+        [
+            (True, False, "--out: cannot create directory {blocker}"),
+            (False, True, "--log: cannot create directory {blocker}"),
+        ],
+        ids=["out", "log"],
+    )
+    def test_train_output_under_a_file(self, dataset, tmp_path, capsys, monkeypatch,
+                                       out_under_file, log_under_file, detail):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(cli_mod, "train_network", no_work)
+        out = (blocker if out_under_file else tmp_path / "w") / "w.gnnw"
+        log = (blocker if log_under_file else tmp_path / "logs") / "w.csv"
+        rc = cli_main(["train", "--dataset", str(dataset), "--out", str(out), "--log", str(log),
+                       "--epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("usage error: " + detail.format(blocker=blocker))
+
+    def test_train_out_is_a_directory(self, dataset, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_mod, "train_network", no_work)
+        rc = cli_main(["train", "--dataset", str(dataset), "--out", str(tmp_path), "--epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"usage error: --out: {tmp_path} is a directory")
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "under_file"])
+    def test_evaluate_out_on_or_under_a_file(self, dataset, tmp_path, capsys, monkeypatch, nested):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(cli_mod, "run_relocalization", no_work)
+        out = blocker / "ev" if nested else blocker
+        rc = cli_main(["evaluate", "--dataset", str(dataset), "--out", str(out), "--methods", "intensity"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"usage error: --out: cannot create directory {out}")
+        assert blocker.read_text() == ""
+
+    def test_generate_out_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = cli_main(["generate", "--out", str(blocker / "ds")] + GEN_ARGS)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"usage error: --out: cannot create directory {blocker / 'ds'}")

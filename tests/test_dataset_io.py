@@ -18,7 +18,7 @@ from featalign.bench.dataset_io import (
 from featalign.bench.scene import ConditionTransform, SceneConfig, generate_scene, make_correspondences
 from featalign.errors import DataFault
 
-from helpers import corrupt_depth, rewrite_first_frame
+from helpers import append_to_first_frame, corrupt_depth, rewrite_first_frame
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +182,15 @@ class TestSplitIO:
         write_split(d, scene, None)
         rewrite_first_frame(d, kind, lambda array: array[:32, :32])
         with pytest.raises(DataFault, match=rf"frame_00000\.{suffix}: 32x32 does not match the 64x64"):
+            read_split(d)
+
+    @pytest.mark.parametrize("kind, suffix, payload", [("image", "pgm", "PGM"), ("depth", "depth", "depth")])
+    def test_bytes_after_frame_payload_is_data_fault(self, tmp_path, scene, kind, suffix, payload):
+        # The checksum covers the extra bytes, so only the reader can reject them.
+        d = tmp_path / "split"
+        write_split(d, scene, None)
+        append_to_first_frame(d, kind, bytes(8))
+        with pytest.raises(DataFault, match=rf"frame_00000\.{suffix}: 8 bytes after the {payload} payload"):
             read_split(d)
 
     def test_missing_file_is_data_fault(self, tmp_path, scene):

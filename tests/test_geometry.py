@@ -57,25 +57,35 @@ def random_pose(rng, angle_scale=0.5, trans_scale=0.5):
 INTR = CameraIntrinsics(fx=60.0, fy=55.0, cx=31.5, cy=31.5, width=64, height=64)
 
 
+def per_component_projection(points, pose, intr, border):
+    """Camera-frame points projected into ``intr``, u and v as separate arrays.
+
+    ``project_points`` must reproduce it bit for bit: (projected,
+    destination camera-frame points, valid).
+    """
+    p_cam = pose.apply(points)
+    z = p_cam[:, 2]
+    safe_z = np.where(z > 0, z, 1.0)
+    u = intr.fx * p_cam[:, 0] / safe_z + intr.cx
+    v = intr.fy * p_cam[:, 1] / safe_z + intr.cy
+    valid = (
+        (z > 0)
+        & (u >= border)
+        & (u <= intr.width - 1 - border)
+        & (v >= border)
+        & (v <= intr.height - 1 - border)
+    )
+    return np.stack([u, v], axis=1), p_cam, valid
+
+
 def two_camera_projection(pixels, inverse_depths, pose, intr_src, intr_dst, border):
     """Pixels with inverse depths in ``intr_src`` projected into ``intr_dst`` in one pass.
 
     The formula ``back_project`` plus ``project_points`` must reproduce bit
-    for bit: (projected, destination camera-frame points, valid).
+    for bit.
     """
-    p_cam = pose.apply(intr_src.rays(pixels) * (1.0 / inverse_depths)[:, None])
-    z = p_cam[:, 2]
-    safe_z = np.where(z > 0, z, 1.0)
-    u = intr_dst.fx * p_cam[:, 0] / safe_z + intr_dst.cx
-    v = intr_dst.fy * p_cam[:, 1] / safe_z + intr_dst.cy
-    valid = (
-        (z > 0)
-        & (u >= border)
-        & (u <= intr_dst.width - 1 - border)
-        & (v >= border)
-        & (v <= intr_dst.height - 1 - border)
-    )
-    return np.stack([u, v], axis=1), p_cam, valid
+    points = intr_src.rays(pixels) * (1.0 / inverse_depths)[:, None]
+    return per_component_projection(points, pose, intr_dst, border)
 
 
 def rodrigues_exp(twist):
@@ -260,6 +270,36 @@ class TestSharedTermOracles:
                 assert g.tobytes() == w.tobytes()
             behind += int(np.sum(want[1][:, 2] <= 0))
         assert behind > 0, "no point landed behind the camera"
+
+    @pytest.mark.parametrize("border", [2.0, 0.5])
+    def test_projection_at_zero_depth_and_on_each_border(self, border):
+        # fx = 32, cx = 31.5, fy = 16 and cy = 23.5 put every border at a
+        # dyadic x or y, and z = 1 under the identity pose divides exactly,
+        # so these points land on the borders without rounding.
+        intr = CameraIntrinsics(32.0, 16.0, 31.5, 23.5, 64, 48)
+        x_lo, x_hi = (border - 31.5) / 32.0, (63.0 - border - 31.5) / 32.0
+        y_lo, y_hi = (border - 23.5) / 16.0, (47.0 - border - 23.5) / 16.0
+        on = [(x_lo, 0.0), (x_hi, 0.0), (0.0, y_lo), (0.0, y_hi), (x_lo, y_lo), (x_hi, y_hi)]
+        # 1e-9 px outside each border.
+        step_x, step_y = 1e-9 / 32.0, 1e-9 / 16.0
+        outward = [(x_lo - step_x, 0.0), (x_hi + step_x, 0.0), (0.0, y_lo - step_y), (0.0, y_hi + step_y)]
+        points = np.array([(x, y, 1.0) for x, y in on + outward]
+                          + [(0.1, 0.2, 0.0), (0.1, 0.2, -0.0), (0.1, -0.2, -1.5), (-3.0, 2.0, -1e-300)])
+        got = project_points(points, SE3Pose.identity(), intr, border)
+        want = per_component_projection(points, SE3Pose.identity(), intr, border)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert got[2].tolist() == [True] * len(on) + [False] * (len(outward) + 4)
+        assert np.array_equal(got[0][: len(on)], [
+            [border, 23.5], [63.0 - border, 23.5], [31.5, border], [31.5, 47.0 - border],
+            [border, border], [63.0 - border, 47.0 - border],
+        ])
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            pose = random_pose(rng, angle_scale=0.3, trans_scale=1.0)
+            got = project_points(points, pose, intr, border)
+            for g, w in zip(got, per_component_projection(points, pose, intr, border)):
+                assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("angle", [0.0, 1e-10, 3e-9, 1e-3, 0.4, 2.5])
     def test_se3_exp_matches_separate_rotation_and_left_jacobian(self, angle):

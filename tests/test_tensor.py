@@ -171,7 +171,7 @@ def corner_product_sum(fmap, coords):
 class TestBilinearSampler:
     """The one-gather sampler against the four-gather fancy-index form."""
 
-    @pytest.mark.parametrize("channels", [1, 8])
+    @pytest.mark.parametrize("channels", [1, 3, 8, 24])
     def test_values_and_gradients_bitwise(self, channels):
         rng = np.random.default_rng(11)
         height, width = 9, 13
@@ -187,6 +187,12 @@ class TestBilinearSampler:
         coords = np.concatenate([coords, corners, integers, edges, coords[:40]])
         g = rng.standard_normal((len(coords), channels))
         want_out, want_dmap, want_dcoords = fancy_index_bilinear(fmap, coords, g)
+        # The pose solver's cost evaluation calls the untaped forward
+        # directly; it writes its products into the gathered corners only.
+        before = fmap.copy()
+        for keep_corners in (False, True):
+            assert np.array_equal(T.bilinear_forward(fmap, coords, keep_corners)[0], want_out)
+        assert np.array_equal(fmap, before)
         tape = T.Tape()
         m, c = tape.leaf(fmap), tape.leaf(coords)
         out = T.bilinear_sample(m, c)
