@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..errors import DataFault
+from ..errors import DataFault, read_input
 from ..geometry import CameraIntrinsics, SE3Pose
 from ..losses import CorrespondenceBatch
 from .scene import Frame, RelocCandidate, SyntheticScene
@@ -44,7 +44,11 @@ def write_pgm(path, image: np.ndarray) -> bytes:
 
 
 def read_pgm(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
+    return _decode_pgm(read_input(path), path)
+
+
+def _decode_pgm(blob: bytes, path) -> np.ndarray:
+    """The [0, 1] image of ``blob``, the bytes of the PGM file ``path``."""
     if not blob.startswith(b"P5"):
         raise DataFault(f"{path}: not a binary PGM file")
     parts = blob.split(b"\n", 3)
@@ -73,7 +77,11 @@ def write_depth(path, depth: np.ndarray) -> bytes:
 
 
 def read_depth(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
+    return _decode_depth(read_input(path), path)
+
+
+def _decode_depth(blob: bytes, path) -> np.ndarray:
+    """The depth map of ``blob``, the bytes of the depth file ``path``."""
     if len(blob) < 8:
         raise DataFault(f"{path}: missing depth header")
     width, height = struct.unpack("<II", blob[:8])
@@ -101,7 +109,7 @@ def read_correspondences(path) -> list:
     """Groups lines back into per-(frame_a, frame_b) batches, input order."""
     grouped: dict = {}
     # Parsed as bytes, so a byte that is not UTF-8 fails on its own line.
-    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+    for lineno, line in enumerate(read_input(path).splitlines(), 1):
         parts = line.split()
         if not parts:
             continue
@@ -210,10 +218,10 @@ def write_split(
 def read_split(directory) -> DatasetSplit:
     root = Path(directory)
     manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise DataFault(f"{manifest_path}: missing manifest")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(read_input(manifest_path).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataFault(f"{manifest_path}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise DataFault(f"{manifest_path}: invalid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
@@ -241,16 +249,14 @@ def _split_from_manifest(root: Path, manifest: dict) -> DatasetSplit:
             raise DataFault(f"{root}: frame {record['id']} appears twice in the manifest")
         image_path = root / record["image"]
         depth_path = root / record["depth"]
-        if not image_path.exists() or not depth_path.exists():
-            raise DataFault(f"{root}: frame {record['id']} files missing")
-        image_blob = image_path.read_bytes()
-        depth_blob = depth_path.read_bytes()
+        image_blob = read_input(image_path)
+        depth_blob = read_input(depth_path)
         if zlib.crc32(image_blob) != record["crc32_image"]:
             raise DataFault(f"{image_path}: checksum mismatch")
         if zlib.crc32(depth_blob) != record["crc32_depth"]:
             raise DataFault(f"{depth_path}: checksum mismatch")
-        image = read_pgm(image_path)
-        depth = read_depth(depth_path)
+        image = _decode_pgm(image_blob, image_path)
+        depth = _decode_depth(depth_blob, depth_path)
         for path, array in ((image_path, image), (depth_path, depth)):
             if array.shape != (intrinsics.height, intrinsics.width):
                 raise DataFault(
@@ -279,8 +285,6 @@ def _split_from_manifest(root: Path, manifest: dict) -> DatasetSplit:
     correspondences = []
     if manifest.get("correspondence_file"):
         corr_path = root / manifest["correspondence_file"]
-        if not corr_path.exists():
-            raise DataFault(f"{corr_path}: listed correspondence file missing")
         correspondences = read_correspondences(corr_path)
         limit = [intrinsics.width - 1, intrinsics.height - 1]
         for b in correspondences:

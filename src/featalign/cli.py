@@ -117,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--base-width", type=int, default=NetworkConfig.base_width)
     tr.add_argument("--vicinity", type=float, default=LossConfig.vicinity_radius)
     tr.add_argument("--epsilon", type=float, default=LossConfig.epsilon)
-    tr.add_argument("--val-candidates", type=int, default=TrainConfig.val_candidates,
-                    help="validation relocalizations per epoch, logged only; 0 disables")
+    tr.add_argument("--val-candidates", type=int, default=12,
+                    help="val-split candidates relocalized once with the final weights; their "
+                         "AUC is logged in the last row only; 0 disables")
 
     ev = sub.add_parser("evaluate", help="relocalization curves per method")
     ev.add_argument("--dataset", required=True)
@@ -238,11 +239,12 @@ def _check_levels(split, levels: int) -> None:
 
 
 def cmd_train(args) -> int:
+    if args.val_candidates < 0:
+        raise UsageError("--val-candidates must be >= 0")
     try:
         config = TrainConfig(
             epochs=args.epochs,
             lr=args.lr,
-            val_candidates=args.val_candidates,
             network=NetworkConfig(
                 descriptor_dim=args.descriptor_dim,
                 pyramid_levels=args.levels,
@@ -260,14 +262,15 @@ def cmd_train(args) -> int:
     dataset = Path(args.dataset)
     train_split = read_split(dataset / "train")
     _check_levels(train_split, args.levels)
+    val_split = None
+    if args.val_candidates > 0 and (dataset / "val" / "manifest.json").exists():
+        val_split = read_split(dataset / "val")
+        val_split.candidates = val_split.candidates[: args.val_candidates]
     # Training takes minutes, so the outputs' place is made first.
     out = _resolve_out(args.out)
     log_path = _resolve_out(args.log) if args.log else out.with_suffix(".log.csv")
     _create_file_dir(out, "--out")
     _create_file_dir(log_path, "--log" if args.log else "--out")
-    val_split = None
-    if args.val_candidates > 0 and (dataset / "val" / "manifest.json").exists():
-        val_split = read_split(dataset / "val")
     weights, history = train_network(train_split, val_split, config)
     save_network(out, weights)
     log_path.write_text(history_csv(history))
@@ -285,8 +288,8 @@ def _method(method: str, args, split):
         _check_tiling(split, INTENSITY_LEVELS, "intensity method", DataFault)
         return intensity_extractor(INTENSITY_LEVELS), method_config(method, INTENSITY_LEVELS)
     path = args.weights if method == "features" else args.contrastive_weights
-    if not path or not Path(path).exists():
-        raise DataFault(f"method '{method}' needs an existing weights file")
+    if not path:
+        raise DataFault(f"method '{method}' needs a weights file")
     weights = load_network(path)
     if weights.config.input_channels != 1:
         raise DataFault(f"{path}: network reads {weights.config.input_channels}-channel images, frames have one")

@@ -2,15 +2,16 @@
 
 Each step runs the Siamese forward pass (one set of weights, two images) on
 a stored correspondence batch, backpropagates the combined loss, and
-applies ADAM. Per-epoch validation logs relocalization quality; it never
-picks the weights, which are the parameters after the final epoch.
-Everything is deterministic from the network config's seed.
+applies ADAM. The weights are the parameters after the final epoch. One
+validation relocalization of those weights is logged in the last epoch's
+row; it picks nothing. Everything is deterministic from the network
+config's seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +31,6 @@ VAL_POINTS = 192
 class TrainConfig:
     epochs: int = 24
     lr: float = 1e-4
-    val_candidates: int = 12
     network: NetworkConfig = field(default_factory=NetworkConfig)
     loss: LossConfig = field(default_factory=LossConfig)
 
@@ -39,8 +39,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ValueError("lr must be positive and finite")
-        if self.val_candidates < 0:
-            raise ValueError("val_candidates must be >= 0")
 
 
 @dataclass
@@ -49,15 +47,16 @@ class EpochStats:
     total: float
     contrastive: float
     gauss_newton: float
-    val_auc: float
+    val_auc: float = float("nan")
 
 
 def train_network(train_split, val_split, config: TrainConfig):
     """Trains on a loaded split's correspondence batches.
 
-    Returns (the final epoch's NetworkWeights, list of EpochStats). Each
-    row's ``val_auc`` is that epoch's validation relocalization AUC (NaN when
-    validation is off); it is a log value only.
+    Returns (the final epoch's NetworkWeights, list of EpochStats). The
+    last row's ``val_auc`` is the relocalization AUC of those weights on all
+    of ``val_split``'s candidates; it is NaN in earlier rows and when
+    ``val_split`` is None or holds no candidate. It is a log value only.
     """
     if not train_split.correspondences:
         raise NumericalFault("training split carries no correspondences")
@@ -66,8 +65,6 @@ def train_network(train_split, val_split, config: TrainConfig):
     params = [weights.params[n] for n in names]
     state: AdamState = adam_init(params)
     batches = list(train_split.correspondences)
-    if val_split is not None:
-        val_split = replace(val_split, candidates=val_split.candidates[: config.val_candidates])
     history: list[EpochStats] = []
     for epoch in range(config.epochs):
         order = np.random.default_rng([config.network.seed, 17, epoch]).permutation(len(batches))
@@ -93,13 +90,9 @@ def train_network(train_split, val_split, config: TrainConfig):
             sums["contrastive"] += parts["contrastive"]
             sums["gauss_newton"] += parts["gauss_newton"]
         n = max(1, len(batches))
-        val_auc = float("nan")
-        if val_split is not None and val_split.candidates:
-            val_auc = _validation_auc(val_split, weights)
-        history.append(
-            EpochStats(epoch, sums["total"] / n, sums["contrastive"] / n,
-                       sums["gauss_newton"] / n, val_auc)
-        )
+        history.append(EpochStats(epoch, sums["total"] / n, sums["contrastive"] / n, sums["gauss_newton"] / n))
+    if val_split is not None and val_split.candidates:
+        history[-1].val_auc = _validation_auc(val_split, weights)
     return weights, history
 
 

@@ -7,20 +7,21 @@ Layout, all little-endian:
     name length (u32) | name bytes (utf-8) | rank (u32) | extents (u32 each)
     | payload (float64, C order)
 
-Round-trips are bit-exact; dict insertion order is preserved. A name that
-is not UTF-8, a repeated name and bytes after the last parameter are data
-faults.
+Round-trips are bit-exact; dict insertion order is preserved. A file that
+cannot be read, a name that is not UTF-8, a repeated name, a payload the
+file is too short for and bytes after the last parameter are data faults.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DataFault
+from .errors import DataFault, read_input
 
 MAGIC = b"GNNW"
 FORMAT_VERSION = 1
@@ -59,7 +60,7 @@ class _Reader:
 
 def load_weights(path) -> dict[str, np.ndarray]:
     path = Path(path)
-    reader = _Reader(path.read_bytes(), path)
+    reader = _Reader(read_input(path), path)
     magic = reader.take(4)
     if magic != MAGIC:
         raise DataFault(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
@@ -78,7 +79,7 @@ def load_weights(path) -> dict[str, np.ndarray]:
             raise DataFault(f"{path}: parameter {name} appears twice")
         rank = reader.u32()
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank)) if rank else ()
-        size = int(np.prod(shape)) if rank else 1
+        size = math.prod(shape)
         payload = reader.take(8 * size)
         params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     if reader.off != len(reader.blob):

@@ -6,6 +6,7 @@ import json
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -323,6 +324,16 @@ class TestTrain:
         assert rc == 2
         assert "names frame 99999" in capsys.readouterr().err
 
+    def test_broken_val_split_is_data_fault_before_any_output(self, dataset, tmp_path, capsys):
+        corrupt = tmp_path / "ds"
+        shutil.copytree(dataset, corrupt)
+        (corrupt / "val" / "manifest.json").write_text("{")
+        out = tmp_path / "w" / "w.gnnw"
+        rc = cli_main(["train", "--dataset", str(corrupt), "--out", str(out), "--epochs", "1", "--levels", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"data fault: {corrupt / 'val' / 'manifest.json'}:")
+        assert not out.parent.exists()
+
     def test_log_path_under_output_root_and_created(self, dataset, tmp_path, monkeypatch):
         # --log resolves against FEATALIGN_OUTPUT_ROOT like --out, and its
         # directory is created.
@@ -370,6 +381,17 @@ class TestTrain:
         assert not out.parent.exists()
 
 
+def train_argv(tmp_path):
+    """A one-epoch ``train`` run, less its ``--dataset``."""
+    return ["train", "--out", str(tmp_path / "w.gnnw"), "--epochs", "1", "--levels", "2",
+            "--base-width", "4", "--descriptor-dim", "4", "--val-candidates", "0"]
+
+
+def evaluate_argv(tmp_path):
+    """An intensity ``evaluate`` run, less its ``--dataset``."""
+    return ["evaluate", "--out", str(tmp_path / "ev"), "--methods", "intensity"]
+
+
 def edit_first_match(value):
     """Case: sets u_b of the first training match to ``value``; ``train`` reads it."""
 
@@ -380,9 +402,8 @@ def edit_first_match(value):
         parts[4] = value
         lines[0] = " ".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        argv = ["train", "--out", str(tmp_path / "w.gnnw"), "--epochs", "1", "--levels", "2",
-                "--base-width", "4", "--descriptor-dim", "4", "--val-candidates", "0"]
-        return path, f"correspondences ({parts[0]}, {parts[1]}) hold a non-finite coordinate", argv
+        detail = f"correspondences ({parts[0]}, {parts[1]}) hold a non-finite coordinate"
+        return path, detail, train_argv(tmp_path)
 
     return edit
 
@@ -393,9 +414,16 @@ def edit_match_frame_id_not_int(dataset, weights, tmp_path):
     lines = path.read_text().splitlines()
     lines[0] = "x1 " + lines[0].split(" ", 1)[1]
     path.write_text("\n".join(lines) + "\n")
-    argv = ["train", "--out", str(tmp_path / "w.gnnw"), "--epochs", "1", "--levels", "2",
-            "--base-width", "4", "--descriptor-dim", "4", "--val-candidates", "0"]
-    return path, f"{path}:1: frame id or coordinate is not a number", argv
+    return path, f"{path}:1: frame id or coordinate is not a number", train_argv(tmp_path)
+
+
+def weights_reader_argv(command, tmp_path, weights):
+    """An ``evaluate`` or ``align`` run of the features method on ``weights``, less its ``--dataset``."""
+    argv = {
+        "evaluate": ["evaluate", "--out", str(tmp_path / "ev"), "--methods", "features"],
+        "align": ["align", "--method", "features"],
+    }[command]
+    return argv + ["--weights", str(weights)]
 
 
 def edit_weight_to_nan(command):
@@ -406,13 +434,44 @@ def edit_weight_to_nan(command):
         raw["head0/w"].flat[0] = np.nan
         path = tmp_path / "nan.gnnw"
         save_weights(path, raw)
-        argv = {
-            "evaluate": ["evaluate", "--out", str(tmp_path / "ev"), "--methods", "features"],
-            "align": ["align", "--method", "features"],
-        }[command]
-        return path, "parameter head0/w holds non-finite values", argv + ["--weights", str(path)]
+        return path, "parameter head0/w holds non-finite values", weights_reader_argv(command, tmp_path, path)
 
     return edit
+
+
+def edit_weights_to_directory(command):
+    """Case: ``--weights`` names a directory; ``evaluate`` or ``align`` loads it."""
+
+    def edit(dataset, weights, tmp_path):
+        path = tmp_path / "weights_dir"
+        path.mkdir()
+        return path, "cannot read", weights_reader_argv(command, tmp_path, path)
+
+    return edit
+
+
+def edit_split_file_to_directory(split, name, argv):
+    """Case: the file ``name`` of ``split`` (``"image"``: its first frame's
+    image) replaced by an empty directory; the command ``argv(tmp_path)`` reads it."""
+
+    def edit(dataset, weights, tmp_path):
+        root = dataset / split
+        if name == "image":
+            path = root / json.loads((root / "manifest.json").read_text())["frames"][0]["image"]
+        else:
+            path = root / name
+        path.unlink()
+        path.mkdir()
+        return path, "cannot read", argv(tmp_path)
+
+    return edit
+
+
+def edit_manifest_not_utf8(dataset, weights, tmp_path):
+    """Case: a byte that is not UTF-8 in the test manifest; ``evaluate`` reads it."""
+    path = dataset / "test" / "manifest.json"
+    path.write_bytes(b"\xff" + path.read_bytes())
+    return path, "not UTF-8", evaluate_argv(tmp_path)
 
 
 def edit_weights_bytes(change):
@@ -434,6 +493,14 @@ def name_not_utf8(blob):
 
 def trailing_bytes(blob):
     return blob + bytes(8), "8 bytes after the last parameter"
+
+
+def extents_product_wraps(blob):
+    # The first parameter, a scalar, gets rank 3 and extents 2^31, 2^31 and 4:
+    # their product, 2^64, is 0 in int64 arithmetic.
+    at = 16 + struct.unpack_from("<I", blob, 12)[0]
+    assert struct.unpack_from("<I", blob, at)[0] == 0
+    return blob[:at] + struct.pack("<4I", 3, 2**31, 2**31, 4) + blob[at + 4 :], "bytes early"
 
 
 def repeated_name(blob):
@@ -535,6 +602,13 @@ class TestInputFaults:
             edit_weights_bytes(name_not_utf8),
             edit_weights_bytes(trailing_bytes),
             edit_weights_bytes(repeated_name),
+            edit_weights_bytes(extents_product_wraps),
+            edit_weights_to_directory("evaluate"),
+            edit_weights_to_directory("align"),
+            edit_split_file_to_directory("test", "image", evaluate_argv),
+            edit_split_file_to_directory("test", "manifest.json", evaluate_argv),
+            edit_split_file_to_directory("train", "correspondences.txt", train_argv),
+            edit_manifest_not_utf8,
             edit_config_scalar("seed", np.inf),
             edit_config_scalar("descriptor_dim", 4.5),
             edit_test_pose("candidate", set_entry(3, float("nan")), "pose matrix holds a non-finite entry"),
@@ -547,6 +621,9 @@ class TestInputFaults:
         ids=["match_nan", "match_outside_frame", "match_frame_id_not_int", "weight_nan-evaluate",
              "weight_nan-align", "focal_nan", "image_bytes_after_payload", "depth_bytes_after_payload",
              "weights_name_not_utf8", "weights_trailing_bytes", "weights_repeated_name",
+             "weights_extents_product_wraps", "weights_directory-evaluate", "weights_directory-align",
+             "frame_image_directory", "manifest_directory", "correspondences_directory",
+             "manifest_not_utf8",
              "weights_config_inf", "weights_config_fraction", "candidate_pose_nan", "frame_pose_inf",
              "frame_pose_last_row", "candidate_pose_last_row", "candidate_pose_not_orthonormal",
              "frame_pose_reflection"],

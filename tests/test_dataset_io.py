@@ -1,6 +1,7 @@
 """Dataset serialization: lossless round-trips and distinct fault paths."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +200,18 @@ class TestSplitIO:
         sorted((d / "frames").glob("*.pgm"))[0].unlink()
         with pytest.raises(DataFault):
             read_split(d)
+
+    def test_each_file_read_once(self, tmp_path, scene, correspondences, monkeypatch):
+        # The checksummed bytes of a frame file are the ones decoded.
+        d = tmp_path / "split"
+        write_split(d, scene, correspondences)
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path.name) or read_bytes(path))
+        read_split(d)
+        expected = ["manifest.json", "correspondences.txt"]
+        expected += [f"frame_{frame.frame_id:05d}.{suffix}" for frame in scene.frames for suffix in ("pgm", "depth")]
+        assert sorted(reads) == sorted(expected)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataFault):

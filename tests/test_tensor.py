@@ -1,5 +1,6 @@
 """Gradient checks for every autodiff primitive, plus ADAM and weights I/O."""
 
+import struct
 import weakref
 
 import numpy as np
@@ -557,6 +558,15 @@ class TestWeightsIO:
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
         with pytest.raises(DataFault, match="file ends 5 bytes early"):
+            load_weights(path)
+
+    def test_extents_whose_product_wraps_int64_are_a_truncation_fault(self, tmp_path):
+        path = tmp_path / "huge.gnnw"
+        save_weights(path, {"a": np.zeros((1, 1, 4))})
+        blob = path.read_bytes()
+        # Extents follow magic, version, count, name length, the name "a" and the rank.
+        path.write_bytes(blob[:21] + struct.pack("<3I", 2**31, 2**31, 4) + blob[33:])
+        with pytest.raises(DataFault, match=f"file ends {8 * 2**64 - 32} bytes early"):
             load_weights(path)
 
     def test_name_not_utf8_is_data_fault(self, tmp_path):

@@ -1,7 +1,9 @@
 """Training-loop tests on a tiny in-memory dataset."""
 
+import copy
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ def small_config(**kw):
     base = dict(
         epochs=2,
         lr=1e-3,
-        val_candidates=0,
         network=NetworkConfig(1, 4, 2, base_width=4, seed=3),
         loss=LossConfig(gn_weight=0.1, vicinity_radius=2.0),
     )
@@ -74,24 +75,39 @@ class TestTrainNetwork:
     def test_validation_only_logs(self, tiny_dataset):
         train_split = read_split(tiny_dataset / "train")
         val_split = read_split(tiny_dataset / "val")
-        cfg = small_config(val_candidates=2, epochs=2)
+        cfg = small_config(epochs=2)
         weights, history = train_network(train_split, val_split, cfg)
-        assert all(np.isfinite(r.val_auc) for r in history)
+        assert [np.isfinite(r.val_auc) for r in history] == [False, True]
         plain, plain_history = train_network(train_split, None, cfg)
+        assert all(np.isnan(r.val_auc) for r in plain_history)
         assert_same_weights(weights, plain)
         assert loss_columns(history) == loss_columns(plain_history)
 
     def test_returns_last_epoch_whatever_validation_reports(self, tiny_dataset, monkeypatch):
-        # A falling validation AUC must not keep the earlier epoch.
         train_split = read_split(tiny_dataset / "train")
         val_split = read_split(tiny_dataset / "val")
-        cfg = small_config(val_candidates=2, epochs=2)
-        reported = iter([1.0, 0.0])
-        monkeypatch.setattr(training_mod, "_validation_auc", lambda split, weights: next(reported))
+        cfg = small_config(epochs=2)
+        validated = []
+
+        def record(split, weights):
+            validated.append(copy.deepcopy(weights))
+            return 0.25
+
+        monkeypatch.setattr(training_mod, "_validation_auc", record)
         weights, history = train_network(train_split, val_split, cfg)
-        assert [r.val_auc for r in history] == [1.0, 0.0]
+        assert len(validated) == 1
+        assert history[-1].val_auc == 0.25
+        assert all(np.isnan(r.val_auc) for r in history[:-1])
         plain, _ = train_network(train_split, None, cfg)
         assert_same_weights(weights, plain)
+        assert_same_weights(validated[0], plain)
+
+    def test_split_without_candidates_is_not_validated(self, tiny_dataset, monkeypatch):
+        train_split = read_split(tiny_dataset / "train")
+        val_split = replace(read_split(tiny_dataset / "val"), candidates=[])
+        monkeypatch.setattr(training_mod, "_validation_auc", lambda split, weights: pytest.fail("validated"))
+        _, history = train_network(train_split, val_split, small_config(epochs=1))
+        assert np.isnan(history[-1].val_auc)
 
     def test_nan_loss_aborts_with_diagnostics(self, tiny_dataset, monkeypatch):
         split = read_split(tiny_dataset / "train")
@@ -199,6 +215,25 @@ class TestTrainCLI:
         assert rc == 0
         echo = json.loads((tmp_path / "run_config.json").read_text())
         assert echo["arguments"]["lr"] == 1e-6
+
+    @pytest.mark.parametrize("val_candidates, expected", [(2, 2), (99, 3), (0, None)])
+    def test_validates_once_on_the_first_val_candidates(self, tiny_dataset, tmp_path, monkeypatch,
+                                                       val_candidates, expected):
+        seen = []
+        monkeypatch.setattr(training_mod, "_validation_auc",
+                            lambda split, weights: seen.append(len(split.candidates)) or 0.5)
+        out = tmp_path / "w.gnnw"
+        rc = cli_main(
+            [
+                "train", "--dataset", str(tiny_dataset), "--out", str(out),
+                "--epochs", "2", "--base-width", "4", "--descriptor-dim", "4",
+                "--levels", "2", "--val-candidates", str(val_candidates),
+            ]
+        )
+        assert rc == 0
+        assert seen == ([] if expected is None else [expected])
+        rows = out.with_suffix(".log.csv").read_text().strip().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["nan", "nan" if expected is None else "0.5"]
 
     def test_twenty_epochs_mostly_decreasing(self, tmp_path):
         # Scripted reference behavior on the default synthetic set: the
