@@ -9,7 +9,6 @@ robustness and accuracy share one curve.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -174,6 +173,28 @@ def write_curves_svg(path, curves: dict) -> None:
     Path(path).write_text("\n".join(parts) + "\n")
 
 
+def _per_frame(jobs: Sequence, frames_of: Callable, build: Callable, step: Callable) -> list:
+    """``step(job, *products)`` for each job in order, one product per frame in ``frames_of(job)``.
+
+    A frame's product is ``build(frame)``, made at the frame's first job and
+    dropped after its last, so once a step returns nothing holds a product
+    that no later job reads.
+    """
+    last = {frame: index for index, job in enumerate(jobs) for frame in frames_of(job)}
+    store: dict = {}
+    results = []
+    for index, job in enumerate(jobs):
+        frames = frames_of(job)
+        for frame in frames:
+            if frame not in store:
+                store[frame] = build(frame)
+        results.append(step(job, *[store[frame] for frame in frames]))
+        for frame in frames:
+            if last[frame] == index:
+                store.pop(frame, None)
+    return results
+
+
 def run_relocalization(
     split: DatasetSplit,
     extractor: Callable[[np.ndarray], Sequence[np.ndarray]],
@@ -182,43 +203,23 @@ def run_relocalization(
 ) -> list:
     """Tracks every candidate of a split against its reference keyframe.
 
-    Feature pyramids and keyframe point selections are computed once per
-    unique frame; a pyramid is dropped after the last candidate that reads
-    it. Tracking always starts from identity.
+    A frame's feature pyramid, and a reference frame's keyframe points, are
+    computed once and dropped after the last candidate that reads them.
+    Tracking always starts from identity.
     """
-    pyramids: dict = {}
-    points: dict = {}
-    readers = Counter(f for c in split.candidates for f in (c.reference_frame, c.candidate_frame))
+    references = {c.reference_frame for c in split.candidates}
 
-    def pyramid_of(frame_id):
-        if frame_id not in pyramids:
-            pyramids[frame_id] = extractor(split.frames[frame_id].image)
-        return pyramids[frame_id]
+    def build(frame_id):
+        frame = split.frames[frame_id]
+        points = select_keyframe_points(frame.image, frame.depth, k=point_count) if frame_id in references else None
+        return extractor(frame.image), points
 
-    def points_of(frame_id):
-        if frame_id not in points:
-            frame = split.frames[frame_id]
-            points[frame_id] = select_keyframe_points(frame.image, frame.depth, k=point_count)
-        return points[frame_id]
+    def track(candidate, reference, target):
+        pyramid, (pixels, inv_depths) = reference
+        pose = SE3Pose.identity()
+        return candidate, align_pose(pyramid, target[0], pixels, inv_depths, pose, split.intrinsics, config)
 
-    results = []
-    for candidate in split.candidates:
-        pixels, inv_depths = points_of(candidate.reference_frame)
-        track = align_pose(
-            pyramid_of(candidate.reference_frame),
-            pyramid_of(candidate.candidate_frame),
-            pixels,
-            inv_depths,
-            SE3Pose.identity(),
-            split.intrinsics,
-            config,
-        )
-        results.append((candidate, track))
-        for frame_id in (candidate.reference_frame, candidate.candidate_frame):
-            readers[frame_id] -= 1
-            if not readers[frame_id]:
-                del pyramids[frame_id]
-    return results
+    return _per_frame(split.candidates, lambda c: (c.reference_frame, c.candidate_frame), build, track)
 
 
 def basin_trials(
@@ -235,32 +236,25 @@ def basin_trials(
     square offset of the given radius around the true location and report
     per-trial success: settled within ``BASIN_SUCCESS_PX`` of the truth.
     The rng seed fixes the offsets, so different feature extractors see
-    identical trials. A frame's maps are dropped after the last batch that
-    reads them.
+    identical trials. A frame's level-0 map, and the derivative map of a
+    frame tracked on (some batch's ``frame_b``), are dropped after the last
+    batch that reads them.
     """
     rng = np.random.default_rng(seed)
-    outcomes = []
-    level0: dict = {}
-    readers = Counter(f for batch in batches for f in (batch.frame_a, batch.frame_b))
+    targets = {batch.frame_b for batch in batches}
 
-    def features_of(frame_id):
-        """The frame's level-0 map and its derivative map."""
-        if frame_id not in level0:
-            feat = extractor(split.frames[frame_id].image)[0]
-            level0[frame_id] = feat, map_gradient(feat).data
-        return level0[frame_id]
+    def build(frame_id):
+        feat = extractor(split.frames[frame_id].image)[0]
+        return feat, (map_gradient(feat).data if frame_id in targets else None)
 
-    for batch in batches:
-        feat_a, _ = features_of(batch.frame_a)
-        feat_b, grad_b = features_of(batch.frame_b)
+    def trial(batch, source, target):
+        feat_b, grad_b = target
         height, width = feat_b.shape[:2]
-        f_t = interp(feat_a, batch.pos_a)
+        f_t = interp(source[0], batch.pos_a)
         starts = draw_start_points(rng, batch.pos_b, radius, width, height)
         final, converged = track_pixels(feat_b, grad_b, starts, f_t, eps)
         err = np.linalg.norm(final - batch.pos_b, axis=1)
-        outcomes.append(converged & (err < BASIN_SUCCESS_PX))
-        for frame_id in (batch.frame_a, batch.frame_b):
-            readers[frame_id] -= 1
-            if not readers[frame_id]:
-                del level0[frame_id]
+        return converged & (err < BASIN_SUCCESS_PX)
+
+    outcomes = _per_frame(batches, lambda batch: (batch.frame_a, batch.frame_b), build, trial)
     return np.concatenate(outcomes) if outcomes else np.zeros(0, dtype=bool)

@@ -261,10 +261,13 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from exc
     dataset = Path(args.dataset)
     train_split = read_split(dataset / "train")
+    if not train_split.correspondences:
+        raise DataFault(f"{dataset / 'train'}: split carries no correspondences")
     _check_levels(train_split, args.levels)
     val_split = None
     if args.val_candidates > 0 and (dataset / "val" / "manifest.json").exists():
         val_split = read_split(dataset / "val")
+        _check_tiling(val_split, args.levels, dataset / "val", DataFault)
         val_split.candidates = val_split.candidates[: args.val_candidates]
     # Training takes minutes, so the outputs' place is made first.
     out = _resolve_out(args.out)

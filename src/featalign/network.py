@@ -110,23 +110,19 @@ def forward_pyramid(params: Mapping, image, config: NetworkConfig) -> list:
     if h % div or w % div:
         raise ValueError(f"image sides must be divisible by {div}, got {h}x{w}")
 
-    def p(name):
-        val = params[name]
-        return val if isinstance(val, T.Tensor) else T.Tensor(val)
-
-    enc = [T.relu(T.conv2d(img, p("enc0/w"), p("enc0/b"), stride=1, pad=1))]
+    enc = [T.relu(T.conv2d(img, params["enc0/w"], params["enc0/b"], stride=1, pad=1))]
     for level in range(1, config.pyramid_levels):
         enc.append(
-            T.relu(T.conv2d(enc[-1], p(f"enc{level}/w"), p(f"enc{level}/b"), stride=2, pad=1))
+            T.relu(T.conv2d(enc[-1], params[f"enc{level}/w"], params[f"enc{level}/b"], stride=2, pad=1))
         )
     out = [None] * config.pyramid_levels
     out[config.pyramid_levels - 1] = enc[-1]
     for level in range(config.pyramid_levels - 2, -1, -1):
         up = T.upsample2_nearest(out[level + 1])
         cat = T.concat_channels([up, enc[level]])
-        out[level] = T.relu(T.conv2d(cat, p(f"dec{level}/w"), p(f"dec{level}/b"), stride=1, pad=1))
+        out[level] = T.relu(T.conv2d(cat, params[f"dec{level}/w"], params[f"dec{level}/b"], stride=1, pad=1))
     return [
-        T.conv2d(out[level], p(f"head{level}/w"), p(f"head{level}/b"))
+        T.conv2d(out[level], params[f"head{level}/w"], params[f"head{level}/b"])
         for level in range(config.pyramid_levels)
     ]
 

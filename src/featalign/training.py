@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .alignment import method_config, network_extractor
 from .bench.evaluate import evaluate_relocalization, run_relocalization
-from .errors import NumericalFault
+from .errors import DataFault, NumericalFault
 from .losses import LossConfig, total_loss
 from .network import NetworkConfig, NetworkWeights, build_network, forward_pyramid
 from .optim import AdamState, adam_init, adam_step
@@ -59,7 +59,7 @@ def train_network(train_split, val_split, config: TrainConfig):
     ``val_split`` is None or holds no candidate. It is a log value only.
     """
     if not train_split.correspondences:
-        raise NumericalFault("training split carries no correspondences")
+        raise DataFault("training split carries no correspondences")
     weights = build_network(config.network)
     names = list(weights.params)
     params = [weights.params[n] for n in names]

@@ -456,6 +456,8 @@ class TestCriterion8Determinism:
     def run_pipeline(self, root: Path) -> dict:
         env = dict(os.environ)
         env.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
         def run(args):
             proc = subprocess.run(

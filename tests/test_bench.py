@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import featalign.bench.evaluate as evaluate_mod
-from featalign.alignment import align_pose, intensity_pyramid, map_gradient, method_config, track_pixels
+from featalign.alignment import (
+    align_pose,
+    intensity_pyramid,
+    map_gradient,
+    method_config,
+    select_keyframe_points,
+    track_pixels,
+)
 from featalign.bench.dataset_io import read_split
 from featalign.bench.evaluate import (
     EvalCurve,
@@ -491,12 +498,20 @@ class TestRunRelocalization:
                          "--n-pos", "8", "--n-neg", "8"]) == 0
         split = read_split(tmp_path / "test")
         frame_of_image = {id(frame.image): frame_id for frame_id, frame in split.frames.items()}
-        level0 = {}
+        products = {}
 
         def extractor(image):
             pyramid = intensity_pyramid(image, 3)
-            level0[frame_of_image[id(image)]] = weakref.ref(pyramid[0])
+            products.setdefault(frame_of_image[id(image)], []).append(weakref.ref(pyramid[0]))
             return pyramid
+
+        selected = []
+
+        def observed_select_keyframe_points(image, *args, **kwargs):
+            points = select_keyframe_points(image, *args, **kwargs)
+            selected.append(frame_of_image[id(image)])
+            products.setdefault(selected[-1], []).extend(weakref.ref(array) for array in points)
+            return points
 
         last_reader = {}
         for index, candidate in enumerate(split.candidates):
@@ -507,17 +522,22 @@ class TestRunRelocalization:
 
         def observed_align_pose(*args, **kwargs):
             index = len(calls)
-            for frame_id, ref in level0.items():
+            for frame_id, refs in products.items():
                 if last_reader[frame_id] < index:
-                    assert ref() is None, f"frame {frame_id} outlived its last candidate"
+                    assert all(ref() is None for ref in refs), f"frame {frame_id} outlived its last candidate"
                     checked.add(frame_id)
             calls.append(index)
             return align_pose(*args, **kwargs)
 
         monkeypatch.setattr(evaluate_mod, "align_pose", observed_align_pose)
+        monkeypatch.setattr(evaluate_mod, "select_keyframe_points", observed_select_keyframe_points)
         results = run_relocalization(split, extractor, method_config("intensity", 3), point_count=64)
         assert len(results) == len(calls) == 8
         assert len(checked) >= 8
+        # Keyframe points are selected once per reference frame, and for no other frame.
+        assert sorted(selected) == sorted({c.reference_frame for c in split.candidates})
+        assert checked >= set(selected) - {split.candidates[-1].reference_frame}
+        assert all(ref() is None for refs in products.values() for ref in refs)
 
 
 class TestBasinTrials:
@@ -538,9 +558,12 @@ class TestBasinTrials:
             maps[frame_id] = [weakref.ref(pyramid[0])]
             return pyramid
 
+        derived = []
+
         def observed_map_gradient(feat):
             derivative = map_gradient(feat)
-            maps[frame_of_map[id(feat)]].append(weakref.ref(derivative.data))
+            derived.append(frame_of_map[id(feat)])
+            maps[derived[-1]].append(weakref.ref(derivative.data))
             return derivative
 
         last_reader = {}
@@ -565,3 +588,6 @@ class TestBasinTrials:
         assert len(calls) == len(batches) == 8
         assert outcomes.shape == (sum(len(batch.pos_a) for batch in batches),)
         assert len(checked) >= 4
+        # Only a frame tracked on gets a derivative map, once.
+        assert sorted(derived) == sorted({batch.frame_b for batch in batches})
+        assert {batch.frame_a for batch in batches} - set(derived)

@@ -17,6 +17,8 @@ import pytest
 
 import featalign.cli as cli_mod
 import featalign.tensor as tensor_mod
+from featalign.bench.dataset_io import write_split
+from featalign.bench.scene import SceneConfig, generate_scene
 from featalign.cli import main as cli_main
 from featalign.gradcheck import run_gradcheck
 from featalign.network import NetworkConfig, build_network, save_network
@@ -332,6 +334,31 @@ class TestTrain:
         rc = cli_main(["train", "--dataset", str(corrupt), "--out", str(out), "--epochs", "1", "--levels", "2"])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"data fault: {corrupt / 'val' / 'manifest.json'}:")
+        assert not out.parent.exists()
+
+    def test_untileable_val_split_is_data_fault_before_any_output(self, dataset, tmp_path, capsys):
+        # 3 levels need sides divisible by 4; the generator writes none that is not.
+        config = SceneConfig(width=34, height=34, cx=16.5, cy=16.5, n_frames=2, n_candidates=1)
+        corrupt = tmp_path / "ds"
+        shutil.copytree(dataset / "train", corrupt / "train")
+        write_split(corrupt / "val", generate_scene(3, config))
+        out = tmp_path / "w" / "w.gnnw"
+        rc = cli_main(["train", "--dataset", str(corrupt), "--out", str(out), "--epochs", "1", "--levels", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"data fault: {corrupt / 'val'}: 3 pyramid levels need image sides divisible by 4, got 34x34"
+        )
+        assert not out.parent.exists()
+
+    def test_split_without_correspondences_is_data_fault_before_any_output(self, dataset, tmp_path, capsys):
+        corrupt = tmp_path / "ds"
+        shutil.copytree(dataset, corrupt)
+        manifest = corrupt / "train" / "manifest.json"
+        manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), correspondence_file=None)))
+        out = tmp_path / "w" / "w.gnnw"
+        rc = cli_main(["train", "--dataset", str(corrupt), "--out", str(out), "--epochs", "1", "--levels", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data fault: {corrupt / 'train'}: split carries no correspondences\n"
         assert not out.parent.exists()
 
     def test_log_path_under_output_root_and_created(self, dataset, tmp_path, monkeypatch):

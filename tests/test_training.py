@@ -12,7 +12,7 @@ import featalign.training as training_mod
 from featalign import tensor as T
 from featalign.cli import main as cli_main
 from featalign.bench.dataset_io import read_split
-from featalign.errors import NumericalFault
+from featalign.errors import DataFault, NumericalFault
 from featalign.losses import LossConfig, total_loss
 from featalign.network import NetworkConfig, build_network, forward_pyramid, load_network
 from featalign.training import TrainConfig, history_csv, train_network
@@ -121,7 +121,7 @@ class TestTrainNetwork:
 
     def test_empty_split_fault(self, tiny_dataset):
         split = read_split(tiny_dataset / "val")  # no correspondences stored
-        with pytest.raises(NumericalFault):
+        with pytest.raises(DataFault):
             train_network(split, None, small_config())
 
 
