@@ -9,7 +9,7 @@ the true location: raw intensities versus quickly-trained descriptors.
 import numpy as np
 
 from featalign import tensor as T
-from featalign.alignment import interp, map_gradient, track_pixels
+from featalign.alignment import draw_start_points, interp, track_pixels
 from featalign.bench.scene import SceneConfig, generate_scene, make_correspondences
 from featalign.losses import LossConfig, total_loss
 from featalign.network import NetworkConfig, build_network, extract_pyramid, forward_pyramid
@@ -20,14 +20,13 @@ batch = make_correspondences(scene, 0, 3, n_pos=160, n_neg=160, seed=2)
 img_a = scene.frames[0].image[:, :, None]
 img_b = scene.frames[3].image[:, :, None]
 
-rng = np.random.default_rng(5)
-offsets = rng.uniform(-4.0, 4.0, size=batch.pos_b.shape)
+# One set of 4-px starts, shared by both feature maps.
+starts = draw_start_points(np.random.default_rng(5), batch.pos_b, 4.0, img_b.shape)
 
 
 def basin_fraction(feat_a, feat_b, eps):
     f_t = interp(feat_a, batch.pos_a)
-    starts = np.clip(batch.pos_b + offsets, 1.01, 62.99)
-    final, converged = track_pixels(feat_b, map_gradient(feat_b).data, starts, f_t, eps=eps)
+    final, converged = track_pixels(feat_b, starts, f_t, eps=eps)
     err = np.linalg.norm(final - batch.pos_b, axis=1)
     return float((converged & (err < 0.5)).mean())
 

@@ -113,65 +113,57 @@ def interp(feature_map: np.ndarray, coords: np.ndarray) -> np.ndarray:
 def map_gradient(feature_map) -> T.Tensor:
     """The map's central-difference derivative map (H, W, 2D), h = 1 px.
 
-    Built once per map; ``gradient_at`` samples it at the points.
+    Built once per map; ``pixel_gauss_newton`` samples it at the points.
     Taped when ``feature_map`` is, so training differentiates through it.
     """
     return T.central_difference(feature_map)
 
 
-def gradient_at(grad_map, coords: np.ndarray) -> T.Tensor:
-    """Central-difference derivative (N, D, 2) at each coord from a map.
+def _stencil_highs(map_shape):
+    """The highest x and y whose +-1 px stencil stays inside the map; the lowest is ``STENCIL_MARGIN``."""
+    height, width = map_shape[:2]
+    return width - 1 - STENCIL_MARGIN, height - 1 - STENCIL_MARGIN
 
-    ``grad_map`` comes from ``map_gradient``. Raises ``ValueError`` when a
-    coord's +-1 px stencil leaves the map (by ``STENCIL_MARGIN``), so the
-    zero border of the derivative map is never read.
-    """
-    _check_stencil(coords, grad_map.shape)
-    samples = T.bilinear_sample(grad_map, T.Tensor(coords))
-    return T.reshape(samples, (coords.shape[0], grad_map.shape[2] // 2, 2))
+
+def stencil_valid(coords: np.ndarray, map_shape) -> np.ndarray:
+    """Per coord (N, 2), whether its +-1 px stencil lies inside the map; NaN fails."""
+    high_x, high_y = _stencil_highs(map_shape)
+    xs, ys = coords[:, 0], coords[:, 1]
+    return (xs >= STENCIL_MARGIN) & (xs <= high_x) & (ys >= STENCIL_MARGIN) & (ys <= high_y)
+
+
+def _check_stencil(coords: np.ndarray, map_shape) -> None:
+    if not stencil_valid(coords, map_shape).all():
+        raise ValueError("stencil outside the map")
+
+
+def draw_start_points(rng, pos_b: np.ndarray, vicinity: float, map_shape) -> np.ndarray:
+    """u_b plus a uniform square jitter, clamped to the stencil-valid region."""
+    offsets = rng.uniform(-vicinity, vicinity, size=pos_b.shape)
+    return np.clip(pos_b + offsets, STENCIL_MARGIN, _stencil_highs(map_shape))
 
 
 def pixel_gauss_newton(feature_map, grad_map, xs: np.ndarray, f_t, eps: float):
     """The per-pixel Gauss-Newton step from each start point toward f_t.
 
     Builds H = J^T J + eps I and b = J^T r from the residual r = F(x) - f_t
-    and the central-difference derivative J at x, sampled from
+    and the central-difference derivative J (N, D, 2) at x, sampled from
     ``grad_map = map_gradient(feature_map)``, and returns the tensors
     (mu = x - H^-1 b (N, 2), H (N, 2, 2)). Taped when ``feature_map`` or
     ``f_t`` is: the training loss differentiates it, the trackers use its
-    data. Every stencil must lie inside the map.
+    data. Raises ``ValueError`` when a start's stencil leaves the map, so
+    the zero border of the derivative map is never read.
     """
+    _check_stencil(xs, grad_map.shape)
     n = xs.shape[0]
     r = T.sub(T.bilinear_sample(feature_map, T.Tensor(xs)), f_t)
-    jac = gradient_at(grad_map, xs)
+    jac = T.reshape(T.bilinear_sample(grad_map, T.Tensor(xs)), (n, grad_map.shape[2] // 2, 2))
     jac_t = T.transpose_last2(jac)
     eps_eye = np.broadcast_to(np.eye(2) * eps, (n, 2, 2)).copy()
     hess = T.add(T.matmul(jac_t, jac), T.Tensor(eps_eye))
     b = T.matmul(jac_t, T.reshape(r, (n, r.data.shape[1], 1)))
     mu = T.sub(T.Tensor(xs), T.reshape(T.matmul(T.inv2x2(hess), b), (n, 2)))
     return mu, hess
-
-
-def stencil_valid(coords: np.ndarray, width: int, height: int) -> np.ndarray:
-    return (
-        (coords[:, 0] >= STENCIL_MARGIN)
-        & (coords[:, 0] <= width - 1 - STENCIL_MARGIN)
-        & (coords[:, 1] >= STENCIL_MARGIN)
-        & (coords[:, 1] <= height - 1 - STENCIL_MARGIN)
-    )
-
-
-def _check_stencil(coords: np.ndarray, map_shape) -> None:
-    """Raises unless every coord passes ``stencil_valid``; tested on the extremes, NaN failing."""
-    height, width = map_shape[:2]
-    xs, ys = coords[:, 0], coords[:, 1]
-    if len(coords) and not (
-        xs.min() >= STENCIL_MARGIN
-        and xs.max() <= width - 1 - STENCIL_MARGIN
-        and ys.min() >= STENCIL_MARGIN
-        and ys.max() <= height - 1 - STENCIL_MARGIN
-    ):
-        raise ValueError("stencil outside the map")
 
 
 def huber_weight(norms: np.ndarray, delta: float) -> np.ndarray:
@@ -190,25 +182,18 @@ def gradient_weight(jac: np.ndarray, const: float) -> np.ndarray:
     return const**2 / (const**2 + g2)
 
 
-def track_pixels(
-    feat_tgt: np.ndarray,
-    grad_tgt: np.ndarray,
-    starts: np.ndarray,
-    f_t: np.ndarray,
-    eps: float,
-):
-    """Batched per-pixel GN tracking on ``feat_tgt``.
+def track_pixels(feat_tgt: np.ndarray, starts: np.ndarray, f_t: np.ndarray, eps: float):
+    """Batched per-pixel GN tracking on ``feat_tgt``, whose derivative map it builds once.
 
-    ``grad_tgt`` is ``map_gradient(feat_tgt).data``, built once per map.
     Returns (final positions (N, 2), active-and-settled mask). A point
     settles once its step is shorter than ``PIXEL_STEP_TOL``, within
     ``PIXEL_MAX_ITERATIONS`` steps; points whose stencil leaves the map
     freeze where they were and report failure.
     """
+    grad_tgt = map_gradient(feat_tgt).data
     x = np.asarray(starts, dtype=np.float64).copy()
     n = x.shape[0]
-    height, width = feat_tgt.shape[:2]
-    alive = stencil_valid(x, width, height)
+    alive = stencil_valid(x, feat_tgt.shape)
     settled = np.zeros(n, dtype=bool)
     for _ in range(PIXEL_MAX_ITERATIONS):
         work = alive & ~settled
@@ -218,7 +203,7 @@ def track_pixels(
         mu, _ = pixel_gauss_newton(feat_tgt, grad_tgt, x[idx], f_t[idx], eps)
         x_new = mu.data
         small = np.linalg.norm(x_new - x[idx], axis=1) < PIXEL_STEP_TOL
-        ok = stencil_valid(x_new, width, height)
+        ok = stencil_valid(x_new, feat_tgt.shape)
         x[idx[ok]] = x_new[ok]
         alive[idx[~ok]] = False
         settled[idx[ok & small]] = True
@@ -236,8 +221,8 @@ def _target_map(feat_tgt: np.ndarray) -> np.ndarray:
 def _jac_map(samples: np.ndarray, dim: int) -> np.ndarray:
     """The map derivative (N, D, 2) from stacked ``[F | dF]`` samples.
 
-    Contiguous, as ``gradient_at`` returns it, so the einsum and matmul
-    reading it run the same kernels and give the same bits.
+    Contiguous, as ``pixel_gauss_newton`` reads it, so the einsum and
+    matmul reading it run the same kernels and give the same bits.
     """
     return np.ascontiguousarray(samples[:, dim:]).reshape(samples.shape[0], dim, 2)
 
@@ -250,9 +235,7 @@ def _pose_cost(target, points, f_ref, pose, intr, config: AlignmentConfig) -> Po
     reference descriptors.
     """
     n_points, dim = f_ref.shape
-    projected, p_cam, valid = project_points(
-        points, pose, intr, border=max(config.border_margin, STENCIL_MARGIN)
-    )
+    projected, p_cam, valid = project_points(points, pose, intr, border=config.border_margin)
     point_cost = np.zeros(n_points)
     idx = valid.nonzero()[0]
     n_valid = len(idx)

@@ -15,9 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..alignment import AlignmentConfig, align_pose, interp, map_gradient, select_keyframe_points, track_pixels
+from ..alignment import AlignmentConfig, align_pose, draw_start_points, interp, select_keyframe_points, track_pixels
 from ..geometry import SE3Pose
-from ..losses import CorrespondenceBatch, draw_start_points
+from ..losses import CorrespondenceBatch
 from .dataset_io import DatasetSplit
 
 THRESHOLD_STEP = 0.01
@@ -236,23 +236,18 @@ def basin_trials(
     square offset of the given radius around the true location and report
     per-trial success: settled within ``BASIN_SUCCESS_PX`` of the truth.
     The rng seed fixes the offsets, so different feature extractors see
-    identical trials. A frame's level-0 map, and the derivative map of a
-    frame tracked on (some batch's ``frame_b``), are dropped after the last
-    batch that reads them.
+    identical trials. A frame's level-0 map is dropped after the last batch
+    that reads it.
     """
     rng = np.random.default_rng(seed)
-    targets = {batch.frame_b for batch in batches}
 
     def build(frame_id):
-        feat = extractor(split.frames[frame_id].image)[0]
-        return feat, (map_gradient(feat).data if frame_id in targets else None)
+        return extractor(split.frames[frame_id].image)[0]
 
-    def trial(batch, source, target):
-        feat_b, grad_b = target
-        height, width = feat_b.shape[:2]
-        f_t = interp(source[0], batch.pos_a)
-        starts = draw_start_points(rng, batch.pos_b, radius, width, height)
-        final, converged = track_pixels(feat_b, grad_b, starts, f_t, eps)
+    def trial(batch, feat_a, feat_b):
+        f_t = interp(feat_a, batch.pos_a)
+        starts = draw_start_points(rng, batch.pos_b, radius, feat_b.shape)
+        final, converged = track_pixels(feat_b, starts, f_t, eps)
         err = np.linalg.norm(final - batch.pos_b, axis=1)
         return converged & (err < BASIN_SUCCESS_PX)
 

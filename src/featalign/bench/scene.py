@@ -31,8 +31,10 @@ _RAY_ITERATIONS = 36
 CORRESPONDENCE_MARGIN = 6.0
 
 # A non-match lies farther than this (px) from the true match, so
-# near-misses are not punished.
+# near-misses are not punished. On a small image no point of the inset
+# square may lie that far, so each non-match gets at most this many draws.
 NEGATIVE_MIN_DIST = 8.0
+NEGATIVE_MAX_DRAWS = 1000
 
 
 # splitmix64-style mixing constants for the lattice hash.
@@ -507,17 +509,23 @@ def sample_negatives(rng, pos_b: np.ndarray, width: int, height: int):
     """Draws one non-match location in image b per positive.
 
     Uniform over the image inset by ``CORRESPONDENCE_MARGIN``, rejecting
-    points within ``NEGATIVE_MIN_DIST`` px of the true match.
+    points within ``NEGATIVE_MIN_DIST`` px of the true match. Raises
+    ``DataFault`` when ``NEGATIVE_MAX_DRAWS`` draws all land that close.
     """
     m = CORRESPONDENCE_MARGIN
     n = pos_b.shape[0]
     out = np.empty((n, 2))
     for i in range(n):
-        while True:
+        for _ in range(NEGATIVE_MAX_DRAWS):
             cand = np.array([rng.uniform(m, width - 1 - m), rng.uniform(m, height - 1 - m)])
             if np.linalg.norm(cand - pos_b[i]) > NEGATIVE_MIN_DIST:
                 out[i] = cand
                 break
+        else:
+            raise DataFault(
+                f"no non-match farther than {NEGATIVE_MIN_DIST:g} px from {pos_b[i]} "
+                f"in {NEGATIVE_MAX_DRAWS} draws on a {width}x{height} image"
+            )
     return out
 
 

@@ -222,20 +222,25 @@ def _check_tiling(split, levels: int, owner: str, fault) -> None:
 
 
 def _check_levels(split, levels: int) -> None:
-    """The coarsest level must tile the image and hold every stored match."""
+    """The coarsest level must tile the image and hold every stored match.
+
+    Level n (from 1) holds a level-0 coordinate c when c <= W - 2^(n-1):
+    scaling by a power of two is exact, and ``read_split`` has rejected
+    negative coordinates, so level 1 holds every match.
+    """
     _check_tiling(split, levels, f"--levels {levels}", UsageError)
-    div = 2 ** (levels - 1)
     width, height = split.intrinsics.width, split.intrinsics.height
-    # Scaled as the loss scales them, then held to the sampler's bounds.
-    limit = np.array([width // div - 1, height // div - 1])
-    for batch in split.correspondences:
-        coarse = batch.scaled(1.0 / div)
-        coords = np.concatenate([coarse.pos_a, coarse.pos_b, coarse.neg_a, coarse.neg_b])
-        if np.any(coords < 0) or np.any(coords > limit):
-            raise UsageError(
-                f"--levels {levels}: a training match lies outside the "
-                f"{width // div}x{height // div} coarsest level"
-            )
+    high = np.concatenate([c for b in split.correspondences for c in (b.pos_a, b.pos_b, b.neg_a, b.neg_b)]).max(axis=0)
+
+    def holds(n):
+        return np.all(high <= [width - 2 ** (n - 1), height - 2 ** (n - 1)])
+
+    if not holds(levels):
+        div = 2 ** (levels - 1)
+        raise UsageError(
+            f"--levels {levels}: a training match lies outside the {width // div}x{height // div} "
+            f"coarsest level; the stored matches allow at most --levels {max(filter(holds, range(1, levels)))}"
+        )
 
 
 def cmd_train(args) -> int:

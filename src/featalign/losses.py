@@ -22,7 +22,7 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .alignment import STENCIL_MARGIN, map_gradient, pixel_gauss_newton
+from .alignment import draw_start_points, map_gradient, pixel_gauss_newton
 from .errors import NumericalFault
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -137,15 +137,6 @@ def gaussian_nll_terms(mu: T.Tensor, hessian: T.Tensor, x: np.ndarray):
     return e1, e2
 
 
-def draw_start_points(rng, pos_b: np.ndarray, vicinity: float, width: int, height: int):
-    """u_b plus a uniform square jitter, clamped to the stencil-valid region."""
-    offsets = rng.uniform(-vicinity, vicinity, size=pos_b.shape)
-    xs = pos_b + offsets
-    xs[:, 0] = np.clip(xs[:, 0], STENCIL_MARGIN, width - 1 - STENCIL_MARGIN)
-    xs[:, 1] = np.clip(xs[:, 1], STENCIL_MARGIN, height - 1 - STENCIL_MARGIN)
-    return xs
-
-
 def gauss_newton_loss(
     feat_a,
     feat_b,
@@ -163,11 +154,10 @@ def gauss_newton_loss(
     """
     if batch.n_pos == 0:
         raise ValueError("Gauss-Newton loss needs at least one positive pair")
-    height, width = feat_b.data.shape[:2]
     if vicinity is None:
         vicinity = config.vicinity_radius
     f_t = T.bilinear_sample(feat_a, T.Tensor(batch.pos_a))
-    xs = draw_start_points(rng, batch.pos_b, vicinity, width, height)
+    xs = draw_start_points(rng, batch.pos_b, vicinity, feat_b.shape)
     mu, hess = pixel_gauss_newton(feat_b, map_gradient(feat_b), xs, f_t, config.epsilon)
     e1, e2 = gaussian_nll_terms(mu, hess, batch.pos_b)
     if np.any(e1.data < -1e-9):

@@ -120,10 +120,7 @@ class Tape:
         g = self._grads[t.node]
         if g is None:
             return np.zeros(self._shapes[t.node])
-        g = np.asarray(g)
-        if g.shape != tuple(self._shapes[t.node]):
-            g = np.broadcast_to(g, self._shapes[t.node]).copy()
-        return g
+        return np.asarray(g)
 
 
 def astensor(x) -> Tensor:
@@ -270,6 +267,8 @@ def matmul(x, y) -> Tensor:
         raise ValueError("matmul expects at least 2-D operands")
     if xd.ndim != yd.ndim:
         raise ValueError(f"matmul: rank mismatch {xd.shape} vs {yd.shape}")
+    if xd.shape[:-2] != yd.shape[:-2]:
+        raise ValueError(f"matmul: batch dims differ {xd.shape} vs {yd.shape}")
     if xd.shape[-1] != yd.shape[-2]:
         raise ValueError(f"matmul: inner dims differ {xd.shape} vs {yd.shape}")
 

@@ -10,7 +10,6 @@ from featalign.alignment import (
     AlignmentConfig,
     align_pose,
     build_pose_system,
-    gradient_at,
     gradient_weight,
     huber_cost,
     huber_weight,
@@ -22,6 +21,7 @@ from featalign.alignment import (
     network_extractor,
     pixel_gauss_newton,
     select_keyframe_points,
+    stencil_valid,
     track_pixels,
 )
 from featalign.bench.dataset_io import DatasetSplit
@@ -143,7 +143,7 @@ class TestPixelGN:
         mu, hess = pixel_gauss_newton(fmap, grad, x_s, f_t, eps=1e-3)
         np.testing.assert_allclose(mu.data, x_s, atol=1e-12)
         np.testing.assert_array_equal(hess.data[0], hess.data[0].T)
-        final, settled = track_pixels(fmap, grad, x_s, f_t, eps=1e-3)
+        final, settled = track_pixels(fmap, x_s, f_t, eps=1e-3)
         np.testing.assert_allclose(final, x_s, atol=1e-12)
         assert settled.all()
 
@@ -157,14 +157,14 @@ class TestPixelGN:
         mu, _ = pixel_gauss_newton(fmap, grad, start, f_t, eps=1e-9)
         assert abs(mu.data[0, 1] - 8.0) < 1e-9
         assert mu.data[0, 0] < 8.0
-        final, settled = track_pixels(fmap, grad, start, f_t, eps=1e-9)
+        final, settled = track_pixels(fmap, start, f_t, eps=1e-9)
         assert settled[0] and abs(final[0, 1] - 8.0) < 1e-9
         np.testing.assert_allclose(final[0, 0], 5.0, atol=1e-6)
 
     def test_stencil_out_of_bounds_is_failure(self):
         fmap = np.zeros((8, 8, 1))
         start = np.array([[0.5, 4.0]])
-        final, settled = track_pixels(fmap, map_gradient(fmap).data, start, np.zeros((1, 1)), eps=1e-3)
+        final, settled = track_pixels(fmap, start, np.zeros((1, 1)), eps=1e-3)
         assert not settled[0]
         np.testing.assert_array_equal(final, start)
 
@@ -173,7 +173,7 @@ class TestPixelGN:
         x_star = np.array([8.0, 9.0])
         fmap = linear_field(20, 20, a, x_star)
         starts = x_star + np.array([[3.0, -2.0], [-3.5, 1.0], [0.5, 3.5]])
-        final, ok = track_pixels(fmap, map_gradient(fmap).data, starts, np.zeros((3, 2)), eps=1e-9)
+        final, ok = track_pixels(fmap, starts, np.zeros((3, 2)), eps=1e-9)
         assert ok.all()
         np.testing.assert_allclose(final, np.tile(x_star, (3, 1)), atol=1e-3)
 
@@ -192,8 +192,27 @@ def four_tap_gradient(fmap, coords):
     return np.stack([jx, jy], axis=-1)
 
 
+def gn_derivative(fmap, coords):
+    """The derivative (N, D, 2) that ``pixel_gauss_newton`` reads at ``coords`` of ``fmap``.
+
+    Taped when ``fmap`` is; it is the operand of the one ``transpose_last2``.
+    """
+    read = []
+    transpose = T.transpose_last2
+
+    def recording(jac):
+        read.append(jac)
+        return transpose(jac)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "transpose_last2", recording)
+        pixel_gauss_newton(fmap, map_gradient(fmap), coords, np.zeros((len(coords), fmap.shape[2])), eps=1e-3)
+    assert len(read) == 1
+    return read[0]
+
+
 class TestMapGradient:
-    """Samples of the derivative map against the four-tap stencil."""
+    """The derivative ``pixel_gauss_newton`` samples from the map, against the four-tap stencil."""
 
     @staticmethod
     def map_and_coords(channels):
@@ -217,7 +236,7 @@ class TestMapGradient:
         # equal the differenced samples up to rounding.
         fmap, coords = self.map_and_coords(channels)
         expected = four_tap_gradient(fmap, coords)
-        got = gradient_at(map_gradient(fmap), coords).data
+        got = gn_derivative(fmap, coords).data
         assert got.shape == (len(coords), channels, 2)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -225,8 +244,8 @@ class TestMapGradient:
     def test_untaped_equals_taped_bitwise(self, channels):
         fmap, coords = self.map_and_coords(channels)
         tape = T.Tape()
-        taped = gradient_at(map_gradient(tape.leaf(fmap)), coords)
-        untaped = gradient_at(map_gradient(fmap), coords)
+        taped = gn_derivative(tape.leaf(fmap), coords)
+        untaped = gn_derivative(fmap, coords)
         assert taped.tape is tape and untaped.tape is None
         assert np.array_equal(untaped.data, taped.data)
 
@@ -238,10 +257,31 @@ class TestMapGradient:
             np.array([[12 - STENCIL_MARGIN, 5.0]]),
             np.array([[5.0, 0.5]]),
         ):
-            with pytest.raises(ValueError):
-                gradient_at(map_gradient(fmap), coords)
-            with pytest.raises(ValueError):
-                gradient_at(map_gradient(T.Tape().leaf(fmap)), coords)
+            for feature_map in (fmap, T.Tape().leaf(fmap)):
+                with pytest.raises(ValueError, match="stencil outside the map"):
+                    pixel_gauss_newton(feature_map, map_gradient(feature_map), coords, np.zeros((1, 2)), eps=1e-3)
+
+    def test_mask_and_raise_agree_at_bounds_and_nan(self):
+        fmap = np.zeros((10, 12, 2))
+        lo, hi_x, hi_y = STENCIL_MARGIN, 12 - 1 - STENCIL_MARGIN, 10 - 1 - STENCIL_MARGIN
+        inside = [[lo, lo], [hi_x, hi_y], [lo, hi_y], [hi_x, lo]]
+        outside = [
+            [np.nextafter(lo, 0.0), 5.0],
+            [5.0, np.nextafter(lo, 0.0)],
+            [np.nextafter(hi_x, 12.0), 5.0],
+            [5.0, np.nextafter(hi_y, 10.0)],
+            [np.nan, 5.0],
+            [5.0, np.nan],
+        ]
+        for point in inside:
+            coords = np.array([point])
+            assert stencil_valid(coords, fmap.shape).tolist() == [True]
+            pixel_gauss_newton(fmap, map_gradient(fmap), coords, np.zeros((1, 2)), eps=1e-3)
+        for point in outside:
+            coords = np.array([point])
+            assert stencil_valid(coords, fmap.shape).tolist() == [False]
+            with pytest.raises(ValueError, match="stencil outside the map"):
+                pixel_gauss_newton(fmap, map_gradient(fmap), coords, np.zeros((1, 2)), eps=1e-3)
 
 
 def random_scene_points(rng, n=40):
@@ -490,7 +530,7 @@ def loop_pose_system(feat_tgt, grad_tgt, pixels, f_ref, inv_depths, pose, intr, 
     """A full pose system at one pose: (H, b, valid, point costs, cost, inliers)."""
     projected, p_cam, valid = project_points(
         intr.back_project(pixels, inv_depths), pose, intr,
-        border=max(config.border_margin, STENCIL_MARGIN),
+        border=config.border_margin,
     )
     point_cost = np.zeros(pixels.shape[0])
     if valid.sum() < config.min_valid_points:
@@ -498,7 +538,7 @@ def loop_pose_system(feat_tgt, grad_tgt, pixels, f_ref, inv_depths, pose, intr, 
     idx = np.nonzero(valid)[0]
     coords = projected[idx]
     r = interp(feat_tgt, coords) - f_ref[idx]
-    jac_map = gradient_at(grad_tgt, coords).data
+    jac_map = interp(grad_tgt, coords).reshape(len(idx), r.shape[1], 2)
     jac_pose = projection_jacobian(p_cam[idx], intr)
     norms = np.linalg.norm(r, axis=1)
     grad_w = (
@@ -641,7 +681,7 @@ class TestCostOnlyTrials:
         problem = random_feature_problem(1) if method == "features" else rendered_problem(12)
         args = problem + (method_config(method),)
         _, started, accepted, rejected = loop_align_pose(*args)
-        counts = {"projection_jacobian": 0, "gradient_at": 0, "project_points": 0}
+        counts = {"projection_jacobian": 0, "project_points": 0}
 
         def counting(name):
             inner = getattr(alignment, name)
@@ -654,11 +694,22 @@ class TestCostOnlyTrials:
 
         for name in counts:
             monkeypatch.setattr(alignment, name, counting(name))
+        sampled = []
+        bilinear_sample = T.bilinear_sample
+
+        def recording_sample(m, coords):
+            sampled.append(m.data)
+            return bilinear_sample(m, coords)
+
+        monkeypatch.setattr(T, "bilinear_sample", recording_sample)
         align_pose(*args)
         assert counts["projection_jacobian"] == started + accepted
         assert counts["project_points"] == started + accepted + rejected
-        # Every cost evaluation reads the derivative from the stacked map.
-        assert counts["gradient_at"] == 0
+        # Every cost evaluation reads residual and derivative from the
+        # stacked map untaped; the sampler runs only for the reference
+        # descriptors, once per level.
+        pyr_ref, config = args[0], args[-1]
+        assert [id(m) for m in sampled] == [id(pyr_ref[level]) for level in config.levels]
 
     @pytest.mark.parametrize("method", ["features", "intensity"])
     def test_singular_solve_is_a_rejected_step(self, monkeypatch, method):

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import featalign.alignment as alignment_mod
 import featalign.bench.evaluate as evaluate_mod
 from featalign.alignment import (
     align_pose,
@@ -559,11 +560,12 @@ class TestBasinTrials:
             return pyramid
 
         derived = []
+        derivatives = []
 
         def observed_map_gradient(feat):
             derivative = map_gradient(feat)
             derived.append(frame_of_map[id(feat)])
-            maps[derived[-1]].append(weakref.ref(derivative.data))
+            derivatives.append(weakref.ref(derivative.data))
             return derivative
 
         last_reader = {}
@@ -580,14 +582,15 @@ class TestBasinTrials:
                     assert all(ref() is None for ref in refs), f"frame {frame_id} outlived its last batch"
                     checked.add(frame_id)
             calls.append(index)
-            return track_pixels(*args, **kwargs)
+            result = track_pixels(*args, **kwargs)
+            assert all(ref() is None for ref in derivatives), f"batch {index}'s derivative map outlived it"
+            return result
 
-        monkeypatch.setattr(evaluate_mod, "map_gradient", observed_map_gradient)
+        monkeypatch.setattr(alignment_mod, "map_gradient", observed_map_gradient)
         monkeypatch.setattr(evaluate_mod, "track_pixels", observed_track_pixels)
         outcomes = basin_trials(split, extractor, batches, radius=4.0, eps=1e-3, seed=909)
         assert len(calls) == len(batches) == 8
         assert outcomes.shape == (sum(len(batch.pos_a) for batch in batches),)
         assert len(checked) >= 4
-        # Only a frame tracked on gets a derivative map, once.
-        assert sorted(derived) == sorted({batch.frame_b for batch in batches})
-        assert {batch.frame_a for batch in batches} - set(derived)
+        # One derivative map per batch, of the frame it tracks on.
+        assert derived == [batch.frame_b for batch in batches]

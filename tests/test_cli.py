@@ -117,6 +117,21 @@ class TestGenerate:
         expected = {name: digest for digest, name in (line.split() for line in recorded)}
         assert tree_digest(tmp_path / "golden") == expected
 
+    @pytest.mark.parametrize("size", ["16", "20"])
+    def test_no_far_non_match_is_data_fault(self, tmp_path, size):
+        # No point of a 16- or 20-px image's inset square lies 8 px from a
+        # match. Run in a subprocess, so a sampler that never gives up fails
+        # on the timeout instead of stalling the suite.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                                          env.get("PYTHONPATH")]))
+        argv = ["generate", "--out", str(tmp_path / "x"), "--size", size, "--n-neg", "4", "--pairs", "2",
+                "--frames", "3"]
+        proc = subprocess.run([sys.executable, "-m", "featalign"] + argv,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "data fault: could not build a valid training pair plan\n"
+
     def test_config_echoed_everywhere(self, dataset):
         echo = json.loads((dataset / "run_config.json").read_text())
         assert echo["command"] == "generate"
@@ -404,7 +419,11 @@ class TestTrain:
         out = tmp_path / "w" / "w.gnnw"
         rc = cli_main(["train", "--dataset", str(dataset), "--out", str(out)] + flags)
         assert rc == 1
-        assert capsys.readouterr().err.startswith("usage error:")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        if flags == ["--levels", "4"]:
+            # generate keeps every match 6 px inside the frame, which 3 levels hold.
+            assert "the stored matches allow at most --levels 3" in err
         assert not out.parent.exists()
 
 

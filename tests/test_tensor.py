@@ -97,6 +97,9 @@ class TestPrimitiveGradients:
     def test_matmul_rank_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rank mismatch"):
             T.matmul(self.rand(5, 2, 3), self.rand(3, 2))
+        # Differing batch dims would run forward and then fail in backward.
+        with pytest.raises(ValueError, match="batch dims differ"):
+            T.matmul(self.rand(1, 2, 3), self.rand(4, 3, 2))
 
     def test_det2x2(self):
         mats = self.rand(6, 2, 2) + np.eye(2) * 2.0
