@@ -426,7 +426,8 @@ def intensity_pyramid(image: np.ndarray, levels: int) -> list:
     """Pyramid of an (H, W) image by 2x2 averaging, 1-channel feature maps."""
     out = [np.asarray(image, dtype=np.float64)[:, :, None]]
     for _ in range(1, levels):
-        out.append(T.avg_pool2(T.Tensor(out[-1])).data)
+        h, w, c = out[-1].shape
+        out.append(out[-1].reshape(h // 2, 2, w // 2, 2, c).mean(axis=(1, 3)))
     return out
 
 

@@ -68,12 +68,13 @@ def _create_file_dir(path: Path, flag: str) -> None:
     _create_dir(path.parent, flag)
 
 
+def _arguments(args: argparse.Namespace) -> dict:
+    """The parsed arguments as manifests and ``run_config.json`` echo them."""
+    return {k: v for k, v in sorted(vars(args).items()) if k != "command"}
+
+
 def _echo_config(directory: Path, args: argparse.Namespace) -> None:
-    payload = {
-        "version": __version__,
-        "command": args.command,
-        "arguments": {k: v for k, v in sorted(vars(args).items()) if k != "command"},
-    }
+    payload = {"version": __version__, "command": args.command, "arguments": _arguments(args)}
     (directory / "run_config.json").write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
@@ -170,7 +171,7 @@ def cmd_generate(args) -> int:
         "test": SceneConfig(**base, conditions=(default_eval_condition(),),
                             n_candidates=args.candidates, candidate_condition=1),
     }
-    echo = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
+    echo = _arguments(args)
     for index, (name, cfg) in enumerate(split_configs.items()):
         scene = generate_scene(args.seed * 10 + index, cfg)
         correspondences = None
@@ -188,6 +189,7 @@ def _training_pairs(scene, args):
     rng = np.random.default_rng([args.seed, 99])
     batches = []
     for _ in range(args.pairs):
+        fault = None
         for _attempt in range(50):
             i = int(rng.integers(0, cfg.n_frames))
             gap = int(rng.integers(0, args.max_frame_gap + 1))
@@ -206,10 +208,10 @@ def _training_pairs(scene, args):
                     )
                 )
                 break
-            except DataFault:
-                continue
+            except DataFault as exc:
+                fault = exc
         else:
-            raise DataFault("could not build a valid training pair plan")
+            raise DataFault(f"could not build a valid training pair plan: {fault or 'no two distinct frames drawn'}")
     return batches
 
 
@@ -344,6 +346,8 @@ def cmd_align(args) -> int:
     if args.points < 1:
         raise UsageError("--points must be >= 1")
     split = read_split(Path(args.dataset) / args.split)
+    if not split.candidates:
+        raise DataFault(f"split '{args.split}' has no relocalization candidates")
     if not (0 <= args.candidate < len(split.candidates)):
         raise UsageError(f"--candidate must be in [0, {len(split.candidates)})")
     candidate = split.candidates[args.candidate]

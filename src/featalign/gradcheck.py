@@ -89,13 +89,12 @@ def _primitive_blocks(rng):
         ("matmul_batched", lambda a, b: T.matmul(a, b), [r(4, 2, 3), r(4, 3, 2)]),
         ("conv2d", lambda x, w, b: T.conv2d(x, w, b, stride=2, pad=1), [r(6, 6, 2), r(3, 3, 2, 3), r(3)]),
         ("conv2d_narrowing", lambda x, w, b: T.conv2d(x, w, b, stride=1, pad=1), [r(5, 4, 3), r(3, 3, 3, 2), r(2)]),
-        ("avg_pool2", T.avg_pool2, [r(6, 4, 3)]),
         ("upsample2_nearest", T.upsample2_nearest, [r(3, 2, 4)]),
         ("concat_channels", lambda a, b: T.concat_channels([a, b]), [r(3, 3, 2), r(3, 3, 3)]),
         ("reduce_sum", lambda a: T.reduce_sum(a, axis=1), [r(3, 4, 2)]),
         ("det2x2", T.det2x2, [spd]),
         ("inv2x2", T.inv2x2, [spd.copy()]),
-        ("bilinear_sample", lambda m, c: T.bilinear_sample(m, c), [r(6, 7, 3), coords]),
+        ("bilinear_sample", lambda m: T.bilinear_sample(m, T.Tensor(coords)), [r(6, 7, 3)]),
         ("central_difference", T.central_difference, [r(5, 6, 2)]),
     ]
 

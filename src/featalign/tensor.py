@@ -1,9 +1,9 @@
 """Minimal dense tensors with reverse-mode differentiation.
 
 Enough machinery to train the descriptor network through both losses:
-elementwise ops, (batched) matmul, conv2d, pooling and nearest upsampling,
-channel concat, batched 2x2 determinant/inverse, and bilinear sampling whose
-gradient flows to BOTH the sampled map and the sampling coordinates.
+elementwise ops, (batched) matmul, conv2d, nearest upsampling, channel
+concat, batched 2x2 determinant/inverse, central differences, and bilinear
+sampling at constant coordinates, whose gradient flows into the map only.
 
 A :class:`Tape` records primitive applications in execution order; the
 backward pass walks that record in reverse exactly once, accumulating
@@ -177,8 +177,6 @@ def neg(x) -> Tensor:
 
 
 def sub(x, y) -> Tensor:
-    if isinstance(y, (int, float)):
-        return add(x, -y)
     return add(x, neg(y))
 
 
@@ -435,19 +433,6 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     return _make(out, inputs, backward)
 
 
-def avg_pool2(x) -> Tensor:
-    x = astensor(x)
-    h, w, c = x.data.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"avg_pool2 needs even spatial dims, got {x.data.shape}")
-    out = x.data.reshape(h // 2, 2, w // 2, 2, c).mean(axis=(1, 3))
-
-    def backward(g):
-        return [np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) * 0.25]
-
-    return _make(out, [x], backward)
-
-
 def upsample2_nearest(x) -> Tensor:
     x = astensor(x)
     h, w, c = x.data.shape
@@ -497,22 +482,20 @@ def central_difference(x) -> Tensor:
 # sampling
 
 
-def bilinear_forward(m: np.ndarray, coords: np.ndarray, keep_corners: bool = False):
+def bilinear_forward(m: np.ndarray, coords: np.ndarray):
     """Untaped bilinear samples (N, C) of an (H, W, C) map at (N, 2) coords.
 
     The arithmetic of :func:`bilinear_sample`, which calls it, without its
     checks: every coord must already lie in 0 <= x <= W-1, 0 <= y <= H-1.
-    Returns (samples, corner rows (4N,), corner weights (4, N, 1),
-    fractions (2, 2, N), gathered corners (4, N, C) or None), where
-    fractions[1] holds each point's offsets (tx, ty) from its top-left
-    corner and fractions[0] = 1 - fractions[1]. The weighted corners
-    overwrite the gathered ones unless ``keep_corners``.
+    Returns (samples, corner rows (4N,), corner weights (4, N, 1)); the
+    rows and weights are what the map gradient scatters with.
     """
     h, w, c = m.shape
     n = coords.shape[0]
     xs, ys = coords[:, 0], coords[:, 1]
     x0 = np.minimum(xs.astype(np.int64), w - 2)
     y0 = np.minimum(ys.astype(np.int64), h - 2)
+    # frac[1] holds each point's offsets (tx, ty) from its top-left corner.
     frac = np.empty((2, 2, n))
     np.subtract(xs, x0, out=frac[1, 0])
     np.subtract(ys, y0, out=frac[1, 1])
@@ -523,21 +506,23 @@ def bilinear_forward(m: np.ndarray, coords: np.ndarray, keep_corners: bool = Fal
     corners_idx = ((y0 * w + x0) + np.array([0, 1, w, w + 1])[:, None]).ravel()
     corners = m.reshape(h * w, c).take(corners_idx, axis=0).reshape(4, n, c)
     weights = (frac[:, None, 1] * frac[None, :, 0]).reshape(4, n, 1)
-    # Four-corner weighted form, summed over the corner axis, which numpy
-    # adds in corner order: exact at integer coordinates.
-    out = np.multiply(weights, corners, out=None if keep_corners else corners).sum(axis=0)
-    return out, corners_idx, weights, frac, corners if keep_corners else None
+    # The weighted corners overwrite the gathered ones; numpy sums them in
+    # corner order, which is exact at integer coordinates.
+    out = np.multiply(weights, corners, out=corners).sum(axis=0)
+    return out, corners_idx, weights
 
 
 def bilinear_sample(feature_map, coords) -> Tensor:
     """Samples an (H, W, C) map at N continuous (x, y) pixel positions.
 
-    Integer coordinates hit grid values exactly. Coordinates must be finite
-    and satisfy 0 <= x <= W-1 and 0 <= y <= H-1. Gradients flow into the
-    map (scatter onto the four corners) and, for taped coordinates only,
-    into the coordinates (local first-order differences).
+    Integer coordinates hit grid values exactly. Coordinates must be finite,
+    satisfy 0 <= x <= W-1 and 0 <= y <= H-1, and be constants: the gradient
+    flows into the map only (a scatter onto the four corners), so taped
+    coordinates raise ``ValueError`` rather than get a silent zero.
     """
     feature_map, coords = astensor(feature_map), astensor(coords)
+    if coords.tape is not None:
+        raise ValueError("bilinear_sample: coordinates must be constants, not taped")
     m, cd = feature_map.data, coords.data
     if m.ndim != 3:
         raise ValueError(f"bilinear_sample expects (H, W, C) map, got {m.shape}")
@@ -548,22 +533,13 @@ def bilinear_sample(feature_map, coords) -> Tensor:
     # NaN fails every comparison, so the test is written to pass only in range.
     if len(cd) and not (xs.min() >= 0 and xs.max() <= w - 1 and ys.min() >= 0 and ys.max() <= h - 1):
         raise ValueError("bilinear_sample: coordinates outside the map")
-    need_dcoords = coords.tape is not None
-    # The coordinate gradient reads the gathered corners.
-    out, corners_idx, weights, frac, corners = bilinear_forward(m, cd, keep_corners=need_dcoords)
+    out, corners_idx, weights = bilinear_forward(m, cd)
 
     def backward(g):
         # One bincount on (corner * C + channel) adds in index order, as
         # np.add.at would, so shared corners accumulate identically.
         flat_idx = (corners_idx[:, None] * c + np.arange(c)).ravel()
         dmap = np.bincount(flat_idx, weights=(weights * g).ravel(), minlength=h * w * c)
-        if not need_dcoords:
-            return [dmap.reshape(h, w, c), None]
-        (sx, sy), (tx, ty) = frac[:, :, :, None]
-        m00, m01, m10, m11 = corners
-        ddx = sy * (m01 - m00) + ty * (m11 - m10)
-        ddy = sx * (m10 - m00) + tx * (m11 - m01)
-        dcoords = np.stack([(g * ddx).sum(axis=1), (g * ddy).sum(axis=1)], axis=1)
-        return [dmap.reshape(h, w, c), dcoords]
+        return [dmap.reshape(h, w, c)]
 
-    return _make(out, [feature_map, coords], backward)
+    return _make(out, [feature_map], backward)

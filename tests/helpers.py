@@ -45,7 +45,7 @@ def max_relative_error(analytic, numeric, floor=1e-6):
 
 def fancy_index_bilinear(m, coords, g):
     """Bilinear samples of an (H, W, C) map at (N, 2) coords, with the
-    gradients of sum(samples * g) w.r.t. the map and the coords.
+    gradient of sum(samples * g) w.r.t. the map.
 
     Four fancy-indexed corner gathers and four scatters, in the corner order
     (y0, x0), (y0, x0+1), (y0+1, x0), (y0+1, x0+1); the library's sampler
@@ -71,10 +71,7 @@ def fancy_index_bilinear(m, coords, g):
     np.add.at(dmap, (y0, x0 + 1), w01 * g)
     np.add.at(dmap, (y0 + 1, x0), w10 * g)
     np.add.at(dmap, (y0 + 1, x0 + 1), w11 * g)
-    ddx = (1 - ty) * (m01 - m00) + ty * (m11 - m10)
-    ddy = (1 - tx) * (m10 - m00) + tx * (m11 - m01)
-    dcoords = np.stack([(g * ddx).sum(axis=1), (g * ddy).sum(axis=1)], axis=1)
-    return out, dmap, dcoords
+    return out, dmap
 
 
 def edit_first_frame_file(split_dir, kind, edit):

@@ -623,16 +623,21 @@ def loop_align_pose(pyr_ref, pyr_tgt, pixels, inv_depths, init_pose, intrinsics,
     return result, started, accepted, rejected
 
 
+def pool2(m):
+    """2x2 averaging of an (H, W, C) map, the expression intensity_pyramid pools with."""
+    h, w, c = m.shape
+    return m.reshape(h // 2, 2, w // 2, 2, c).mean(axis=(1, 3))
+
+
 def random_feature_problem(seed):
     """D = 8 random smooth pyramids, a target perturbed from the reference."""
     rng = np.random.default_rng(seed)
-    base = T.Tensor(rng.standard_normal((128, 128, 8)))
-    ref0 = T.avg_pool2(base).data
+    ref0 = pool2(rng.standard_normal((128, 128, 8)))
     tgt0 = ref0 + 0.2 * rng.standard_normal(ref0.shape)
     pyr_ref, pyr_tgt = [ref0], [tgt0]
     for _ in range(2):
-        pyr_ref.append(T.avg_pool2(T.Tensor(pyr_ref[-1])).data)
-        pyr_tgt.append(T.avg_pool2(T.Tensor(pyr_tgt[-1])).data)
+        pyr_ref.append(pool2(pyr_ref[-1]))
+        pyr_tgt.append(pool2(pyr_tgt[-1]))
     pixels, inv_depths = random_scene_points(rng, n=120)
     init = se3_exp(rng.uniform(-0.02, 0.02, 6))
     return pyr_ref, pyr_tgt, pixels, inv_depths, init, INTR

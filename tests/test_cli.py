@@ -130,7 +130,10 @@ class TestGenerate:
         proc = subprocess.run([sys.executable, "-m", "featalign"] + argv,
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 2
-        assert proc.stderr == "data fault: could not build a valid training pair plan\n"
+        # The message carries the cause: the last attempt's fault.
+        assert proc.stderr.startswith("data fault: could not build a valid training pair plan: "
+                                      "no non-match farther than 8 px from ")
+        assert proc.stderr.endswith(f"in 1000 draws on a {size}x{size} image\n")
 
     def test_config_echoed_everywhere(self, dataset):
         echo = json.loads((dataset / "run_config.json").read_text())
@@ -874,6 +877,15 @@ class TestAlign:
     def test_candidate_out_of_range(self, dataset):
         rc = cli_main(["align", "--dataset", str(dataset), "--candidate", "99"])
         assert rc == 1
+
+    @pytest.mark.parametrize("command", ["align", "evaluate"])
+    def test_split_without_candidates_is_data_fault(self, dataset, tmp_path, capsys, command):
+        # The train split holds no relocalization candidates: a fault of the
+        # data, not of --candidate, and the same fault for both commands.
+        extra = ["--out", str(tmp_path / "ev"), "--methods", "intensity"] if command == "evaluate" else []
+        rc = cli_main([command, "--dataset", str(dataset), "--split", "train"] + extra)
+        assert rc == 2
+        assert capsys.readouterr().err == "data fault: split 'train' has no relocalization candidates\n"
 
     def test_too_few_points_is_tracking_failure(self, dataset, capsys):
         # Same outcome as `evaluate` scores for the candidate: a failed track.

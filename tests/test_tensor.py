@@ -136,13 +136,10 @@ class TestPrimitiveGradients:
         else:
             check_grads(lambda x, w: T.conv2d(x, w, stride=stride, pad=pad), args)
 
-    def test_avg_pool2(self):
-        check_grads(T.avg_pool2, [self.rand(6, 4, 3)])
-
     def test_upsample2_nearest(self):
         check_grads(T.upsample2_nearest, [self.rand(3, 2, 4)])
 
-    def test_bilinear_sample_both_grads(self):
+    def test_bilinear_sample_map_grad(self):
         fmap = self.rand(7, 8, 3)
         n = 10
         coords = np.stack(
@@ -152,7 +149,7 @@ class TestPrimitiveGradients:
             ],
             axis=1,
         )
-        check_grads(lambda m, c: T.bilinear_sample(m, c), [fmap, coords])
+        check_grads(lambda m: T.bilinear_sample(m, T.Tensor(coords)), [fmap])
 
     @pytest.mark.parametrize("shape", [(6, 7, 3), (5, 4, 1)])
     def test_central_difference(self, shape):
@@ -190,27 +187,26 @@ class TestBilinearSampler:
         # Repeated points make the scatter sum into the same grid entries.
         coords = np.concatenate([coords, corners, integers, edges, coords[:40]])
         g = rng.standard_normal((len(coords), channels))
-        want_out, want_dmap, want_dcoords = fancy_index_bilinear(fmap, coords, g)
+        want_out, want_dmap = fancy_index_bilinear(fmap, coords, g)
         # The pose solver's cost evaluation calls the untaped forward
         # directly; it writes its products into the gathered corners only.
         before = fmap.copy()
-        for keep_corners in (False, True):
-            assert np.array_equal(T.bilinear_forward(fmap, coords, keep_corners)[0], want_out)
+        assert np.array_equal(T.bilinear_forward(fmap, coords)[0], want_out)
         assert np.array_equal(fmap, before)
         tape = T.Tape()
-        m, c = tape.leaf(fmap), tape.leaf(coords)
-        out = T.bilinear_sample(m, c)
+        m = tape.leaf(fmap)
+        out = T.bilinear_sample(m, T.Tensor(coords))
         tape.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
         assert np.array_equal(out.data, want_out)
         assert np.array_equal(tape.grad(m), want_dmap)
-        assert np.array_equal(tape.grad(c), want_dcoords)
 
     @pytest.mark.parametrize("channels", [1, 3, 24])
-    @pytest.mark.parametrize("taped_coords", [False, True])
-    def test_forward_matches_corner_product_sum(self, channels, taped_coords):
+    @pytest.mark.parametrize("taped_map", [False, True])
+    def test_forward_matches_corner_product_sum(self, channels, taped_map):
         # The forward adds the weighted corners in place; the (4, N, C)
-        # product summed over its corner axis must give the same bits, and
-        # the gradients must not see the products.
+        # product summed over its corner axis must give the same bits on
+        # the taped and the untaped path, and the map gradient must not
+        # see the products.
         rng = np.random.default_rng(13)
         height, width = 7, 10
         fmap = rng.standard_normal((height, width, channels))
@@ -223,16 +219,17 @@ class TestBilinearSampler:
             ]
         ).astype(float)
         g = rng.standard_normal((len(coords), channels))
-        _, want_dmap, want_dcoords = fancy_index_bilinear(fmap, coords, g)
+        want = corner_product_sum(fmap, coords)
+        if not taped_map:
+            assert np.array_equal(T.bilinear_sample(T.Tensor(fmap), T.Tensor(coords)).data, want)
+            return
+        _, want_dmap = fancy_index_bilinear(fmap, coords, g)
         tape = T.Tape()
         m = tape.leaf(fmap)
-        c = tape.leaf(coords) if taped_coords else T.Tensor(coords)
-        out = T.bilinear_sample(m, c)
+        out = T.bilinear_sample(m, T.Tensor(coords))
         tape.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
-        assert np.array_equal(out.data, corner_product_sum(fmap, coords))
+        assert np.array_equal(out.data, want)
         assert np.array_equal(tape.grad(m), want_dmap)
-        if taped_coords:
-            assert np.array_equal(tape.grad(c), want_dcoords)
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_shared_corners_accumulate_in_index_order(self, channels):
@@ -243,11 +240,21 @@ class TestBilinearSampler:
         n = 2000
         coords = np.stack([rng.uniform(0, 3, n), rng.uniform(0, 2, n)], axis=1)
         g = rng.standard_normal((n, channels)) * rng.uniform(1e-3, 1e3, (n, 1))
-        _, want_dmap, _ = fancy_index_bilinear(fmap, coords, g)
+        _, want_dmap = fancy_index_bilinear(fmap, coords, g)
         tape = T.Tape()
         m = tape.leaf(fmap)
         tape.backward(T.reduce_sum(T.mul(T.bilinear_sample(m, T.Tensor(coords)), T.Tensor(g))))
         assert np.array_equal(tape.grad(m), want_dmap)
+
+    @pytest.mark.parametrize("taped_map", [False, True])
+    def test_taped_coordinates_rejected(self, taped_map):
+        # No caller differentiates a sampling position, so a taped one is
+        # refused rather than given a silent zero gradient.
+        fmap = np.zeros((4, 4, 2))
+        tape = T.Tape()
+        m = tape.leaf(fmap) if taped_map else T.Tensor(fmap)
+        with pytest.raises(ValueError, match="coordinates must be constants"):
+            T.bilinear_sample(m, tape.leaf(np.array([[1.0, 2.0], [1.5, 2.5]])))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("axis", [0, 1])
@@ -280,12 +287,11 @@ class TestPrimitiveForward:
         out = T.conv2d(T.Tensor(x), T.Tensor(w)).data
         np.testing.assert_allclose(out, x, atol=0)
 
-    def test_avg_then_upsample_shapes(self):
-        x = T.Tensor(np.arange(16.0).reshape(4, 4, 1))
-        down = T.avg_pool2(x)
-        up = T.upsample2_nearest(down)
-        assert down.data.shape == (2, 2, 1)
-        assert up.data.shape == (4, 4, 1)
+    def test_upsample_repeats_each_pixel(self):
+        x = np.arange(4.0).reshape(2, 2, 1)
+        up = T.upsample2_nearest(T.Tensor(x)).data
+        assert up.shape == (4, 4, 1)
+        np.testing.assert_array_equal(up[:, :, 0], [[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3], [2, 2, 3, 3]])
 
     def test_shape_mismatch_is_fault(self):
         with pytest.raises(ValueError):
@@ -462,6 +468,7 @@ class TestBackward:
             x0 = rng.uniform(0.2, 1.0, (4, 4, 2))
             aux = rng.uniform(-1.0, 1.0, (4, 4, 2))
             kernel = rng.standard_normal((1, 1, 2, 2)) * 0.7
+            sample_at = rng.uniform(0.0, 3.0, (16, 2))
             ops = [int(rng.integers(0, 5)) for _ in range(depth)]
 
             def build(x, ops=ops):
@@ -476,7 +483,7 @@ class TestBackward:
                     elif op == 3:
                         out = T.conv2d(out, T.Tensor(kernel))
                     else:
-                        out = T.upsample2_nearest(T.avg_pool2(out))
+                        out = T.reshape(T.bilinear_sample(out, T.Tensor(sample_at)), (4, 4, 2))
                 return out
 
             check_grads(build, [x0], seed=trial)
