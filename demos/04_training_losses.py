@@ -30,7 +30,7 @@ names = list(weights.params)
 params = [weights.params[n] for n in names]
 state = adam_init(params)
 print(f"\nGaussian reference level: e2 alone at unit certainty = log(2*pi) = {LOG_2PI:.5f}")
-print("\nepoch  total      contrastive  gauss_newton")
+print("\n step  total      contrastive  gauss_newton")
 for step in range(8):
     tape = T.Tape()
     taped = {n: tape.leaf(p) for n, p in zip(names, params)}

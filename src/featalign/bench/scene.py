@@ -40,7 +40,6 @@ NEGATIVE_MAX_DRAWS = 1000
 # splitmix64-style mixing constants for the lattice hash.
 _UA = np.uint64(0x9E3779B97F4A7C15)
 _UB = np.uint64(0xC2B2AE3D27D4EB4F)
-_UC = np.uint64(0x165667B19E3779F9)
 _UD = np.uint64(0xBF58476D1CE4E5B9)
 _UE = np.uint64(0x94D049BB133111EB)
 

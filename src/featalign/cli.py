@@ -1,9 +1,12 @@
 """Command-line driver: generate, train, align, evaluate, gradcheck.
 
-Exit codes: 0 ok, 1 usage error, 2 data fault, 3 numerical fault. Every
-output directory receives a ``run_config.json`` echoing the full argument
-set and package version, so any artifact can be reproduced byte-for-byte.
-Relative output paths resolve against $FEATALIGN_OUTPUT_ROOT when set.
+Exit codes: 0 ok, 1 usage error, 2 data fault, 3 numerical fault. A learned
+method without its weights flag is a usage error, found before any split is
+read. Path flags are read as given, relative to the working directory.
+``generate`` and ``evaluate`` echo the full argument set and package version
+into ``run_config.json`` in their output directory, ``train`` into
+``<stem>.run_config.json`` beside its weights, so any artifact can be
+reproduced byte-for-byte.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -45,14 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve_out(path: str) -> Path:
-    p = Path(path)
-    root = os.environ.get("FEATALIGN_OUTPUT_ROOT")
-    if root and not p.is_absolute():
-        return Path(root) / p
-    return p
-
-
 def _create_dir(directory: Path, flag: str) -> None:
     """Creates an output directory and its parents; failing that is a usage error of ``flag``."""
     try:
@@ -73,9 +67,9 @@ def _arguments(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "command"}
 
 
-def _echo_config(directory: Path, args: argparse.Namespace) -> None:
+def _echo_config(path: Path, args: argparse.Namespace) -> None:
     payload = {"version": __version__, "command": args.command, "arguments": _arguments(args)}
-    (directory / "run_config.json").write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 # The tracking methods ``evaluate`` compares, in report order.
@@ -155,7 +149,7 @@ def cmd_generate(args) -> int:
     for flag in ("seed", "candidates", "val_candidates", "n_neg", "max_frame_gap"):
         if getattr(args, flag) < 0:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
-    root = _resolve_out(args.out)
+    root = Path(args.out)
     _create_dir(root, "--out")
     half = (args.size - 1) / 2.0
     base = dict(
@@ -178,7 +172,7 @@ def cmd_generate(args) -> int:
         if name == "train":
             correspondences = _training_pairs(scene, args)
         write_split(root / name, scene, correspondences, config_echo=echo)
-    _echo_config(root, args)
+    _echo_config(root / "run_config.json", args)
     return 0
 
 
@@ -277,14 +271,14 @@ def cmd_train(args) -> int:
         _check_tiling(val_split, args.levels, dataset / "val", DataFault)
         val_split.candidates = val_split.candidates[: args.val_candidates]
     # Training takes minutes, so the outputs' place is made first.
-    out = _resolve_out(args.out)
-    log_path = _resolve_out(args.log) if args.log else out.with_suffix(".log.csv")
+    out = Path(args.out)
+    log_path = Path(args.log) if args.log else out.with_suffix(".log.csv")
     _create_file_dir(out, "--out")
     _create_file_dir(log_path, "--log" if args.log else "--out")
     weights, history = train_network(train_split, val_split, config)
     save_network(out, weights)
     log_path.write_text(history_csv(history))
-    _echo_config(out.parent, args)
+    _echo_config(out.with_suffix(".run_config.json"), args)
     return 0
 
 
@@ -292,14 +286,22 @@ def cmd_train(args) -> int:
 INTENSITY_LEVELS = 3
 
 
-def _method(method: str, args, split):
-    """The method's pyramid extractor and solver settings, once they fit the split's one-channel frames."""
+def _weights_path(method: str, args):
+    """The weights file of ``method``, None for intensity; a missing weights flag is a usage error."""
+    if method == "intensity":
+        return None
+    flag = "--weights" if method == "features" else "--contrastive-weights"
+    path = getattr(args, flag[2:].replace("-", "_"))
+    if not path:
+        raise UsageError(f"method '{method}' needs {flag}")
+    return path
+
+
+def _method(method: str, path, split):
+    """The pyramid extractor and solver settings of ``method`` (weights file ``path``), once they fit the split."""
     if method == "intensity":
         _check_tiling(split, INTENSITY_LEVELS, "intensity method", DataFault)
         return intensity_extractor(INTENSITY_LEVELS), method_config(method, INTENSITY_LEVELS)
-    path = args.weights if method == "features" else args.contrastive_weights
-    if not path:
-        raise DataFault(f"method '{method}' needs a weights file")
     weights = load_network(path)
     if weights.config.input_channels != 1:
         raise DataFault(f"{path}: network reads {weights.config.input_channels}-channel images, frames have one")
@@ -320,13 +322,14 @@ def cmd_evaluate(args) -> int:
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise UsageError(f"unknown methods: {sorted(unknown)}")
+    paths = {method: _weights_path(method, args) for method in methods}
     split = read_split(Path(args.dataset) / args.split)
     if args.candidates > 0:
         split.candidates = split.candidates[: args.candidates]
     if not split.candidates:
         raise DataFault(f"split '{args.split}' has no relocalization candidates")
-    resolved = {method: _method(method, args, split) for method in methods}
-    out = _resolve_out(args.out)
+    resolved = {method: _method(method, path, split) for method, path in paths.items()}
+    out = Path(args.out)
     _create_dir(out, "--out")
     curves = {}
     summaries = {}
@@ -338,13 +341,14 @@ def cmd_evaluate(args) -> int:
         write_curve_csv(out / f"curve_{method}.csv", curve)
     write_curves_svg(out / "curves.svg", curves)
     (out / "summary.json").write_text(json.dumps(summaries, indent=1, sort_keys=True) + "\n")
-    _echo_config(out, args)
+    _echo_config(out / "run_config.json", args)
     return 0
 
 
 def cmd_align(args) -> int:
     if args.points < 1:
         raise UsageError("--points must be >= 1")
+    path = _weights_path(args.method, args)
     split = read_split(Path(args.dataset) / args.split)
     if not split.candidates:
         raise DataFault(f"split '{args.split}' has no relocalization candidates")
@@ -352,7 +356,7 @@ def cmd_align(args) -> int:
         raise UsageError(f"--candidate must be in [0, {len(split.candidates)})")
     candidate = split.candidates[args.candidate]
     split.candidates = [candidate]
-    extractor, config = _method(args.method, args, split)
+    extractor, config = _method(args.method, path, split)
     [(_, result)] = run_relocalization(split, extractor, config, point_count=args.points)
     err = float(np.linalg.norm(result.pose.translation - candidate.relative_pose.translation))
     print(

@@ -58,7 +58,6 @@ class Tape:
         self._backwards: list[Callable] = []
         # One entry per primitive input; None marks an untaped input.
         self._inputs: list[tuple[Optional[int], ...]] = []
-        self._shapes: list[tuple[int, ...]] = []
         self._grads: Optional[list] = None
 
     def __len__(self):
@@ -66,15 +65,11 @@ class Tape:
 
     def leaf(self, data) -> Tensor:
         """Registers ``data`` as a differentiable leaf (e.g. a parameter)."""
-        t = Tensor(np.asarray(data, dtype=np.float64))
-        t.tape = self
-        t.node = self._emit((), t.data.shape, None)
-        return t
+        return Tensor(np.asarray(data, dtype=np.float64), self, self._emit((), None))
 
-    def _emit(self, input_nodes, shape, backward_fn) -> int:
+    def _emit(self, input_nodes, backward_fn) -> int:
         self._backwards.append(backward_fn)
         self._inputs.append(tuple(input_nodes))
-        self._shapes.append(tuple(shape))
         return len(self._backwards) - 1
 
     def backward(self, loss: Tensor) -> None:
@@ -119,7 +114,7 @@ class Tape:
             raise ValueError("backward() keeps leaf gradients only; this tensor is an inner node")
         g = self._grads[t.node]
         if g is None:
-            return np.zeros(self._shapes[t.node])
+            return np.zeros(t.data.shape)
         return np.asarray(g)
 
 
@@ -149,7 +144,7 @@ def _make(data, inputs: Sequence, backward_fn) -> Tensor:
     tape = _tape_of(*inputs)
     if tape is None:
         return Tensor(data)
-    node = tape._emit([t.node for t in inputs], np.asarray(data).shape, backward_fn)
+    node = tape._emit([t.node for t in inputs], backward_fn)
     return Tensor(data, tape, node)
 
 

@@ -110,7 +110,7 @@ class TestGenerate:
         byte; another numpy or BLAS build may round the render's ray
         rotation differently and change them.
         """
-        monkeypatch.setenv("FEATALIGN_OUTPUT_ROOT", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         assert cli_main(["generate", "--out", "golden", "--frames", "3", "--candidates", "4",
                          "--val-candidates", "2", "--pairs", "2"]) == 0
         recorded = Path(__file__).with_name("golden_generate.sha256").read_text().splitlines()
@@ -213,7 +213,8 @@ class TestEvaluate:
 
     def test_missing_dataset_is_data_fault(self, tmp_path):
         rc = cli_main(
-            ["evaluate", "--dataset", str(tmp_path / "void"), "--out", str(tmp_path / "e")]
+            ["evaluate", "--dataset", str(tmp_path / "void"), "--out", str(tmp_path / "e"),
+             "--methods", "intensity"]
         )
         assert rc == 2
 
@@ -379,10 +380,10 @@ class TestTrain:
         assert capsys.readouterr().err == f"data fault: {corrupt / 'train'}: split carries no correspondences\n"
         assert not out.parent.exists()
 
-    def test_log_path_under_output_root_and_created(self, dataset, tmp_path, monkeypatch):
-        # --log resolves against FEATALIGN_OUTPUT_ROOT like --out, and its
-        # directory is created.
-        monkeypatch.setenv("FEATALIGN_OUTPUT_ROOT", str(tmp_path))
+    def test_relative_log_path_and_its_directory_created(self, dataset, tmp_path, monkeypatch):
+        # --log is read relative to the working directory like --out, and
+        # its directory is created.
+        monkeypatch.chdir(tmp_path)
         rc = cli_main(
             [
                 "train", "--dataset", str(dataset), "--out", "w/w.gnnw", "--log", "logs/a/l.csv",
@@ -394,6 +395,23 @@ class TestTrain:
         assert (tmp_path / "w" / "w.gnnw").exists()
         assert (tmp_path / "logs" / "a" / "l.csv").read_text().startswith("epoch,total,")
         assert not (tmp_path / "w" / "w.log.csv").exists()
+
+    def test_two_trainings_into_one_directory_keep_both_echoes(self, dataset, tmp_path):
+        for name, gn_weight in (("gn", "0.5"), ("contrastive", "0")):
+            rc = cli_main(
+                [
+                    "train", "--dataset", str(dataset), "--out", str(tmp_path / f"{name}.gnnw"),
+                    "--gn-weight", gn_weight, "--epochs", "1", "--base-width", "4",
+                    "--descriptor-dim", "4", "--levels", "2", "--val-candidates", "0",
+                ]
+            )
+            assert rc == 0
+        for name, gn_weight in (("gn", 0.5), ("contrastive", 0.0)):
+            echo = json.loads((tmp_path / f"{name}.run_config.json").read_text())
+            assert echo["command"] == "train"
+            assert echo["arguments"]["gn_weight"] == gn_weight
+            assert echo["arguments"]["out"] == str(tmp_path / f"{name}.gnnw")
+        assert not (tmp_path / "run_config.json").exists()
 
     @pytest.mark.parametrize(
         "flags",
@@ -960,11 +978,37 @@ class TestUsage:
     def test_bad_flag_is_usage_error(self):
         assert cli_main(["generate", "--out", "x", "--no-such-flag"]) == 1
 
-    def test_output_root_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEATALIGN_OUTPUT_ROOT", str(tmp_path))
-        rc = cli_main(["generate", "--out", "nested/ds"] + GEN_ARGS)
-        assert rc == 0
-        assert (tmp_path / "nested" / "ds" / "train" / "manifest.json").exists()
+    def test_relative_paths_read_from_working_directory(self, tmp_path, monkeypatch):
+        # A stray FEATALIGN_OUTPUT_ROOT changes nothing: an output and the
+        # input that reads it back share one meaning of a relative path.
+        monkeypatch.setenv("FEATALIGN_OUTPUT_ROOT", str(tmp_path / "root"))
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert cli_main(["generate", "--out", "nested/ds"] + GEN_ARGS) == 0
+        assert cli_main(["evaluate", "--dataset", "nested/ds", "--out", "ev", "--methods", "intensity",
+                         "--points", "96", "--candidates", "1"]) == 0
+        assert (tmp_path / "work" / "nested" / "ds" / "train" / "manifest.json").exists()
+        assert (tmp_path / "work" / "ev" / "summary.json").exists()
+        assert not (tmp_path / "root").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["evaluate", "--methods", "intensity,features"], "--weights"),
+            (["evaluate", "--methods", "contrastive", "--weights", "w.gnnw"], "--contrastive-weights"),
+            (["align", "--method", "features"], "--weights"),
+        ],
+        ids=["evaluate-features", "evaluate-contrastive", "align-features"],
+    )
+    def test_learned_method_without_weights_flag(self, tmp_path, capsys, argv, flag):
+        # No dataset exists there: the flag is checked before any split is read.
+        out = tmp_path / "ev"
+        extra = ["--out", str(out)] if argv[0] == "evaluate" else []
+        rc = cli_main(argv + ["--dataset", str(tmp_path / "void")] + extra)
+        assert rc == 1
+        method = "features" if flag == "--weights" else "contrastive"
+        assert capsys.readouterr().err == f"usage error: method '{method}' needs {flag}\n"
+        assert not out.exists()
 
 
 def no_work(*args, **kwargs):

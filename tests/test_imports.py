@@ -1,5 +1,6 @@
-"""Each featalign module imports on its own in a fresh interpreter, and
-reads every name it imports.
+"""Each featalign module imports on its own in a fresh interpreter, reads
+every name it imports and, the entry point aside, reads no environment
+variable.
 
 Every import sits at module level, so a new import cycle fails here for
 the module that closes it, whichever module a caller happens to import
@@ -47,3 +48,25 @@ def test_no_unused_imports(module):
             imported |= {alias.asname or alias.name for alias in node.names}
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert not imported - read, f"{module} imports but never reads {sorted(imported - read)}"
+
+
+# The one module that may read the environment: the entry point pins the
+# BLAS thread counts there before numpy loads. Anything else a run depends
+# on is a command-line flag, so ``run_config.json`` echoes it.
+ENVIRONMENT_READERS = {"featalign.__main__"}
+ENVIRONMENT_NAMES = ("environ", "getenv")
+
+
+def reads_environment(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "os" and node.attr in ENVIRONMENT_NAMES
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(alias.name in ENVIRONMENT_NAMES for alias in node.names)
+    return False
+
+
+@pytest.mark.parametrize("module", sorted(set(SOURCES) - ENVIRONMENT_READERS))
+def test_reads_no_environment(module):
+    tree = ast.parse(SOURCES[module].read_text())
+    lines = [node.lineno for node in ast.walk(tree) if reads_environment(node)]
+    assert not lines, f"{module} reads the environment on lines {lines}"

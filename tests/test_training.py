@@ -213,7 +213,7 @@ class TestTrainCLI:
             ]
         )
         assert rc == 0
-        echo = json.loads((tmp_path / "run_config.json").read_text())
+        echo = json.loads((tmp_path / "w.run_config.json").read_text())
         assert echo["arguments"]["lr"] == 1e-6
 
     @pytest.mark.parametrize("val_candidates, expected", [(2, 2), (99, 3), (0, None)])
