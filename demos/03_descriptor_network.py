@@ -16,7 +16,7 @@ from featalign.network import (
     influence_interval,
 )
 
-config = NetworkConfig(input_channels=1, descriptor_dim=8, pyramid_levels=3, base_width=16, seed=0)
+config = NetworkConfig(descriptor_dim=8, pyramid_levels=3, base_width=16, seed=0)
 weights = build_network(config)
 print("parameters:", weights.parameter_count())
 

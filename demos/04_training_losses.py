@@ -19,7 +19,7 @@ scene = generate_scene(11, SceneConfig(n_frames=4, conditions=()))
 batch = make_correspondences(scene, 0, 2, n_pos=96, n_neg=96, seed=1)
 print(f"pair (0, 2): {batch.n_pos} matches, {batch.n_neg} non-matches")
 
-net_cfg = NetworkConfig(input_channels=1, descriptor_dim=8, pyramid_levels=3, base_width=8, seed=5)
+net_cfg = NetworkConfig(descriptor_dim=8, pyramid_levels=3, base_width=8, seed=5)
 weights = build_network(net_cfg)
 loss_cfg = LossConfig(gn_weight=0.1, vicinity_radius=4.0, epsilon=1e-3)
 

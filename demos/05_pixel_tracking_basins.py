@@ -34,7 +34,7 @@ def basin_fraction(feat_a, feat_b, eps):
 print("intensity basin fraction:", basin_fraction(img_a, img_b, eps=1e-6))
 
 # A short training run is already enough to widen the basins visibly.
-net_cfg = NetworkConfig(1, 8, 3, base_width=8, seed=1)
+net_cfg = NetworkConfig(descriptor_dim=8, pyramid_levels=3, base_width=8, seed=1)
 weights = build_network(net_cfg)
 names = list(weights.params)
 params = [weights.params[n] for n in names]

@@ -203,15 +203,12 @@ class SceneConfig:
     step_rotation_deg: float = 1.5
     conditions: tuple = ()
     n_candidates: int = 0
-    candidate_condition: int = 0
 
     def __post_init__(self):
         if self.n_frames < 1:
             raise ValueError("trajectory needs at least one frame")
         if self.width < 8 or self.height < 8:
             raise ValueError("image too small")
-        if self.candidate_condition < 0 or self.candidate_condition > len(self.conditions):
-            raise ValueError("candidate_condition indexes the condition list (0 = canonical)")
 
 
 @dataclass
@@ -403,8 +400,8 @@ def generate_scene(seed: int, config: SceneConfig) -> SyntheticScene:
     is rendered once: every sequence applies its condition to that clean
     image and shares its depth array, so no frame's arrays may be written
     in place.
-    Candidates are extra frames at offset poses, rendered under the
-    condition selected by config.candidate_condition, each tracked against
+    Candidates are extra frames at offset poses, rendered under the last
+    condition (the canonical one when there is none), each tracked against
     its reference frame from the canonical stream.
     """
     rng = np.random.default_rng([seed, 0xBE7C])
@@ -419,7 +416,7 @@ def generate_scene(seed: int, config: SceneConfig) -> SyntheticScene:
             image = condition.apply(clean, cond_rng)
             scene.frames.append(Frame(frame_id, image, depth, pose, seq, seq, index))
             frame_id += 1
-    cand_condition = conditions[config.candidate_condition]
+    cand_id = len(conditions) - 1
     for k in range(config.n_candidates):
         ref_index = k % config.n_frames
         ref_pose = scene.trajectory[ref_index]
@@ -428,10 +425,8 @@ def generate_scene(seed: int, config: SceneConfig) -> SyntheticScene:
         cand_pose = ref_pose.compose(rel.inverse())
         clean, depth = scene.render(cand_pose)
         cond_rng = np.random.default_rng([seed, 0xCA2D, k])
-        image = cand_condition.apply(clean, cond_rng)
-        scene.frames.append(
-            Frame(frame_id, image, depth, cand_pose, config.candidate_condition, -1, -1)
-        )
+        image = conditions[cand_id].apply(clean, cond_rng)
+        scene.frames.append(Frame(frame_id, image, depth, cand_pose, cand_id, -1, -1))
         scene.candidates.append(RelocCandidate(frame_id, ref_index, rel))
         frame_id += 1
     return scene

@@ -3,10 +3,12 @@
 Exit codes: 0 ok, 1 usage error, 2 data fault, 3 numerical fault. A learned
 method without its weights flag is a usage error, found before any split is
 read. Path flags are read as given, relative to the working directory.
-``generate`` and ``evaluate`` echo the full argument set and package version
-into ``run_config.json`` in their output directory, ``train`` into
-``<stem>.run_config.json`` beside its weights, so any artifact can be
-reproduced byte-for-byte.
+Each command echoes the full argument set and package version, so any
+artifact can be reproduced byte-for-byte: ``generate`` into
+``run_config.json`` in its output directory, ``evaluate`` into
+``evaluate.run_config.json`` in its (an ``evaluate --out`` of the dataset
+keeps ``generate``'s echo), ``train`` into ``<stem>.run_config.json`` beside
+its weights.
 """
 
 from __future__ import annotations
@@ -140,15 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    if args.frames < 1:
-        raise UsageError("--frames must be >= 1")
     if args.size < 16 or args.size % 4:
         raise UsageError("--size must be >= 16 and divisible by 4")
-    if args.pairs < 1 or args.n_pos < 1:
-        raise UsageError("--pairs and --n-pos must be >= 1")
-    for flag in ("seed", "candidates", "val_candidates", "n_neg", "max_frame_gap"):
-        if getattr(args, flag) < 0:
-            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
+    for flag, minimum in (("frames", 1), ("pairs", 1), ("n_pos", 1), ("seed", 0), ("candidates", 0),
+                          ("val_candidates", 0), ("n_neg", 0), ("max_frame_gap", 0)):
+        if getattr(args, flag) < minimum:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= {minimum}")
     root = Path(args.out)
     _create_dir(root, "--out")
     half = (args.size - 1) / 2.0
@@ -160,10 +159,8 @@ def cmd_generate(args) -> int:
     val_condition = ConditionTransform(gamma=1.4, brightness=0.1, contrast=0.9, noise_sigma=0.015)
     split_configs = {
         "train": SceneConfig(**base, conditions=default_train_conditions()),
-        "val": SceneConfig(**base, conditions=(val_condition,),
-                           n_candidates=args.val_candidates, candidate_condition=1),
-        "test": SceneConfig(**base, conditions=(default_eval_condition(),),
-                            n_candidates=args.candidates, candidate_condition=1),
+        "val": SceneConfig(**base, conditions=(val_condition,), n_candidates=args.val_candidates),
+        "test": SceneConfig(**base, conditions=(default_eval_condition(),), n_candidates=args.candidates),
     }
     echo = _arguments(args)
     for index, (name, cfg) in enumerate(split_configs.items()):
@@ -303,8 +300,6 @@ def _method(method: str, path, split):
         _check_tiling(split, INTENSITY_LEVELS, "intensity method", DataFault)
         return intensity_extractor(INTENSITY_LEVELS), method_config(method, INTENSITY_LEVELS)
     weights = load_network(path)
-    if weights.config.input_channels != 1:
-        raise DataFault(f"{path}: network reads {weights.config.input_channels}-channel images, frames have one")
     _check_tiling(split, weights.config.pyramid_levels, path, DataFault)
     return network_extractor(weights), method_config("features", weights.config.pyramid_levels)
 
@@ -341,7 +336,7 @@ def cmd_evaluate(args) -> int:
         write_curve_csv(out / f"curve_{method}.csv", curve)
     write_curves_svg(out / "curves.svg", curves)
     (out / "summary.json").write_text(json.dumps(summaries, indent=1, sort_keys=True) + "\n")
-    _echo_config(out / "run_config.json", args)
+    _echo_config(out / "evaluate.run_config.json", args)
     return 0
 
 

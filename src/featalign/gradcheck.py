@@ -101,7 +101,7 @@ def _primitive_blocks(rng):
 
 def _loss_block(seed: int):
     """The network-plus-losses block: total loss over every parameter array."""
-    cfg_net = NetworkConfig(input_channels=1, descriptor_dim=2, pyramid_levels=2, base_width=3, seed=seed)
+    cfg_net = NetworkConfig(descriptor_dim=2, pyramid_levels=2, base_width=3, seed=seed)
     weights = build_network(cfg_net)
     rng = np.random.default_rng(seed + 1)
     # Jitter the zero-initialized biases: a tiny net can otherwise start

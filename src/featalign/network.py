@@ -2,7 +2,7 @@
 
 Layers (L pyramid levels, widths double per level):
 
-    enc0   3x3 conv, stride 1, pad 1, relu          full resolution
+    enc0   3x3 conv, stride 1, pad 1, relu          full resolution, 1 input channel
     enc l  3x3 conv, stride 2, pad 1, relu          1/2^l resolution
     dec l  nearest-upsample + skip concat + 3x3 conv + relu
     head l 1x1 conv -> descriptor_dim channels      one head per level
@@ -25,12 +25,11 @@ from .weights_io import load_weights, save_weights
 
 CONFIG_PREFIX = "config/"
 # NetworkConfig fields stored as config/* scalars, in file order.
-CONFIG_KEYS = ("input_channels", "descriptor_dim", "pyramid_levels", "base_width", "seed")
+CONFIG_KEYS = ("descriptor_dim", "pyramid_levels", "base_width", "seed")
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    input_channels: int = 1
     descriptor_dim: int = 8
     pyramid_levels: int = 3
     base_width: int = 16
@@ -41,8 +40,8 @@ class NetworkConfig:
             raise ValueError("descriptor_dim must be >= 1")
         if self.pyramid_levels < 2:
             raise ValueError("pyramid_levels must be >= 2")
-        if self.input_channels < 1 or self.base_width < 1:
-            raise ValueError("input_channels and base_width must be >= 1")
+        if self.base_width < 1:
+            raise ValueError("base_width must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -62,13 +61,8 @@ class NetworkWeights:
 def layer_shapes(config: NetworkConfig) -> dict:
     """Declared parameter shapes, in creation order."""
     shapes: dict = {}
-    c, w0, levels, d = (
-        config.input_channels,
-        config.base_width,
-        config.pyramid_levels,
-        config.descriptor_dim,
-    )
-    shapes["enc0/w"] = (3, 3, c, w0)
+    w0, levels, d = config.base_width, config.pyramid_levels, config.descriptor_dim
+    shapes["enc0/w"] = (3, 3, 1, w0)
     shapes["enc0/b"] = (w0,)
     for level in range(1, levels):
         shapes[f"enc{level}/w"] = (3, 3, config.width(level - 1), config.width(level))
@@ -100,12 +94,10 @@ def forward_pyramid(params: Mapping, image, config: NetworkConfig) -> list:
     """Runs the network on one image; returns one Tensor per pyramid level.
 
     ``params`` values may be taped Tensors (training) or plain arrays
-    (inference). ``image`` is (H, W, C).
+    (inference). ``image`` is (H, W, 1).
     """
     img = image if isinstance(image, T.Tensor) else T.Tensor(image)
-    h, w, c = img.data.shape
-    if c != config.input_channels:
-        raise ValueError(f"expected {config.input_channels} channels, got {c}")
+    h, w, _ = img.data.shape
     div = 2 ** (config.pyramid_levels - 1)
     if h % div or w % div:
         raise ValueError(f"image sides must be divisible by {div}, got {h}x{w}")
@@ -177,7 +169,7 @@ def save_network(path, weights: NetworkWeights) -> None:
 
 
 def load_network(path) -> NetworkWeights:
-    """Reads a ``save_network`` file.
+    """Reads a ``save_network`` file; entries it does not name are ignored.
 
     A file whose config/* entries are not finite integer scalars, whose
     config or parameter shapes do not describe a valid network of its

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from featalign.bench.dataset_io import read_depth, read_pgm, write_depth, write_pgm
+from featalign.weights_io import save_weights
 
 
 def numeric_gradient(f, x, h=1e-5):
@@ -109,3 +110,16 @@ def corrupt_depth(split_dir, value):
         return depth
 
     rewrite_first_frame(split_dir, "depth", edit)
+
+
+def save_older_layout(path, weights, channels=1):
+    """Writes ``weights`` as files once were: five config scalars, the first
+    ``config/input_channels`` = ``channels``, and ``enc0/w`` widened to read
+    that many channels (its first channel repeated)."""
+    config = weights.config
+    out = {"config/input_channels": np.asarray(float(channels))}
+    for key in ("descriptor_dim", "pyramid_levels", "base_width", "seed"):
+        out["config/" + key] = np.asarray(float(getattr(config, key)))
+    out.update(weights.params)
+    out["enc0/w"] = np.repeat(weights.params["enc0/w"], channels, axis=2)
+    save_weights(path, out)

@@ -63,7 +63,7 @@ class TestCriterion1GradientIntegrity:
     def test_all_losses_match_finite_differences(self):
         start = time.monotonic()
         net_cfg = NetworkConfig(
-            input_channels=1, descriptor_dim=4, pyramid_levels=2, base_width=6, seed=20
+            descriptor_dim=4, pyramid_levels=2, base_width=6, seed=20
         )
         weights = build_network(net_cfg)
         scene = generate_scene(31, SceneConfig(width=32, height=32, cx=15.5, cy=15.5,

@@ -144,7 +144,6 @@ class TestGenerateScene:
             n_frames=3,
             n_candidates=6,
             conditions=(ConditionTransform(gamma=1.5, brightness=0.12),),
-            candidate_condition=1,
         )
         scene = generate_scene(11, cfg)
         assert len(scene.candidates) == 6
@@ -153,6 +152,18 @@ class TestGenerateScene:
             assert by_id[cand.candidate_frame].condition_id == 1
             ref = by_id[cand.reference_frame]
             assert ref.sequence == 0 and ref.index == cand.reference_frame
+
+    def test_candidates_render_under_the_last_condition(self):
+        last = ConditionTransform(gamma=0.7, contrast=1.2, noise_sigma=0.01)
+        cfg = SceneConfig(n_frames=2, n_candidates=3, conditions=(ConditionTransform(gamma=1.5), last))
+        scene = generate_scene(13, cfg)
+        by_id = {f.frame_id: f for f in scene.frames}
+        for k, cand in enumerate(scene.candidates):
+            frame = by_id[cand.candidate_frame]
+            assert frame.condition_id == 2
+            clean, _ = scene.render(frame.pose)
+            expected = last.apply(clean, np.random.default_rng([13, 0xCA2D, k]))
+            assert frame.image.tobytes() == expected.tobytes()
 
     def test_degenerate_config_fault(self):
         with pytest.raises(ValueError):

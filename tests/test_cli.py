@@ -24,7 +24,7 @@ from featalign.gradcheck import run_gradcheck
 from featalign.network import NetworkConfig, build_network, save_network
 from featalign.weights_io import load_weights, save_weights
 
-from helpers import append_to_first_frame, corrupt_depth, rewrite_first_frame
+from helpers import append_to_first_frame, corrupt_depth, rewrite_first_frame, save_older_layout
 
 
 def tree_digest(root: Path) -> dict:
@@ -89,6 +89,14 @@ class TestGenerate:
         assert f"{flag} must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--frames", "--pairs", "--n-pos"])
+    def test_count_below_one_names_its_flag(self, tmp_path, capsys, flag):
+        out = tmp_path / "x"
+        rc = cli_main(["generate", "--out", str(out)] + GEN_ARGS + [flag, "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"usage error: {flag} must be >= 1\n"
+        assert not out.exists()
+
     def test_regenerate_byte_identical(self, tmp_path):
         out = tmp_path / "regen"
         args = ["generate", "--out", str(out)] + GEN_ARGS
@@ -139,6 +147,14 @@ class TestGenerate:
         echo = json.loads((dataset / "run_config.json").read_text())
         assert echo["command"] == "generate"
         assert "version" in echo
+
+    def test_evaluate_into_the_dataset_keeps_its_echo(self, tmp_path):
+        ds = tmp_path / "ds"
+        assert cli_main(["generate", "--out", str(ds)] + GEN_ARGS) == 0
+        assert cli_main(["evaluate", "--dataset", str(ds), "--out", str(ds), "--methods", "intensity",
+                         "--points", "96", "--candidates", "1"]) == 0
+        assert json.loads((ds / "run_config.json").read_text())["command"] == "generate"
+        assert json.loads((ds / "evaluate.run_config.json").read_text())["command"] == "evaluate"
 
 
 class TestEvaluate:
@@ -248,9 +264,10 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("command", ["evaluate", "align"])
     def test_weights_for_multichannel_images_are_data_fault(self, dataset, tmp_path, capsys, command):
-        # Every frame has one channel, so a 3-channel network cannot read it.
+        # Every frame has one channel, and so has the network's first layer:
+        # an older file whose enc0/w reads three does not match it.
         weights = tmp_path / "rgb.gnnw"
-        save_network(weights, build_network(NetworkConfig(input_channels=3, base_width=4, descriptor_dim=2)))
+        save_older_layout(weights, build_network(NetworkConfig(base_width=4, descriptor_dim=2)), channels=3)
         out = tmp_path / "ev"
         argv = {
             "evaluate": ["--out", str(out), "--methods", "features", "--candidates", "1"],
@@ -258,7 +275,7 @@ class TestEvaluate:
         }[command]
         rc = cli_main([command, "--dataset", str(dataset), "--weights", str(weights)] + argv)
         assert rc == 2
-        assert f"{weights}: network reads 3-channel images" in capsys.readouterr().err
+        assert f"{weights}: weights file does not match declared architecture at enc0/w" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
     def test_negative_candidates_is_usage_error(self, dataset, tmp_path, capsys):

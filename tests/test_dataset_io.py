@@ -28,7 +28,6 @@ def scene():
         n_frames=3,
         n_candidates=2,
         conditions=(ConditionTransform(gamma=1.3),),
-        candidate_condition=1,
     )
     return generate_scene(21, cfg)
 

@@ -219,7 +219,7 @@ class TestGaussNewtonLoss:
 
 class TestTotalLoss:
     def pyramids(self, rng, cfg_net=None):
-        cfg_net = cfg_net or NetworkConfig(1, 3, 2, base_width=3, seed=11)
+        cfg_net = cfg_net or NetworkConfig(descriptor_dim=3, pyramid_levels=2, base_width=3, seed=11)
         weights = build_network(cfg_net)
         img_a = rng.uniform(size=(16, 16, 1))
         img_b = rng.uniform(size=(16, 16, 1))
@@ -256,7 +256,7 @@ class TestTotalLoss:
 
     def test_gradcheck_total_loss_small(self):
         # Smoke-scale version of the acceptance gradient-integrity check.
-        cfg_net = NetworkConfig(1, 2, 2, base_width=2, seed=13)
+        cfg_net = NetworkConfig(descriptor_dim=2, pyramid_levels=2, base_width=2, seed=13)
         weights = build_network(cfg_net)
         rng = np.random.default_rng(14)
         img_a = rng.uniform(0.2, 0.8, (16, 16, 1))

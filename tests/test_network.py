@@ -9,13 +9,16 @@ from featalign.network import (
     NetworkWeights,
     build_network,
     extract_pyramid,
+    forward_pyramid,
     influence_interval,
     layer_shapes,
     load_network,
     save_network,
 )
 
-SMALL = NetworkConfig(input_channels=1, descriptor_dim=8, pyramid_levels=3, base_width=4, seed=3)
+from helpers import save_older_layout
+
+SMALL = NetworkConfig(descriptor_dim=8, pyramid_levels=3, base_width=4, seed=3)
 
 
 class TestBuild:
@@ -28,7 +31,7 @@ class TestBuild:
 
     def test_different_seed_differs(self):
         w1 = build_network(SMALL)
-        w2 = build_network(NetworkConfig(1, 8, 3, 4, seed=4))
+        w2 = build_network(NetworkConfig(descriptor_dim=8, pyramid_levels=3, base_width=4, seed=4))
         assert any(
             w1.params[n].tobytes() != w2.params[n].tobytes()
             for n in w1.params
@@ -38,10 +41,10 @@ class TestBuild:
     def test_parameter_count_closed_form(self):
         # Hand-computed audit of the declared layer shapes.
         cfg = SMALL
-        w0, d, c = cfg.base_width, cfg.descriptor_dim, cfg.input_channels
+        w0, d = cfg.base_width, cfg.descriptor_dim
         expected = 0
         widths = [w0 * 2**l for l in range(cfg.pyramid_levels)]
-        expected += 9 * c * widths[0] + widths[0]
+        expected += 9 * widths[0] + widths[0]
         for l in range(1, cfg.pyramid_levels):
             expected += 9 * widths[l - 1] * widths[l] + widths[l]
         for l in range(cfg.pyramid_levels - 1):
@@ -67,7 +70,7 @@ class TestBuild:
 
 class TestExtract:
     def test_shape_contract(self):
-        cfg = NetworkConfig(input_channels=1, descriptor_dim=8, pyramid_levels=3, base_width=4)
+        cfg = NetworkConfig(descriptor_dim=8, pyramid_levels=3, base_width=4)
         weights = build_network(cfg)
         pyr = extract_pyramid(weights, np.random.default_rng(0).uniform(size=(64, 64)))
         assert [lvl.shape for lvl in pyr] == [(64, 64, 8), (32, 32, 8), (16, 16, 8)]
@@ -85,10 +88,15 @@ class TestExtract:
         with pytest.raises(ValueError, match="divisible"):
             extract_pyramid(weights, np.zeros((30, 32)))
 
+    def test_multichannel_image_rejected_by_first_conv(self):
+        weights = build_network(SMALL)
+        with pytest.raises(ValueError, match="conv2d: channel mismatch"):
+            forward_pyramid(weights.params, np.zeros((16, 16, 3)), SMALL)
+
     def test_receptive_field_bounded(self):
         # Perturbing one pixel changes only the interval computed from the
         # layer hyperparameters.
-        cfg = NetworkConfig(input_channels=1, descriptor_dim=4, pyramid_levels=3, base_width=4, seed=9)
+        cfg = NetworkConfig(descriptor_dim=4, pyramid_levels=3, base_width=4, seed=9)
         weights = build_network(cfg)
         rng = np.random.default_rng(5)
         img = rng.uniform(size=(64, 64))
@@ -114,6 +122,18 @@ class TestNetworkIO:
         assert loaded.config == SMALL
         for name in weights.params:
             assert loaded.params[name].tobytes() == weights.params[name].tobytes()
+
+    def test_older_layout_with_five_config_scalars_loads(self, tmp_path):
+        # Files once carried a fifth scalar, config/input_channels = 1;
+        # loading ignores it and reads the same network.
+        weights = build_network(SMALL)
+        save_network(tmp_path / "net.gnnw", weights)
+        save_older_layout(tmp_path / "old.gnnw", weights)
+        current, older = load_network(tmp_path / "net.gnnw"), load_network(tmp_path / "old.gnnw")
+        assert older.config == current.config == SMALL
+        assert list(older.params) == list(current.params)
+        for name in current.params:
+            assert older.params[name].tobytes() == current.params[name].tobytes()
 
     def test_mismatched_architecture_rejected(self, tmp_path):
         weights = build_network(SMALL)

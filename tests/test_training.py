@@ -36,7 +36,7 @@ def small_config(**kw):
     base = dict(
         epochs=2,
         lr=1e-3,
-        network=NetworkConfig(1, 4, 2, base_width=4, seed=3),
+        network=NetworkConfig(descriptor_dim=4, pyramid_levels=2, base_width=4, seed=3),
         loss=LossConfig(gn_weight=0.1, vicinity_radius=2.0),
     )
     base.update(kw)
