@@ -110,9 +110,9 @@ def forward_pyramid(params: Mapping, image, config: NetworkConfig) -> list:
     out = [None] * config.pyramid_levels
     out[config.pyramid_levels - 1] = enc[-1]
     for level in range(config.pyramid_levels - 2, -1, -1):
-        up = T.upsample2_nearest(out[level + 1])
-        cat = T.concat_channels([up, enc[level]])
-        out[level] = T.relu(T.conv2d(cat, params[f"dec{level}/w"], params[f"dec{level}/b"], stride=1, pad=1))
+        out[level] = T.relu(
+            T.upsample_concat_conv(out[level + 1], enc[level], params[f"dec{level}/w"], params[f"dec{level}/b"])
+        )
     return [
         T.conv2d(out[level], params[f"head{level}/w"], params[f"head{level}/b"])
         for level in range(config.pyramid_levels)

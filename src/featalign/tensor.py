@@ -1,9 +1,11 @@
 """Minimal dense tensors with reverse-mode differentiation.
 
 Enough machinery to train the descriptor network through both losses:
-elementwise ops, (batched) matmul, conv2d, nearest upsampling, channel
-concat, batched 2x2 determinant/inverse, central differences, and bilinear
-sampling at constant coordinates, whose gradient flows into the map only.
+elementwise ops, (batched) matmul, conv2d, the decoder's fused nearest
+upsample + channel concat + 3x3 conv (backpropagated at the coarse
+resolution), batched 2x2 determinant/inverse, central differences, and
+bilinear sampling at constant coordinates, whose gradient flows into the map
+only.
 
 A :class:`Tape` records primitive applications in execution order; the
 backward pass walks that record in reverse exactly once, accumulating
@@ -226,17 +228,6 @@ def transpose_last2(x) -> Tensor:
     return _make(np.swapaxes(x.data, -1, -2), [x], lambda g: [np.swapaxes(g, -1, -2)])
 
 
-def concat_channels(xs: Sequence) -> Tensor:
-    xs = [astensor(t) for t in xs]
-    widths = [t.data.shape[-1] for t in xs]
-    offsets = np.cumsum([0] + widths)
-
-    def backward(g):
-        return [g[..., offsets[i] : offsets[i + 1]] for i in range(len(widths))]
-
-    return _make(np.concatenate([t.data for t in xs], axis=-1), xs, backward)
-
-
 def reduce_sum(x, axis: Optional[int] = None) -> Tensor:
     x = astensor(x)
     shape = x.data.shape
@@ -330,6 +321,62 @@ def _pixel_rows(n: int) -> int:
     return -(-n // _PIXEL_ROWS_MULTIPLE) * _PIXEL_ROWS_MULTIPLE
 
 
+def _taps(kh: int, kw: int, stride: int, ho: int, wo: int) -> list:
+    """(di, dj, rows, columns of the padded input under tap (di, dj)), row-major."""
+    return [
+        (di, dj, slice(di, di + stride * (ho - 1) + 1, stride), slice(dj, dj + stride * (wo - 1) + 1, stride))
+        for di in range(kh)
+        for dj in range(kw)
+    ]
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int, rows: int) -> np.ndarray:
+    """The (rows, kh*kw*Cin) im2col matrix of an (Hp, Wp, Cin) padded input; rows past Ho*Wo are zero."""
+    cin = xp.shape[2]
+    cols = np.empty((rows, kh, kw, cin))
+    cols[ho * wo :] = 0.0
+    window = cols[: ho * wo].reshape(ho, wo, kh, kw, cin)
+    for di, dj, si, sj in _taps(kh, kw, stride, ho, wo):
+        window[:, :, di, dj] = xp[si, sj]
+    return cols.reshape(rows, -1)
+
+
+def _conv_forward(xp: np.ndarray, wd: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Bias-free (Ho, Wo, Cout) convolution of an (Hp, Wp, Cin) padded input."""
+    kh, kw, cin, cout = wd.shape
+    if cin < _TAP_MIN_CHANNELS:
+        return (_im2col(xp, kh, kw, stride, ho, wo, ho * wo) @ wd.reshape(-1, cout)).reshape(ho, wo, cout)
+    out = np.zeros((ho, wo, cout))
+    for di, dj, si, sj in _taps(kh, kw, stride, ho, wo):
+        out += xp[si, sj] @ wd[di, dj]
+    return out
+
+
+def _on_grid_backward(xp: np.ndarray, wd: np.ndarray, g: np.ndarray, need_dx: bool):
+    """(dW, padded-grid dX or None) of a stride-1 convolution.
+
+    ``xp`` is the padded input as a (rows, Cin) matrix, rows past Hp*Wp
+    zero. The shifted output gradients G (rows, kh*kw*Cout) hold g[p-di,
+    q-dj] at padded pixel (p, q) under tap (di, dj): one windowed copy of g
+    zero-padded by the kernel size minus one, taps reversed. Then dW = Xpᵀ G
+    and dX = G Wᵀ.
+    """
+    kh, kw, cin, cout = wd.shape
+    ho, wo = g.shape[:2]
+    hp, wp = ho + kh - 1, wo + kw - 1
+    gp = np.zeros((ho + 2 * (kh - 1), wo + 2 * (kw - 1), cout))
+    gp[kh - 1 : kh - 1 + ho, kw - 1 : kw - 1 + wo] = g
+    windows = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(0, 1))
+    gm = np.empty((len(xp), kh * kw * cout))
+    gm[hp * wp :] = 0.0
+    gm[: hp * wp].reshape(hp, wp, kh, kw, cout)[...] = windows[..., ::-1, ::-1].transpose(0, 1, 3, 4, 2)
+    dw = (xp.T @ gm).reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
+    dxp = None
+    if need_dx:
+        dxp = (gm[: hp * wp] @ wd.transpose(0, 1, 3, 2).reshape(-1, cin)).reshape(hp, wp, cin)
+    return dw, dxp
+
+
 def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) on an (H, W, Cin) map.
 
@@ -339,7 +386,7 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     Runs as a few GEMMs whose wide side carries the kernel taps. Forward is
     one GEMM on the im2col matrix (Ho*Wo, kh*kw*Cin) for narrow inputs and
     kh*kw per-tap products otherwise. Backward picks the smaller wide matrix:
-    stride-1 layers with Cout < Cin write the shifted output gradients into
+    stride-1 layers with Cout < Cin copy the shifted output gradients into
     G (Hp*Wp, kh*kw*Cout) over the padded grid, so dW = Xpᵀ G and dX = G Wᵀ;
     the others rebuild the im2col matrix C for dW = Cᵀ g and scatter the
     taps of g Wᵀ into dX. An untaped input gets no dX.
@@ -357,12 +404,6 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     wo = (wp - kw) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ValueError("conv2d: kernel larger than padded input")
-    # (di, dj, rows, columns of the padded input under tap (di, dj))
-    taps = [
-        (di, dj, slice(di, di + stride * (ho - 1) + 1, stride), slice(dj, dj + stride * (wo - 1) + 1, stride))
-        for di in range(kh)
-        for dj in range(kw)
-    ]
 
     def padded(rows):
         """The zero-padded input as a (rows, Cin) matrix; rows past Hp*Wp are zero."""
@@ -372,22 +413,7 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
         xp[: hp * wp].reshape(hp, wp, cin)[pad : pad + h, pad : pad + wi] = xd
         return xp
 
-    def im2col(rows):
-        xp = padded(hp * wp).reshape(hp, wp, cin)
-        cols = np.empty((rows, kh, kw, cin))
-        cols[ho * wo :] = 0.0
-        window = cols[: ho * wo].reshape(ho, wo, kh, kw, cin)
-        for di, dj, si, sj in taps:
-            window[:, :, di, dj] = xp[si, sj]
-        return cols.reshape(rows, -1)
-
-    if cin < _TAP_MIN_CHANNELS:
-        out = (im2col(ho * wo) @ wd.reshape(-1, cout)).reshape(ho, wo, cout)
-    else:
-        xp = padded(hp * wp).reshape(hp, wp, cin)
-        out = np.zeros((ho, wo, cout))
-        for di, dj, si, sj in taps:
-            out += xp[si, sj] @ wd[di, dj]
+    out = _conv_forward(padded(hp * wp).reshape(hp, wp, cin), wd, stride, ho, wo)
     inputs = [x, w]
     has_bias = bias is not None
     if has_bias:
@@ -400,23 +426,16 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     def backward(g):
         dx = None
         if on_grid:
-            rows = _pixel_rows(hp * wp)
-            gm = np.zeros((rows, kh * kw * cout))
-            shifted = gm[: hp * wp].reshape(hp, wp, kh, kw, cout)
-            for di, dj, si, sj in taps:
-                shifted[si, sj, di, dj] = g
-            dw = (padded(rows).T @ gm).reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
-            if need_dx:
-                dxp = (gm[: hp * wp] @ wd.transpose(0, 1, 3, 2).reshape(-1, cin)).reshape(hp, wp, cin)
+            dw, dxp = _on_grid_backward(padded(_pixel_rows(hp * wp)), wd, g, need_dx)
         else:
             rows = _pixel_rows(ho * wo)
             gf = np.zeros((rows, cout))
             gf[: ho * wo] = g.reshape(-1, cout)
-            dw = (im2col(rows).T @ gf).reshape(wd.shape)
+            dw = (_im2col(padded(hp * wp).reshape(hp, wp, cin), kh, kw, stride, ho, wo, rows).T @ gf).reshape(wd.shape)
             if need_dx:
                 dcols = (gf[: ho * wo] @ wd.reshape(-1, cout).T).reshape(ho, wo, kh, kw, cin)
                 dxp = np.zeros((hp, wp, cin))
-                for di, dj, si, sj in taps:
+                for di, dj, si, sj in _taps(kh, kw, stride, ho, wo):
                     dxp[si, sj] += dcols[:, :, di, dj]
         if need_dx:
             dx = dxp[pad : pad + h, pad : pad + wi]
@@ -428,15 +447,59 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     return _make(out, inputs, backward)
 
 
-def upsample2_nearest(x) -> Tensor:
-    x = astensor(x)
-    h, w, c = x.data.shape
-    out = np.repeat(np.repeat(x.data, 2, axis=0), 2, axis=1)
+def upsample_concat_conv(a, skip, w, bias) -> Tensor:
+    """The decoder block: relu-free 3x3, pad-1 conv of concat(upsample(a), skip).
+
+    ``a`` is (H/2, W/2, Ca), nearest-upsampled 2x; ``skip`` is (H, W, Cs);
+    the kernel is (3, 3, Ca+Cs, Cout) with the upsampled channels first. The
+    forward builds the padded concatenated input and runs conv2d's forward
+    on it, so its bits equal conv2d's on that input. The skip channels
+    backpropagate through conv2d's stride-1 route. The upsampled ones do so
+    at a's resolution: low-resolution pixel (u, v) collects, under each tap,
+    the 2x2 block sum of the output gradient that tap reaches it from, as
+    G (H/2*W/2, 9*Cout), so dW_up = Aᵀ G and dA = G W_upᵀ.
+    """
+    a, skip, w, bias = astensor(a), astensor(skip), astensor(w), astensor(bias)
+    ad, sd, wd = a.data, skip.data, w.data
+    if ad.ndim != 3 or sd.ndim != 3 or wd.ndim != 4:
+        raise ValueError(f"upsample_concat_conv: expected (h,w,Ca), (2h,2w,Cs), (3,3,Cin,Cout), "
+                         f"got {ad.shape}, {sd.shape}, {wd.shape}")
+    h2, w2, ca = ad.shape
+    h, wi, cs = sd.shape
+    cout = wd.shape[3]
+    if (h, wi) != (2 * h2, 2 * w2) or wd.shape[:3] != (3, 3, ca + cs) or bias.data.shape != (cout,):
+        raise ValueError(f"upsample_concat_conv: shape mismatch {ad.shape}, {sd.shape}, {wd.shape}, {bias.data.shape}")
+    hp, wp = h + 2, wi + 2
+    xp = np.zeros((hp, wp, ca + cs))
+    xp[1 : 1 + h, 1 : 1 + wi, :ca].reshape(h2, 2, w2, 2, ca)[...] = ad[:, None, :, None]
+    xp[1 : 1 + h, 1 : 1 + wi, ca:] = sd
+    out = _conv_forward(xp, wd, 1, h, wi) + bias.data
 
     def backward(g):
-        return [g.reshape(h, 2, w, 2, c).sum(axis=(1, 3))]
+        rows = _pixel_rows(hp * wp)
+        xp_skip = np.zeros((rows, cs))
+        xp_skip[: hp * wp].reshape(hp, wp, cs)[1 : 1 + h, 1 : 1 + wi] = sd
+        dw_skip, dxp_skip = _on_grid_backward(xp_skip, wd[:, :, ca:], g, True)
+        # R[di] sums the two output rows whose tap di lands in each
+        # low-resolution row; G then sums R's two columns the same way.
+        gp = np.zeros((h + 2, wi + 2, cout))
+        gp[1 : 1 + h, 1 : 1 + wi] = g
+        n = h2 * w2
+        gm = np.empty((_pixel_rows(n), 9 * cout))
+        gm[n:] = 0.0
+        blocks = gm[:n].reshape(h2, w2, 3, 3, cout)
+        for di in range(3):
+            r = gp[2 - di : 2 - di + h : 2] + gp[3 - di : 3 - di + h : 2]
+            for dj in range(3):
+                np.add(r[:, 2 - dj : 2 - dj + wi : 2], r[:, 3 - dj : 3 - dj + wi : 2], out=blocks[:, :, di, dj])
+        am = np.zeros((len(gm), ca))
+        am[:n] = ad.reshape(n, ca)
+        dw_up = (am.T @ gm).reshape(ca, 3, 3, cout).transpose(1, 2, 0, 3)
+        da = (gm[:n] @ wd[:, :, :ca].transpose(0, 1, 3, 2).reshape(-1, ca)).reshape(h2, w2, ca)
+        dskip = dxp_skip[1 : 1 + h, 1 : 1 + wi]
+        return [da, dskip, np.concatenate([dw_up, dw_skip], axis=2), g.sum(axis=(0, 1))]
 
-    return _make(out, [x], backward)
+    return _make(out, [a, skip, w, bias], backward)
 
 
 def central_difference(x) -> Tensor:

@@ -962,7 +962,9 @@ class TestGradcheckCommand:
     def test_report_lists_every_block(self):
         reports = run_gradcheck(seed=2)
         names = {r.name for r in reports}
-        assert {"conv2d", "bilinear_sample", "central_difference", "inv2x2", "network+losses"} <= names
+        assert {
+            "conv2d", "upsample_concat_conv", "bilinear_sample", "central_difference", "inv2x2", "network+losses",
+        } <= names
         assert all(r.max_relative_error < 1e-4 for r in reports)
 
 

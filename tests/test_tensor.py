@@ -77,11 +77,6 @@ class TestPrimitiveGradients:
     def test_transpose_last2(self):
         check_grads(T.transpose_last2, [self.rand(4, 2, 3)])
 
-    def test_concat_channels(self):
-        check_grads(
-            lambda a, b: T.concat_channels([a, b]), [self.rand(3, 3, 2), self.rand(3, 3, 4)]
-        )
-
     def test_reduce_sum_all(self):
         check_grads(lambda a: T.reshape(T.reduce_sum(a), (1,)), [self.rand(3, 4)])
 
@@ -136,8 +131,12 @@ class TestPrimitiveGradients:
         else:
             check_grads(lambda x, w: T.conv2d(x, w, stride=stride, pad=pad), args)
 
-    def test_upsample2_nearest(self):
-        check_grads(T.upsample2_nearest, [self.rand(3, 2, 4)])
+    @pytest.mark.parametrize("ca,cs,cout", [(3, 2, 2), (2, 3, 4)])
+    def test_upsample_concat_conv(self, ca, cs, cout):
+        check_grads(
+            T.upsample_concat_conv,
+            [self.rand(2, 3, ca), self.rand(4, 6, cs), self.rand(3, 3, ca + cs, cout), self.rand(cout)],
+        )
 
     def test_bilinear_sample_map_grad(self):
         fmap = self.rand(7, 8, 3)
@@ -287,12 +286,6 @@ class TestPrimitiveForward:
         out = T.conv2d(T.Tensor(x), T.Tensor(w)).data
         np.testing.assert_allclose(out, x, atol=0)
 
-    def test_upsample_repeats_each_pixel(self):
-        x = np.arange(4.0).reshape(2, 2, 1)
-        up = T.upsample2_nearest(T.Tensor(x)).data
-        assert up.shape == (4, 4, 1)
-        np.testing.assert_array_equal(up[:, :, 0], [[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 3, 3], [2, 2, 3, 3]])
-
     def test_shape_mismatch_is_fault(self):
         with pytest.raises(ValueError):
             T.add(T.Tensor(np.zeros(3)), T.Tensor(np.zeros(4)))
@@ -365,6 +358,110 @@ class TestConv2dLayouts:
         dx, dw = tape._backwards[out.node](np.ones(out.data.shape))
         assert dx is None
         assert dw.shape == w.data.shape
+
+
+def nine_write_on_grid(x, w, g, pad):
+    """(dx, dw) of a stride-1 convolution, shifted gradients written tap by tap.
+
+    The reference for conv2d's one windowed copy: one strided write per tap
+    into a zeroed (rows, kh*kw*Cout) matrix, then the same GEMMs.
+    """
+    (h, wi, cin), (kh, kw, _, cout) = x.shape, w.shape
+    ho, wo = g.shape[:2]
+    hp, wp = h + 2 * pad, wi + 2 * pad
+    rows = T._pixel_rows(hp * wp)
+    xp = np.zeros((rows, cin))
+    xp[: hp * wp].reshape(hp, wp, cin)[pad : pad + h, pad : pad + wi] = x
+    gm = np.zeros((rows, kh * kw * cout))
+    shifted = gm[: hp * wp].reshape(hp, wp, kh, kw, cout)
+    for di in range(kh):
+        for dj in range(kw):
+            shifted[di : di + ho, dj : dj + wo, di, dj] = g
+    dw = (xp.T @ gm).reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
+    dxp = (gm[: hp * wp] @ w.transpose(0, 1, 3, 2).reshape(-1, cin)).reshape(hp, wp, cin)
+    return dxp[pad : pad + h, pad : pad + wi], dw
+
+
+class TestOnGridShiftedGradients:
+    # conv2d's stride-1, Cout < Cin route at the decoder convs' full shapes
+    # (the fused op's skip half takes it), two heads, and an odd-sized map.
+    @pytest.mark.parametrize(
+        "h,cin,cout,k,pad",
+        [
+            pytest.param(32, 96, 32, 3, 1, id="dec1"),
+            pytest.param(64, 48, 16, 3, 1, id="dec0"),
+            pytest.param(64, 16, 8, 1, 0, id="head0"),
+            pytest.param(16, 64, 8, 1, 0, id="head2"),
+            pytest.param(7, 5, 3, 3, 1, id="7x7"),
+        ],
+    )
+    def test_matches_nine_writes_bitwise(self, h, cin, cout, k, pad):
+        rng = np.random.default_rng(h + cin)
+        x = rng.standard_normal((h, h, cin))
+        w = rng.standard_normal((k, k, cin, cout))
+        tape = T.Tape()
+        xl, wl = tape.leaf(x), tape.leaf(w)
+        out = T.conv2d(xl, wl, pad=pad)
+        g = rng.standard_normal(out.data.shape)
+        tape.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+        dx, dw = nine_write_on_grid(x, w, g, pad)
+        assert np.array_equal(tape.grad(xl), dx)
+        assert np.array_equal(tape.grad(wl), dw)
+
+
+class TestUpsampleConcatConv:
+    """The fused decoder op against conv2d on the concatenated input."""
+
+    # dec1 and dec0 of the default network, and dec0 at base_width 4, whose
+    # 12 input channels take conv2d's im2col forward. Its skip GEMMs are only
+    # 4 columns wide, and OpenBLAS rounds them differently from 12.
+    @pytest.mark.parametrize(
+        "h,ca,cs,cout,skip_bitwise",
+        [
+            pytest.param(32, 64, 32, 32, True, id="dec1"),
+            pytest.param(64, 32, 16, 16, True, id="dec0"),
+            pytest.param(64, 8, 4, 4, False, id="dec0-width4"),
+        ],
+    )
+    def test_matches_conv2d_on_repeat_then_concatenate(self, h, ca, cs, cout, skip_bitwise):
+        rng = np.random.default_rng(h + ca)
+        a = np.maximum(rng.standard_normal((h // 2, h // 2, ca)), 0.0)
+        skip = np.maximum(rng.standard_normal((h, h, cs)), 0.0)
+        w = rng.standard_normal((3, 3, ca + cs, cout)) * np.sqrt(2.0 / (9 * (ca + cs)))
+        b = rng.standard_normal(cout)
+        g = rng.standard_normal((h, h, cout))
+        cat = np.concatenate([np.repeat(np.repeat(a, 2, axis=0), 2, axis=1), skip], axis=2)
+        tape = T.Tape()
+        xl, wl, bl = tape.leaf(cat), tape.leaf(w), tape.leaf(b)
+        want = T.conv2d(xl, wl, bl, stride=1, pad=1)
+        tape.backward(T.reduce_sum(T.mul(want, T.Tensor(g))))
+        dcat, want_dw, want_db = tape.grad(xl), tape.grad(wl), tape.grad(bl)
+
+        tape = T.Tape()
+        al, sl, wl, bl = tape.leaf(a), tape.leaf(skip), tape.leaf(w), tape.leaf(b)
+        out = T.upsample_concat_conv(al, sl, wl, bl)
+        tape.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
+        da, dskip, dw, db = tape.grad(al), tape.grad(sl), tape.grad(wl), tape.grad(bl)
+
+        assert np.array_equal(out.data, want.data)
+        assert np.array_equal(db, want_db)
+        if skip_bitwise:
+            # The skip half runs conv2d's GEMMs restricted to its channels.
+            assert np.array_equal(dskip, dcat[:, :, ca:])
+            assert np.array_equal(dw[:, :, ca:], want_dw[:, :, ca:])
+        # The upsampled half sums the same products in another order.
+        want_da = dcat[:, :, :ca].reshape(h // 2, 2, h // 2, 2, ca).sum(axis=(1, 3))
+        for got, ref in [(da, want_da), (dw, want_dw), (dskip, dcat[:, :, ca:])]:
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize(
+        "skip_shape,w_shape",
+        [((4, 5, 2), (3, 3, 5, 2)), ((4, 6, 2), (3, 3, 4, 2)), ((4, 6, 2), (1, 1, 5, 2))],
+        ids=["skip-size", "kernel-channels", "kernel-size"],
+    )
+    def test_shape_mismatch_rejected(self, skip_shape, w_shape):
+        with pytest.raises(ValueError, match="upsample_concat_conv"):
+            T.upsample_concat_conv(np.zeros((2, 3, 3)), np.zeros(skip_shape), np.zeros(w_shape), np.zeros(2))
 
 
 class TestBackward:

@@ -126,7 +126,7 @@ class TestTrainNetwork:
 
 
 class TestTrainingStepTape:
-    def test_default_network_step_records_223_nodes(self, tiny_dataset):
+    def test_default_network_step_records_215_nodes(self, tiny_dataset):
         # Each GN loss level records one derivative map and one taped sample
         # of it; a change to the taped op sequence shows up as a different
         # count.
@@ -138,7 +138,7 @@ class TestTrainingStepTape:
         pyr_a = forward_pyramid(taped, split.frames[batch.frame_a].image[:, :, None], config)
         pyr_b = forward_pyramid(taped, split.frames[batch.frame_b].image[:, :, None], config)
         total_loss(pyr_a, pyr_b, batch, LossConfig(), np.random.default_rng(0))
-        assert len(tape) == 223
+        assert len(tape) == 215
 
 
 def training_step_tape(split, run_backward: bool):
@@ -152,7 +152,7 @@ def training_step_tape(split, run_backward: bool):
     loss, _ = total_loss(pyr_a, pyr_b, batch, LossConfig(), np.random.default_rng(0))
     if run_backward:
         tape.backward(loss)
-        assert len(tape) == 223
+        assert len(tape) == 215
         with pytest.raises(ValueError):
             tape.backward(loss)
     return weakref.ref(tape)
