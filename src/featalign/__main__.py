@@ -5,7 +5,9 @@ the solver's small GEMMs nor training gain anything reliable from more (on a
 2-vCPU Xeon VM with OpenBLAS 0.3.31, a relocalization with 8-D features takes
 21-33 ms per candidate with one thread against 22-40 ms with two, medians 28
 and 26 ms over 16 alternating runs each, and a training step 44-49 ms
-against 37-58 ms). A count the caller set is kept.
+against 37-58 ms). A count the caller set is kept. The pin holds per calling
+thread: ``train`` runs the second branch of each Siamese pair on one worker
+thread, and each of the two threads calls BLAS on one thread.
 """
 
 import os

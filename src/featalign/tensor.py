@@ -74,24 +74,34 @@ class Tape:
         self._inputs.append(tuple(input_nodes))
         return len(self._backwards) - 1
 
-    def backward(self, loss: Tensor) -> None:
-        """Computes d(loss)/d(node) for every node reachable from ``loss``.
+    def backward(self, outputs, incoming=None) -> None:
+        """Computes d(loss)/d(node) for every node reachable from the outputs.
 
-        ``loss`` must be a scalar tensor recorded on this tape. Gradients
-        accumulate additively; nodes are visited in reverse emission order,
-        which is a reverse topological order by construction.
+        ``backward(loss)`` starts from a scalar ``loss`` recorded on this
+        tape, with gradient one. ``backward(outputs, incoming)`` starts from
+        a sequence of tensors recorded on this tape and the gradient of the
+        loss with respect to each, as when the loss was recorded on another
+        tape that took these tensors as leaves. Gradients accumulate
+        additively; nodes are visited in reverse emission order, which is a
+        reverse topological order by construction.
         """
-        if loss.tape is not self or loss.node is None:
-            raise ValueError("loss is not recorded on this tape")
-        if loss.data.shape != ():
-            raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
+        if incoming is None:
+            if outputs.data.shape != ():
+                raise ValueError(f"loss must be scalar, got shape {outputs.data.shape}")
+            outputs, incoming = [outputs], [np.ones(())]
+        for t, g in zip(outputs, incoming, strict=True):
+            if t.tape is not self or t.node is None:
+                raise ValueError("output is not recorded on this tape")
+            if np.shape(g) != t.data.shape:
+                raise ValueError(f"backward: gradient shape {np.shape(g)} for output of shape {t.data.shape}")
         if self._grads is not None:
             raise ValueError("backward() already ran on this tape; record a new one")
         backwards = self._backwards
         self._backwards = [None] * len(backwards)
         self._grads = grads = [None] * len(backwards)
-        grads[loss.node] = np.ones(())
-        for node in range(loss.node, -1, -1):
+        for t, g in zip(outputs, incoming):
+            grads[t.node] = g if grads[t.node] is None else grads[t.node] + g
+        for node in range(max(t.node for t in outputs), -1, -1):
             fn, backwards[node] = backwards[node], None
             g = grads[node]
             if g is None or fn is None:
@@ -352,29 +362,62 @@ def _conv_forward(xp: np.ndarray, wd: np.ndarray, stride: int, ho: int, wo: int)
     return out
 
 
-def _on_grid_backward(xp: np.ndarray, wd: np.ndarray, g: np.ndarray, need_dx: bool):
-    """(dW, padded-grid dX or None) of a stride-1 convolution.
+def _shifted_gradient(g: np.ndarray, kh: int, kw: int, rows: int):
+    """(gflat, lead): one flat copy of the (Ho, Wo, Cout) output gradient g.
 
-    ``xp`` is the padded input as a (rows, Cin) matrix, rows past Hp*Wp
-    zero. The shifted output gradients G (rows, kh*kw*Cout) hold g[p-di,
-    q-dj] at padded pixel (p, q) under tap (di, dj): one windowed copy of g
-    zero-padded by the kernel size minus one, taps reversed. Then dW = Xpᵀ G
-    and dX = G Wᵀ.
+    Its rows are Wp = Wo + kw - 1 wide and zero past column Wo, after
+    ``lead`` zero rows, and zero rows follow up to ``lead + rows``. Padded
+    pixel (p, q) receives g[p-di, q-dj] under tap (di, dj), which is
+    gflat[lead - di*Wp - dj + p*Wp + q], or a zero where that falls off g.
+    So tap (di, dj)'s column block of the shifted output gradients
+    G (rows, kh*kw*Cout) is the row window of gflat that starts at
+    ``lead - di*Wp - dj``, and G is never built whole.
+    """
+    ho, wo, cout = g.shape
+    wp = wo + kw - 1
+    lead = (kh - 1) * wp + kw - 1
+    gflat = np.zeros((lead + rows, cout))
+    gflat[lead : lead + ho * wp].reshape(ho, wp, cout)[:, :wo] = g
+    return gflat, lead
+
+
+def _tap_gemms(xp: np.ndarray, gflat: np.ndarray, lead: int, wp: int, kh: int, kw: int) -> np.ndarray:
+    """dW = Xpᵀ G of a stride-1 convolution, one GEMM per tap on a window of ``gflat``.
+
+    ``xp`` is the padded input as a (rows, Cin) matrix, rows past Hp*Wp zero.
+    """
+    rows, cin = xp.shape
+    dw = np.empty((kh, kw, cin, gflat.shape[1]))
+    for di in range(kh):
+        for dj in range(kw):
+            start = lead - di * wp - dj
+            np.matmul(xp.T, gflat[start : start + rows], out=dw[di, dj])
+    return dw
+
+
+# Rows of G copied per GEMM of dX = G Wᵀ: 0.6 MB at the default network's
+# dec0, whose whole G is 5.05 MB.
+_SHIFTED_BLOCK_ROWS = 512
+
+
+def _shifted_product(gflat: np.ndarray, lead: int, wd: np.ndarray, hp: int, wp: int) -> np.ndarray:
+    """The padded-grid dX = G Wᵀ (Hp, Wp, Cin) of a stride-1 convolution.
+
+    G's rows are copied from ``gflat`` a block at a time, taps reversed, so
+    each block is one strided copy and one GEMM that sums over all taps.
     """
     kh, kw, cin, cout = wd.shape
-    ho, wo = g.shape[:2]
-    hp, wp = ho + kh - 1, wo + kw - 1
-    gp = np.zeros((ho + 2 * (kh - 1), wo + 2 * (kw - 1), cout))
-    gp[kh - 1 : kh - 1 + ho, kw - 1 : kw - 1 + wo] = g
-    windows = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(0, 1))
-    gm = np.empty((len(xp), kh * kw * cout))
-    gm[hp * wp :] = 0.0
-    gm[: hp * wp].reshape(hp, wp, kh, kw, cout)[...] = windows[..., ::-1, ::-1].transpose(0, 1, 3, 4, 2)
-    dw = (xp.T @ gm).reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
-    dxp = None
-    if need_dx:
-        dxp = (gm[: hp * wp] @ wd.transpose(0, 1, 3, 2).reshape(-1, cin)).reshape(hp, wp, cin)
-    return dw, dxp
+    item, n = gflat.itemsize, hp * wp
+    # shifted[k, di, dj] = gflat[lead + k - di*Wp - dj]
+    shifted = np.lib.stride_tricks.as_strided(
+        gflat[lead:], (n, kh, kw, cout), (cout * item, -wp * cout * item, -cout * item, item), writeable=False
+    )
+    wt = wd.transpose(0, 1, 3, 2).reshape(-1, cin)
+    dxp = np.empty((n, cin))
+    for start in range(0, n, _SHIFTED_BLOCK_ROWS):
+        block = shifted[start : start + _SHIFTED_BLOCK_ROWS]
+        np.matmul(block.reshape(len(block), -1), wt, out=dxp[start : start + len(block)])
+    return dxp.reshape(hp, wp, cin)
 
 
 def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -386,8 +429,9 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     Runs as a few GEMMs whose wide side carries the kernel taps. Forward is
     one GEMM on the im2col matrix (Ho*Wo, kh*kw*Cin) for narrow inputs and
     kh*kw per-tap products otherwise. Backward picks the smaller wide matrix:
-    stride-1 layers with Cout < Cin copy the shifted output gradients into
-    G (Hp*Wp, kh*kw*Cout) over the padded grid, so dW = Xpᵀ G and dX = G Wᵀ;
+    stride-1 layers with Cout < Cin take the shifted output gradients
+    G (Hp*Wp, kh*kw*Cout) over the padded grid, so dW = Xpᵀ G and dX = G Wᵀ,
+    from one flat copy of g without building G whole (``_shifted_gradient``);
     the others rebuild the im2col matrix C for dW = Cᵀ g and scatter the
     taps of g Wᵀ into dX. An untaped input gets no dX.
     """
@@ -418,7 +462,7 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     has_bias = bias is not None
     if has_bias:
         bias = astensor(bias)
-        out = out + bias.data
+        out += bias.data
         inputs.append(bias)
     on_grid = stride == 1 and cout < cin
     need_dx = x.tape is not None
@@ -426,7 +470,11 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     def backward(g):
         dx = None
         if on_grid:
-            dw, dxp = _on_grid_backward(padded(_pixel_rows(hp * wp)), wd, g, need_dx)
+            rows = _pixel_rows(hp * wp)
+            gflat, lead = _shifted_gradient(g, kh, kw, rows)
+            dw = _tap_gemms(padded(rows), gflat, lead, wp, kh, kw)
+            if need_dx:
+                dxp = _shifted_product(gflat, lead, wd, hp, wp)
         else:
             rows = _pixel_rows(ho * wo)
             gf = np.zeros((rows, cout))
@@ -455,9 +503,9 @@ def upsample_concat_conv(a, skip, w, bias) -> Tensor:
     forward builds the padded concatenated input and runs conv2d's forward
     on it, so its bits equal conv2d's on that input. The skip channels
     backpropagate through conv2d's stride-1 route. The upsampled ones do so
-    at a's resolution: low-resolution pixel (u, v) collects, under each tap,
-    the 2x2 block sum of the output gradient that tap reaches it from, as
-    G (H/2*W/2, 9*Cout), so dW_up = Aᵀ G and dA = G W_upᵀ.
+    at a's resolution (``_upsampled_backward``, a function of its own so that
+    its work matrices are freed before the skip half runs). Both halves read
+    one flat copy of the output gradient.
     """
     a, skip, w, bias = astensor(a), astensor(skip), astensor(w), astensor(bias)
     ad, sd, wd = a.data, skip.data, w.data
@@ -473,33 +521,50 @@ def upsample_concat_conv(a, skip, w, bias) -> Tensor:
     xp = np.zeros((hp, wp, ca + cs))
     xp[1 : 1 + h, 1 : 1 + wi, :ca].reshape(h2, 2, w2, 2, ca)[...] = ad[:, None, :, None]
     xp[1 : 1 + h, 1 : 1 + wi, ca:] = sd
-    out = _conv_forward(xp, wd, 1, h, wi) + bias.data
+    out = _conv_forward(xp, wd, 1, h, wi)
+    out += bias.data
 
     def backward(g):
         rows = _pixel_rows(hp * wp)
+        gflat, lead = _shifted_gradient(g, 3, 3, rows)
+        # g zero-padded by one pixel on every side, as a view of gflat.
+        gp = gflat[lead - wp - 1 : lead + (h + 1) * wp - 1].reshape(h + 2, wp, cout)
+        dw_up, da = _upsampled_backward(gp, ad, wd[:, :, :ca])
         xp_skip = np.zeros((rows, cs))
         xp_skip[: hp * wp].reshape(hp, wp, cs)[1 : 1 + h, 1 : 1 + wi] = sd
-        dw_skip, dxp_skip = _on_grid_backward(xp_skip, wd[:, :, ca:], g, True)
-        # R[di] sums the two output rows whose tap di lands in each
-        # low-resolution row; G then sums R's two columns the same way.
-        gp = np.zeros((h + 2, wi + 2, cout))
-        gp[1 : 1 + h, 1 : 1 + wi] = g
-        n = h2 * w2
-        gm = np.empty((_pixel_rows(n), 9 * cout))
-        gm[n:] = 0.0
-        blocks = gm[:n].reshape(h2, w2, 3, 3, cout)
-        for di in range(3):
-            r = gp[2 - di : 2 - di + h : 2] + gp[3 - di : 3 - di + h : 2]
-            for dj in range(3):
-                np.add(r[:, 2 - dj : 2 - dj + wi : 2], r[:, 3 - dj : 3 - dj + wi : 2], out=blocks[:, :, di, dj])
-        am = np.zeros((len(gm), ca))
-        am[:n] = ad.reshape(n, ca)
-        dw_up = (am.T @ gm).reshape(ca, 3, 3, cout).transpose(1, 2, 0, 3)
-        da = (gm[:n] @ wd[:, :, :ca].transpose(0, 1, 3, 2).reshape(-1, ca)).reshape(h2, w2, ca)
-        dskip = dxp_skip[1 : 1 + h, 1 : 1 + wi]
+        dw_skip = _tap_gemms(xp_skip, gflat, lead, wp, 3, 3)
+        dskip = _shifted_product(gflat, lead, wd[:, :, ca:], hp, wp)[1 : 1 + h, 1 : 1 + wi]
         return [da, dskip, np.concatenate([dw_up, dw_skip], axis=2), g.sum(axis=(0, 1))]
 
     return _make(out, [a, skip, w, bias], backward)
+
+
+def _upsampled_backward(gp: np.ndarray, ad: np.ndarray, w_up: np.ndarray):
+    """(dW_up, dA) of the decoder block's nearest-upsampled channels.
+
+    ``gp`` is the (H+2, W+2, Cout) output gradient zero-padded by one pixel,
+    ``ad`` the (H/2, W/2, Ca) coarse input and ``w_up`` its (3, 3, Ca, Cout)
+    kernel slice. Low-resolution pixel (u, v) collects, under each tap, the
+    2x2 block sum of the output gradient that tap reaches it from, as
+    G (H/2*W/2, 9*Cout), so dW_up = Aᵀ G and dA = G W_upᵀ.
+    """
+    h2, w2, ca = ad.shape
+    h, wi, cout = 2 * h2, 2 * w2, gp.shape[2]
+    n = h2 * w2
+    gm = np.empty((_pixel_rows(n), 9 * cout))
+    gm[n:] = 0.0
+    blocks = gm[:n].reshape(h2, w2, 3, 3, cout)
+    # R[di] sums the two output rows whose tap di lands in each
+    # low-resolution row; G then sums R's two columns the same way.
+    for di in range(3):
+        r = gp[2 - di : 2 - di + h : 2] + gp[3 - di : 3 - di + h : 2]
+        for dj in range(3):
+            np.add(r[:, 2 - dj : 2 - dj + wi : 2], r[:, 3 - dj : 3 - dj + wi : 2], out=blocks[:, :, di, dj])
+    am = np.zeros((len(gm), ca))
+    am[:n] = ad.reshape(n, ca)
+    dw_up = (am.T @ gm).reshape(ca, 3, 3, cout).transpose(1, 2, 0, 3)
+    da = (gm[:n] @ w_up.transpose(0, 1, 3, 2).reshape(-1, ca)).reshape(h2, w2, ca)
+    return dw_up, da
 
 
 def central_difference(x) -> Tensor:

@@ -2,10 +2,11 @@
 
 Each step runs the Siamese forward pass (one set of weights, two images) on
 a stored correspondence batch, backpropagates the combined loss, and
-applies ADAM. The weights are the parameters after the final epoch. One
-validation relocalization of those weights is logged in the last epoch's
-row; it picks nothing. Everything is deterministic from the network
-config's seed.
+applies ADAM. The two branches share nothing but the weights, so each step
+runs them on two threads. The weights are the parameters after the final
+epoch. One validation relocalization of those weights is logged in the last
+epoch's row; it picks nothing. Everything is deterministic from the network
+config's seed, and the same on any number of threads.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ def train_network(train_split, val_split, config: TrainConfig):
     of ``val_split``'s candidates; it is NaN in earlier rows and when
     ``val_split`` is None or holds no candidate. It is a log value only.
     """
+    # Imported here: concurrent.futures loads the logging package, which
+    # costs every other command about 0.3 MB of memory and nothing more.
+    from concurrent.futures import ThreadPoolExecutor
+
     if not train_split.correspondences:
         raise DataFault("training split carries no correspondences")
     weights = build_network(config.network)
@@ -66,34 +71,58 @@ def train_network(train_split, val_split, config: TrainConfig):
     state: AdamState = adam_init(params)
     batches = list(train_split.correspondences)
     history: list[EpochStats] = []
-    for epoch in range(config.epochs):
-        order = np.random.default_rng([config.network.seed, 17, epoch]).permutation(len(batches))
-        sums = {"total": 0.0, "contrastive": 0.0, "gauss_newton": 0.0}
-        for slot, batch_index in enumerate(order):
-            batch = batches[batch_index]
-            rng = np.random.default_rng([config.network.seed, 23, epoch, slot])
-            tape = T.Tape()
-            taped = {n: tape.leaf(p) for n, p in zip(names, params)}
-            pyr_a = forward_pyramid(taped, train_split.frames[batch.frame_a].image[:, :, None], config.network)
-            pyr_b = forward_pyramid(taped, train_split.frames[batch.frame_b].image[:, :, None], config.network)
-            loss, parts = total_loss(pyr_a, pyr_b, batch, config.loss, rng)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise NumericalFault(
-                    f"non-finite loss at epoch {epoch}, pair "
-                    f"({batch.frame_a}, {batch.frame_b}): {value!r}"
-                )
-            tape.backward(loss)
-            grads = [tape.grad(taped[n]) for n in names]
-            adam_step(params, grads, state, config.lr)
-            sums["total"] += value
-            sums["contrastive"] += parts["contrastive"]
-            sums["gauss_newton"] += parts["gauss_newton"]
-        n = max(1, len(batches))
-        history.append(EpochStats(epoch, sums["total"] / n, sums["contrastive"] / n, sums["gauss_newton"] / n))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for epoch in range(config.epochs):
+            order = np.random.default_rng([config.network.seed, 17, epoch]).permutation(len(batches))
+            sums = {"total": 0.0, "contrastive": 0.0, "gauss_newton": 0.0}
+            for slot, batch_index in enumerate(order):
+                batch = batches[batch_index]
+                rng = np.random.default_rng([config.network.seed, 23, epoch, slot])
+                value, parts, grads = _step(worker, names, params, train_split.frames, batch, config, rng, epoch)
+                adam_step(params, grads, state, config.lr)
+                sums["total"] += value
+                sums["contrastive"] += parts["contrastive"]
+                sums["gauss_newton"] += parts["gauss_newton"]
+            n = max(1, len(batches))
+            history.append(EpochStats(epoch, sums["total"] / n, sums["contrastive"] / n, sums["gauss_newton"] / n))
     if val_split is not None and val_split.candidates:
         history[-1].val_auc = _validation_auc(val_split, weights)
     return weights, history
+
+
+def _step(worker, names, params, frames, batch, config: TrainConfig, rng, epoch: int):
+    """One Siamese step: (loss value, loss parts, one gradient per parameter).
+
+    Branch b runs on ``worker`` while the caller runs branch a, each on its
+    own tape. The loss is recorded on a third tape whose leaves are the
+    pyramid levels of both branches; both branches then backpropagate at
+    once from their levels' gradients, and each parameter's gradient is the
+    sum of its two branch gradients. A non-finite loss raises before any
+    backward pass. The bits equal one joint tape's: each branch computes
+    what it would there, the loss tape sums the level gradients in the same
+    order, and a sum of two terms does not depend on their order.
+    """
+    tapes = (T.Tape(), T.Tape())
+    taped = [{n: tape.leaf(p) for n, p in zip(names, params)} for tape in tapes]
+    images = [frames[f].image[:, :, None] for f in (batch.frame_a, batch.frame_b)]
+    # Both branches look forward_pyramid up on this module when they call
+    # it, so a wrapper set there (as the benchmark's tracer sets) sees both.
+    pending = worker.submit(forward_pyramid, taped[1], images[1], config.network)
+    pyramids = (forward_pyramid(taped[0], images[0], config.network), pending.result())
+    loss_tape = T.Tape()
+    levels = [[loss_tape.leaf(level.data) for level in pyramid] for pyramid in pyramids]
+    loss, parts = total_loss(levels[0], levels[1], batch, config.loss, rng)
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise NumericalFault(
+            f"non-finite loss at epoch {epoch}, pair ({batch.frame_a}, {batch.frame_b}): {value!r}"
+        )
+    loss_tape.backward(loss)
+    incoming = [[loss_tape.grad(level) for level in branch] for branch in levels]
+    pending = worker.submit(tapes[1].backward, pyramids[1], incoming[1])
+    tapes[0].backward(pyramids[0], incoming[0])
+    pending.result()
+    return value, parts, [tapes[0].grad(taped[0][n]) + tapes[1].grad(taped[1][n]) for n in names]
 
 
 def _validation_auc(val_split, weights: NetworkWeights) -> float:

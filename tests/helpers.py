@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the library's own differentiation,
-and dataset-corruption helpers for the input checks."""
+a serial training reference, and dataset-corruption helpers for the input
+checks."""
 
 import json
 import zlib
@@ -7,7 +8,11 @@ from pathlib import Path
 
 import numpy as np
 
+from featalign import tensor as T
 from featalign.bench.dataset_io import read_depth, read_pgm, write_depth, write_pgm
+from featalign.losses import total_loss
+from featalign.network import build_network, forward_pyramid
+from featalign.optim import adam_init, adam_step
 from featalign.weights_io import save_weights
 
 
@@ -73,6 +78,33 @@ def fancy_index_bilinear(m, coords, g):
     np.add.at(dmap, (y0 + 1, x0), w10 * g)
     np.add.at(dmap, (y0 + 1, x0 + 1), w11 * g)
     return out, dmap
+
+
+def train_serial(split, config):
+    """``train_network`` without threads or validation: (weights, per-epoch mean
+    (total, contrastive, gauss_newton) rows).
+
+    Each step records both branches on one joint tape, branch a then branch
+    b, and runs ``backward(loss)`` once; the steps, rngs and means are
+    ``train_network``'s.
+    """
+    weights = build_network(config.network)
+    names, batches, log = list(weights.params), split.correspondences, []
+    state = adam_init(list(weights.params.values()))
+    for epoch in range(config.epochs):
+        rows = []
+        for slot, index in enumerate(np.random.default_rng([config.network.seed, 17, epoch]).permutation(len(batches))):
+            batch, tape = batches[index], T.Tape()
+            taped = {n: tape.leaf(weights.params[n]) for n in names}
+            pyramids = [forward_pyramid(taped, split.frames[f].image[:, :, None], config.network)
+                        for f in (batch.frame_a, batch.frame_b)]
+            rng = np.random.default_rng([config.network.seed, 23, epoch, slot])
+            loss, parts = total_loss(*pyramids, batch, config.loss, rng)
+            tape.backward(loss)
+            adam_step([weights.params[n] for n in names], [tape.grad(taped[n]) for n in names], state, config.lr)
+            rows.append((float(loss.data), parts["contrastive"], parts["gauss_newton"]))
+        log.append([sum(column) / len(batches) for column in zip(*rows)])
+    return weights, log
 
 
 def edit_first_frame_file(split_dir, kind, edit):

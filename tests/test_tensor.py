@@ -1,6 +1,7 @@
 """Gradient checks for every autodiff primitive, plus ADAM and weights I/O."""
 
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -463,6 +464,23 @@ class TestUpsampleConcatConv:
         with pytest.raises(ValueError, match="upsample_concat_conv"):
             T.upsample_concat_conv(np.zeros((2, 3, 3)), np.zeros(skip_shape), np.zeros(w_shape), np.zeros(2))
 
+    def test_backward_never_builds_the_shifted_gradients_whole(self):
+        # dec0 of the default network. Its skip half's G (4,384 x 144) alone
+        # is 5.05 MB; one flat copy of g is 0.58 MB, and the whole backward,
+        # with every gradient it returns, peaks at about 2.6 MB.
+        rng = np.random.default_rng(0)
+        tape = T.Tape()
+        leaves = [tape.leaf(rng.standard_normal(shape)) for shape in [(32, 32, 32), (64, 64, 16), (3, 3, 48, 16), (16,)]]
+        out = T.upsample_concat_conv(*leaves)
+        g = rng.standard_normal(out.shape)
+        tracemalloc.start()
+        try:
+            tape.backward([out], [g])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, f"backward peaked at {peak / 1e6:.2f} MB"
+
 
 class TestBackward:
     def test_sum_of_leaf_gives_ones(self):
@@ -521,6 +539,37 @@ class TestBackward:
         x = tape.leaf(np.zeros(3))
         with pytest.raises(ValueError):
             tape.backward(T.mul(x, 2.0))
+
+    def test_outputs_with_incoming_gradients_match_their_surrogate_loss(self):
+        # Starting at outputs y, z with gradients gy, gz is backward(loss) of
+        # sum(y * gy) + sum(z * gz), bit for bit; y also feeds z.
+        rng = np.random.default_rng(4)
+        gy, gz = rng.standard_normal(4), rng.standard_normal((2, 2))
+        grads = []
+        for surrogate in (False, True):
+            tape = T.Tape()
+            x = tape.leaf(np.linspace(0.5, 2.0, 4))
+            y = T.sqrt(T.mul(x, x))
+            z = T.reshape(T.mul(y, x), (2, 2))
+            if surrogate:
+                tape.backward(T.add(T.reduce_sum(T.mul(y, T.Tensor(gy))), T.reduce_sum(T.mul(z, T.Tensor(gz)))))
+            else:
+                tape.backward([y, z], [gy, gz])
+            grads.append(tape.grad(x))
+        assert np.array_equal(grads[0], grads[1])
+
+    def test_outputs_are_checked(self):
+        tape, other = T.Tape(), T.Tape()
+        x = tape.leaf(np.ones(3))
+        y = T.mul(x, 2.0)
+        with pytest.raises(ValueError, match="not recorded on this tape"):
+            tape.backward([other.leaf(np.ones(3))], [np.ones(3)])
+        with pytest.raises(ValueError, match="gradient shape"):
+            tape.backward([y], [np.ones(2)])
+        with pytest.raises(ValueError, match="zip"):
+            tape.backward([y], [np.ones(3), np.ones(3)])
+        tape.backward([y], [np.arange(3.0)])
+        np.testing.assert_array_equal(tape.grad(x), [0.0, 2.0, 4.0])
 
     def test_unused_leaf_gets_zeros(self):
         tape = T.Tape()

@@ -2,6 +2,8 @@
 
 import copy
 import gc
+import sys
+import threading
 import weakref
 from dataclasses import replace
 
@@ -16,6 +18,7 @@ from featalign.errors import DataFault, NumericalFault
 from featalign.losses import LossConfig, total_loss
 from featalign.network import NetworkConfig, build_network, forward_pyramid, load_network
 from featalign.training import TrainConfig, history_csv, train_network
+from helpers import train_serial
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +126,82 @@ class TestTrainNetwork:
         split = read_split(tiny_dataset / "val")  # no correspondences stored
         with pytest.raises(DataFault):
             train_network(split, None, small_config())
+
+
+def fault_on_worker(monkeypatch, where):
+    """Makes branch b's forward or backward raise; returns the raised faults.
+
+    Branch b is the one that runs on the worker thread; branch a and the
+    loss tape run on the caller's.
+    """
+    raised = []
+
+    def failing(original):
+        def call(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raised.append(NumericalFault(f"injected in branch b's {where}"))
+                raise raised[-1]
+            return original(*args, **kwargs)
+
+        return call
+
+    if where == "forward":
+        monkeypatch.setattr(training_mod, "forward_pyramid", failing(training_mod.forward_pyramid))
+    else:
+        monkeypatch.setattr(T.Tape, "backward", failing(T.Tape.backward))
+    return raised
+
+
+class TestThreadedStep:
+    """Each step runs branch b on a worker thread; the bits are the serial joint tape's."""
+
+    @pytest.mark.parametrize("base_width", [16, 4])
+    def test_equals_serial_joint_tape_bitwise(self, tiny_dataset, base_width):
+        split = read_split(tiny_dataset / "train")
+        config = small_config(network=NetworkConfig(base_width=base_width, seed=3))
+        # Switching threads every few microseconds interleaves the branches
+        # as finely as the interpreter allows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            weights, history = train_network(split, None, config)
+        finally:
+            sys.setswitchinterval(interval)
+        serial, log = train_serial(split, config)
+        assert list(weights.params) == list(serial.params)
+        for name in weights.params:
+            assert np.array_equal(weights.params[name], serial.params[name]), name
+        assert np.array_equal([[r.total, r.contrastive, r.gauss_newton] for r in history], log)
+
+    def test_leaves_no_thread_behind(self, tiny_dataset):
+        split = read_split(tiny_dataset / "train")
+        before = set(threading.enumerate())
+        train_network(split, None, small_config(epochs=1))
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("where", ["forward", "backward"])
+    def test_fault_in_branch_b_propagates_and_joins_the_worker(self, tiny_dataset, monkeypatch, where):
+        split = read_split(tiny_dataset / "train")
+        before = set(threading.enumerate())
+        raised = fault_on_worker(monkeypatch, where)
+        with pytest.raises(NumericalFault) as excinfo:
+            train_network(split, None, small_config())
+        assert len(raised) == 1 and excinfo.value is raised[0]
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("where", ["forward", "backward"])
+    def test_fault_in_branch_b_exits_3(self, tiny_dataset, tmp_path, monkeypatch, capsys, where):
+        fault_on_worker(monkeypatch, where)
+        out = tmp_path / "w.gnnw"
+        rc = cli_main(
+            [
+                "train", "--dataset", str(tiny_dataset), "--out", str(out), "--epochs", "1",
+                "--base-width", "4", "--descriptor-dim", "4", "--levels", "2", "--val-candidates", "0",
+            ]
+        )
+        assert rc == 3
+        assert f"injected in branch b's {where}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainingStepTape:
