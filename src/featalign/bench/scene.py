@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
@@ -433,13 +433,12 @@ def generate_scene(seed: int, config: SceneConfig) -> SyntheticScene:
 
 
 def make_correspondences(
-    scene_or_frames,
+    scene: SyntheticScene,
     frame_a: int,
     frame_b: int,
     n_pos: int,
     n_neg: int,
     seed: int,
-    intrinsics: Optional[CameraIntrinsics] = None,
 ) -> CorrespondenceBatch:
     """Ground-truth matches between two overlapping frames.
 
@@ -447,13 +446,12 @@ def make_correspondences(
     map and the relative ground-truth pose; landing points are kept only if
     they respect the margins and agree with frame b's depth within 2%
     (occlusion / numeric guard). Negatives follow the training-loss rule:
-    one far-away wrong location in b per positive.
+    one far-away wrong location in b per positive. Of ``scene`` it reads
+    ``frames`` and ``intrinsics`` only.
     """
-    frames = scene_or_frames.frames if isinstance(scene_or_frames, SyntheticScene) else scene_or_frames
-    if intrinsics is None:
-        intrinsics = scene_or_frames.intrinsics
-    fa = next(f for f in frames if f.frame_id == frame_a)
-    fb = next(f for f in frames if f.frame_id == frame_b)
+    intrinsics = scene.intrinsics
+    fa = next(f for f in scene.frames if f.frame_id == frame_a)
+    fb = next(f for f in scene.frames if f.frame_id == frame_b)
     rel = fb.pose.inverse().compose(fa.pose)
     rng = np.random.default_rng([seed, frame_a, frame_b])
     height, width = fa.depth.shape

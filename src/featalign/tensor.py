@@ -319,7 +319,7 @@ def inv2x2(x) -> Tensor:
 
 # OpenBLAS (0.3.31) makes a GEMM's sums depend on its thread count when the
 # reduction is not a multiple of 32 long, as the decoder's padded 66x66 and
-# 34x34 grids are. conv2d pads its sums over pixels with zero rows up to that
+# 34x34 grids are. Sums over pixels are padded with zero rows up to that
 # multiple, so training writes the same bytes on any thread count.
 _PIXEL_ROWS_MULTIPLE = 32
 # With fewer input channels, per-tap products are too narrow for BLAS and one
@@ -365,9 +365,10 @@ def _conv_forward(xp: np.ndarray, wd: np.ndarray, stride: int, ho: int, wo: int)
 def _shifted_gradient(g: np.ndarray, kh: int, kw: int, rows: int):
     """(gflat, lead): one flat copy of the (Ho, Wo, Cout) output gradient g.
 
-    Its rows are Wp = Wo + kw - 1 wide and zero past column Wo, after
-    ``lead`` zero rows, and zero rows follow up to ``lead + rows``. Padded
-    pixel (p, q) receives g[p-di, q-dj] under tap (di, dj), which is
+    The decoder op's skip half backpropagates from it. Its rows are
+    Wp = Wo + kw - 1 wide and zero past column Wo, after ``lead`` zero rows,
+    and zero rows follow up to ``lead + rows``. Padded pixel (p, q)
+    receives g[p-di, q-dj] under tap (di, dj), which is
     gflat[lead - di*Wp - dj + p*Wp + q], or a zero where that falls off g.
     So tap (di, dj)'s column block of the shifted output gradients
     G (rows, kh*kw*Cout) is the row window of gflat that starts at
@@ -428,12 +429,9 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
 
     Runs as a few GEMMs whose wide side carries the kernel taps. Forward is
     one GEMM on the im2col matrix (Ho*Wo, kh*kw*Cin) for narrow inputs and
-    kh*kw per-tap products otherwise. Backward picks the smaller wide matrix:
-    stride-1 layers with Cout < Cin take the shifted output gradients
-    G (Hp*Wp, kh*kw*Cout) over the padded grid, so dW = Xpᵀ G and dX = G Wᵀ,
-    from one flat copy of g without building G whole (``_shifted_gradient``);
-    the others rebuild the im2col matrix C for dW = Cᵀ g and scatter the
-    taps of g Wᵀ into dX. An untaped input gets no dX.
+    kh*kw per-tap products otherwise. Backward rebuilds the im2col matrix C
+    for dW = Cᵀ g and scatters the taps of g Wᵀ into dX. An untaped input
+    gets no dX.
     """
     x, w = astensor(x), astensor(w)
     xd, wd = x.data, w.data
@@ -449,43 +447,34 @@ def conv2d(x, w, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     if ho <= 0 or wo <= 0:
         raise ValueError("conv2d: kernel larger than padded input")
 
-    def padded(rows):
-        """The zero-padded input as a (rows, Cin) matrix; rows past Hp*Wp are zero."""
-        if rows == hp * wp and not pad:
-            return xd.reshape(rows, cin)
-        xp = np.zeros((rows, cin))
-        xp[: hp * wp].reshape(hp, wp, cin)[pad : pad + h, pad : pad + wi] = xd
+    def padded():
+        """The (Hp, Wp, Cin) zero-padded input, or ``xd`` itself when ``pad`` is 0."""
+        if not pad:
+            return xd
+        xp = np.zeros((hp, wp, cin))
+        xp[pad : pad + h, pad : pad + wi] = xd
         return xp
 
-    out = _conv_forward(padded(hp * wp).reshape(hp, wp, cin), wd, stride, ho, wo)
+    out = _conv_forward(padded(), wd, stride, ho, wo)
     inputs = [x, w]
     has_bias = bias is not None
     if has_bias:
         bias = astensor(bias)
         out += bias.data
         inputs.append(bias)
-    on_grid = stride == 1 and cout < cin
     need_dx = x.tape is not None
 
     def backward(g):
         dx = None
-        if on_grid:
-            rows = _pixel_rows(hp * wp)
-            gflat, lead = _shifted_gradient(g, kh, kw, rows)
-            dw = _tap_gemms(padded(rows), gflat, lead, wp, kh, kw)
-            if need_dx:
-                dxp = _shifted_product(gflat, lead, wd, hp, wp)
-        else:
-            rows = _pixel_rows(ho * wo)
-            gf = np.zeros((rows, cout))
-            gf[: ho * wo] = g.reshape(-1, cout)
-            dw = (_im2col(padded(hp * wp).reshape(hp, wp, cin), kh, kw, stride, ho, wo, rows).T @ gf).reshape(wd.shape)
-            if need_dx:
-                dcols = (gf[: ho * wo] @ wd.reshape(-1, cout).T).reshape(ho, wo, kh, kw, cin)
-                dxp = np.zeros((hp, wp, cin))
-                for di, dj, si, sj in _taps(kh, kw, stride, ho, wo):
-                    dxp[si, sj] += dcols[:, :, di, dj]
+        rows = _pixel_rows(ho * wo)
+        gf = np.zeros((rows, cout))
+        gf[: ho * wo] = g.reshape(-1, cout)
+        dw = (_im2col(padded(), kh, kw, stride, ho, wo, rows).T @ gf).reshape(wd.shape)
         if need_dx:
+            dcols = (gf[: ho * wo] @ wd.reshape(-1, cout).T).reshape(ho, wo, kh, kw, cin)
+            dxp = np.zeros((hp, wp, cin))
+            for di, dj, si, sj in _taps(kh, kw, stride, ho, wo):
+                dxp[si, sj] += dcols[:, :, di, dj]
             dx = dxp[pad : pad + h, pad : pad + wi]
         grads = [dx, dw]
         if has_bias:
@@ -502,10 +491,10 @@ def upsample_concat_conv(a, skip, w, bias) -> Tensor:
     the kernel is (3, 3, Ca+Cs, Cout) with the upsampled channels first. The
     forward builds the padded concatenated input and runs conv2d's forward
     on it, so its bits equal conv2d's on that input. The skip channels
-    backpropagate through conv2d's stride-1 route. The upsampled ones do so
-    at a's resolution (``_upsampled_backward``, a function of its own so that
-    its work matrices are freed before the skip half runs). Both halves read
-    one flat copy of the output gradient.
+    backpropagate from shifted output gradients (``_shifted_gradient``),
+    the upsampled ones at a's resolution (``_upsampled_backward``, a
+    function of its own so that its work matrices are freed before the skip
+    half runs). Both halves read one flat copy of the output gradient.
     """
     a, skip, w, bias = astensor(a), astensor(skip), astensor(w), astensor(bias)
     ad, sd, wd = a.data, skip.data, w.data

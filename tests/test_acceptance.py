@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.stats import multivariate_normal
@@ -293,12 +294,13 @@ class TestCriterion5BasinEnlargement:
     def test_trained_features_enlarge_convergence_basin(self, benchmark_models):
         start = time.monotonic()
         split = read_split(benchmark_models.dataset / "test")
+        # The split's frames and intrinsics, which are all make_correspondences reads of a scene.
+        scene = SimpleNamespace(frames=list(split.frames.values()), intrinsics=split.intrinsics)
         batches = []
         for cand in split.candidates[:60]:
             batches.append(
                 make_correspondences(
-                    list(split.frames.values()), cand.reference_frame, cand.candidate_frame,
-                    90, 0, seed=cand.candidate_frame, intrinsics=split.intrinsics,
+                    scene, cand.reference_frame, cand.candidate_frame, 90, 0, seed=cand.candidate_frame
                 )
             )
         n_trials = sum(b.n_pos for b in batches)

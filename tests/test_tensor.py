@@ -317,7 +317,9 @@ def per_tap_conv2d(x, w, b, g, stride, pad):
 
 
 class TestConv2dLayouts:
-    # The default network's eight layers: (H, Cin, Cout, k, stride, pad).
+    # The default network's conv2d layers, and dec1 and dec0 at their
+    # concatenated shapes, which the network runs in upsample_concat_conv,
+    # kept as 3x3 stride-1 coverage: (H, Cin, Cout, k, stride, pad).
     @pytest.mark.parametrize(
         "h,cin,cout,k,stride,pad",
         [
@@ -364,8 +366,9 @@ class TestConv2dLayouts:
 def nine_write_on_grid(x, w, g, pad):
     """(dx, dw) of a stride-1 convolution, shifted gradients written tap by tap.
 
-    The reference for conv2d's one windowed copy: one strided write per tap
-    into a zeroed (rows, kh*kw*Cout) matrix, then the same GEMMs.
+    The reference for the decoder op's skip half, which reads G from one
+    windowed copy of g: one strided write per tap into a zeroed
+    (rows, kh*kw*Cout) matrix, then the same GEMMs.
     """
     (h, wi, cin), (kh, kw, _, cout) = x.shape, w.shape
     ho, wo = g.shape[:2]
@@ -384,47 +387,52 @@ def nine_write_on_grid(x, w, g, pad):
 
 
 class TestOnGridShiftedGradients:
-    # conv2d's stride-1, Cout < Cin route at the decoder convs' full shapes
-    # (the fused op's skip half takes it), two heads, and an odd-sized map.
+    # The decoder op's skip half at dec1 and dec0 and on a 10x10 map, whose
+    # 144 padded pixels are not a multiple of 32 rows; and conv2d at two 1x1
+    # heads, whose im2col backward runs the same GEMMs. Ca is the decoder
+    # op's upsampled channels, 0 for conv2d.
     @pytest.mark.parametrize(
-        "h,cin,cout,k,pad",
+        "h,ca,cin,cout,k",
         [
-            pytest.param(32, 96, 32, 3, 1, id="dec1"),
-            pytest.param(64, 48, 16, 3, 1, id="dec0"),
-            pytest.param(64, 16, 8, 1, 0, id="head0"),
-            pytest.param(16, 64, 8, 1, 0, id="head2"),
-            pytest.param(7, 5, 3, 3, 1, id="7x7"),
+            pytest.param(32, 64, 32, 32, 3, id="dec1"),
+            pytest.param(64, 32, 16, 16, 3, id="dec0"),
+            pytest.param(64, 0, 16, 8, 1, id="head0"),
+            pytest.param(16, 0, 64, 8, 1, id="head2"),
+            pytest.param(10, 4, 5, 3, 3, id="10x10"),
         ],
     )
-    def test_matches_nine_writes_bitwise(self, h, cin, cout, k, pad):
+    def test_matches_nine_writes_bitwise(self, h, ca, cin, cout, k):
         rng = np.random.default_rng(h + cin)
         x = rng.standard_normal((h, h, cin))
-        w = rng.standard_normal((k, k, cin, cout))
+        w = rng.standard_normal((k, k, ca + cin, cout))
         tape = T.Tape()
         xl, wl = tape.leaf(x), tape.leaf(w)
-        out = T.conv2d(xl, wl, pad=pad)
+        if ca:
+            a = rng.standard_normal((h // 2, h // 2, ca))
+            out = T.upsample_concat_conv(a, xl, wl, np.zeros(cout))
+        else:
+            out = T.conv2d(xl, wl)
         g = rng.standard_normal(out.data.shape)
         tape.backward(T.reduce_sum(T.mul(out, T.Tensor(g))))
-        dx, dw = nine_write_on_grid(x, w, g, pad)
+        dx, dw = nine_write_on_grid(x, w[:, :, ca:], g, k // 2)
         assert np.array_equal(tape.grad(xl), dx)
-        assert np.array_equal(tape.grad(wl), dw)
+        assert np.array_equal(tape.grad(wl)[:, :, ca:], dw)
 
 
 class TestUpsampleConcatConv:
     """The fused decoder op against conv2d on the concatenated input."""
 
     # dec1 and dec0 of the default network, and dec0 at base_width 4, whose
-    # 12 input channels take conv2d's im2col forward. Its skip GEMMs are only
-    # 4 columns wide, and OpenBLAS rounds them differently from 12.
+    # 12 input channels take conv2d's im2col forward.
     @pytest.mark.parametrize(
-        "h,ca,cs,cout,skip_bitwise",
+        "h,ca,cs,cout",
         [
-            pytest.param(32, 64, 32, 32, True, id="dec1"),
-            pytest.param(64, 32, 16, 16, True, id="dec0"),
-            pytest.param(64, 8, 4, 4, False, id="dec0-width4"),
+            pytest.param(32, 64, 32, 32, id="dec1"),
+            pytest.param(64, 32, 16, 16, id="dec0"),
+            pytest.param(64, 8, 4, 4, id="dec0-width4"),
         ],
     )
-    def test_matches_conv2d_on_repeat_then_concatenate(self, h, ca, cs, cout, skip_bitwise):
+    def test_matches_conv2d_on_repeat_then_concatenate(self, h, ca, cs, cout):
         rng = np.random.default_rng(h + ca)
         a = np.maximum(rng.standard_normal((h // 2, h // 2, ca)), 0.0)
         skip = np.maximum(rng.standard_normal((h, h, cs)), 0.0)
@@ -446,11 +454,11 @@ class TestUpsampleConcatConv:
 
         assert np.array_equal(out.data, want.data)
         assert np.array_equal(db, want_db)
-        if skip_bitwise:
-            # The skip half runs conv2d's GEMMs restricted to its channels.
-            assert np.array_equal(dskip, dcat[:, :, ca:])
-            assert np.array_equal(dw[:, :, ca:], want_dw[:, :, ca:])
-        # The upsampled half sums the same products in another order.
+        # The skip half is a stride-1 convolution of its own channels.
+        want_dskip, want_dw_skip = nine_write_on_grid(skip, w[:, :, ca:], g, 1)
+        assert np.array_equal(dskip, want_dskip)
+        assert np.array_equal(dw[:, :, ca:], want_dw_skip)
+        # Against conv2d, both halves sum the same products in another order.
         want_da = dcat[:, :, :ca].reshape(h // 2, 2, h // 2, 2, ca).sum(axis=(1, 3))
         for got, ref in [(da, want_da), (dw, want_dw), (dskip, dcat[:, :, ca:])]:
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
